@@ -2,9 +2,9 @@
 // behind the hardened multi-tenant serving layer (internal/serve):
 // per-tenant admission control with bounded queueing, per-request
 // deadlines, per-tier circuit breakers, seeded retry backoff, graceful
-// drain, and the inference hot path: an anonymization-keyed result
-// cache and cross-request microbatched decode (-cache-size,
-// -batch-max, -batch-wait).
+// drain, and an anonymization-keyed result cache (-cache-size) in
+// front of the decoder. A cache miss decodes at once, with no
+// cross-request batching (DESIGN.md, "Why there is no batcher").
 //
 //	dbpal-serve -schema patients,flights -model nn -addr :8080
 //	curl 'localhost:8080/v1/flights/ask?q=show+the+names+of+all+airlines'
@@ -71,8 +71,6 @@ func main() {
 		criticTO  = flag.Duration("critic-timeout", 0, "critic dry-run deadline (0 = default)")
 
 		cacheSize = flag.Int("cache-size", 1024, "anonymization-keyed result cache entries per model version (0 = no cache)")
-		batchMax  = flag.Int("batch-max", 8, "microbatch size: concurrent decodes share one batched forward pass (0 or 1 = no batching)")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "max time a partial microbatch waits before flushing")
 
 		minAcc    = flag.Float64("min-accuracy", 0, "onboarding eval gate: reject candidate models scoring below this (0 = no gate)")
 		evalQs    = flag.Int("eval-questions", 0, "onboarding eval workload size (0 = default, negative = skip eval)")
@@ -87,7 +85,7 @@ func main() {
 		workers: *workers, queue: *queue, timeout: *timeout, drain: *drain,
 		retries: *retries, breakers: *breakers, cooldown: *cooldown,
 		critic: *criticOn, criticBudget: *rowBudget, criticTimeout: *criticTO,
-		cacheSize: *cacheSize, batchMax: *batchMax, batchWait: *batchWait,
+		cacheSize:   *cacheSize,
 		minAccuracy: *minAcc, evalQuestions: *evalQs,
 		checkpointDir: *ckptDir, checkpointEvery: *ckptEvery,
 	}); err != nil {
@@ -112,8 +110,7 @@ type config struct {
 	critic              bool
 	criticBudget        int
 	criticTimeout       time.Duration
-	cacheSize, batchMax int
-	batchWait           time.Duration
+	cacheSize           int
 	minAccuracy         float64
 	evalQuestions       int
 	checkpointDir       string
@@ -169,8 +166,6 @@ func run(cfg config) error {
 		CriticRowBudget: cfg.criticBudget,
 		CriticTimeout:   cfg.criticTimeout,
 		CacheSize:       cfg.cacheSize,
-		BatchMax:        cfg.batchMax,
-		BatchWait:       cfg.batchWait,
 		MinAccuracy:     cfg.minAccuracy,
 		EvalQuestions:   cfg.evalQuestions,
 		CheckpointDir:   cfg.checkpointDir,

@@ -410,9 +410,9 @@ func pkgName(info *types.Info, call *ast.CallExpr) string {
 }
 
 // isModelCallName matches the pluggable-model call surface:
-// Translate, TranslateContext, TranslateBatch, Ask, AskContext,
-// Train, TrainContext, ... — a name-based convention because the
-// model behind the interface is exactly what the module cannot see.
+// Translate, TranslateK, Ask, AskContext, Train, TrainContext, ... —
+// a name-based convention because the model behind the interface is
+// exactly what the module cannot see.
 func isModelCallName(name string) bool {
 	for _, prefix := range []string{"Translate", "Ask", "Train"} {
 		if name == prefix {

@@ -50,8 +50,8 @@ func TestBlockingFacts(t *testing.T) {
 		// Direct intrinsic sources.
 		{"repro/internal/registry", "Registry.Wait", true, KindSyncWait},
 		{"repro/internal/par", "MapCtx", true, KindChan},
-		// Transitive: decode reaches the model Translate path.
-		{"repro/internal/serve", "Batcher.decode", true, KindModel},
+		// A model call through the Translator interface.
+		{"repro/internal/runtime", "Translator.tierCandidates", true, KindModel},
 		// Transitive through a module-internal helper chain.
 		{"repro/internal/serve", "Server.Shutdown", true, KindNone},
 		// Precision: mutex-guarded fast paths are NOT blocking, even

@@ -14,6 +14,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -327,22 +328,42 @@ func (db *Database) Execute(q *sqlast.Query) (*Result, error) {
 	return ex.query(q)
 }
 
+// ExecuteContext is Execute bounded by ctx: the scan checks ctx every
+// ctxCheckRows materialized environment rows and abandons the query
+// with ctx's error (wrapped) once it is done, so a runaway cross
+// product stops at its caller's deadline instead of running on.
+func (db *Database) ExecuteContext(ctx context.Context, q *sqlast.Query) (*Result, error) {
+	ex := &executor{db: db, ctx: ctx}
+	return ex.query(q)
+}
+
 // ExecuteBudget runs the query with a row budget: execution aborts
-// with an ErrRowBudget failure once the cross product of the FROM
-// tables (across the query and its subqueries) materializes more than
-// budget environment rows. budget <= 0 means unbounded. Plain scans
-// with a LIMIT and no ordering/grouping/dedup stop enumerating as soon
-// as the limit is met, so a tight LIMIT keeps a huge scan within
-// budget.
+// with an ErrRowBudget failure once the query and its subqueries have
+// materialized more than budget environment rows in total. Each
+// subquery runs at most once per execution (see subqueryResult), so
+// the budget counts rows actually materialized, not the product of
+// outer and inner rows. budget <= 0 means unbounded. Plain scans with
+// a LIMIT and no ordering/grouping/dedup stop enumerating as soon as
+// the limit is met, so a tight LIMIT keeps a huge scan within budget.
 func (db *Database) ExecuteBudget(q *sqlast.Query, budget int) (*Result, error) {
 	ex := &executor{db: db, budget: budget}
 	return ex.query(q)
 }
 
+// ctxCheckRows is how many environment rows ExecuteContext
+// materializes between checks of its context.
+const ctxCheckRows = 1024
+
+// executor is the state of one execution.
 type executor struct {
 	db      *Database
-	budget  int // max env rows to materialize; <= 0 unbounded
-	visited int // env rows materialized so far, all (sub)queries
+	ctx     context.Context // nil: never cancelled
+	budget  int             // max env rows to materialize; <= 0 unbounded
+	visited int             // env rows materialized so far, all (sub)queries
+	// subs holds each subquery's result, computed on first use: a
+	// subquery is uncorrelated (an outer reference fails to bind), so
+	// its result is the same for every outer row.
+	subs map[*sqlast.Query]*Result
 }
 
 // binding maps qualified column names to value positions in the
@@ -394,10 +415,12 @@ func (b *binding) resolve(c sqlast.ColumnRef) (int, error) {
 
 // forEachEnv streams the cross product of the FROM tables' rows (the
 // concatenation of one row per table, in row-major order), charging
-// each materialized row against the executor's budget. The row passed
-// to fn is only valid for the duration of the call — fn must copy
-// rows it keeps. fn returning false stops the walk early, which is
-// what lets a plain LIMIT scan finish within budget.
+// each materialized row against the executor's budget. With one table
+// fn receives the table's own rows, which it may keep: the engine
+// never writes a stored row. Otherwise the row is a reused buffer,
+// valid only for the duration of the call, and fn must copy rows it
+// keeps. fn returning false stops the walk early, which is what lets a
+// plain LIMIT scan finish within budget.
 func (ex *executor) forEachEnv(tables []string, fn func(Row) (bool, error)) error {
 	tabs := make([]*Table, len(tables))
 	width := 0
@@ -409,15 +432,31 @@ func (ex *executor) forEachEnv(tables []string, fn func(Row) (bool, error)) erro
 		tabs[i] = t
 		width += len(t.Columns)
 	}
+	emit := func(row Row) (bool, error) {
+		ex.visited++
+		if ex.budget > 0 && ex.visited > ex.budget {
+			return false, execError(ErrRowBudget, "row budget exceeded: %d environment rows materialized (budget %d)", ex.visited, ex.budget)
+		}
+		if ex.ctx != nil && ex.visited%ctxCheckRows == 0 {
+			if err := ex.ctx.Err(); err != nil {
+				return false, fmt.Errorf("engine: execution abandoned after %d environment rows: %w", ex.visited, err)
+			}
+		}
+		return fn(row)
+	}
+	if len(tabs) == 1 {
+		for _, r := range tabs[0].Rows {
+			if cont, err := emit(r); err != nil || !cont {
+				return err
+			}
+		}
+		return nil
+	}
 	env := make(Row, 0, width)
 	var walk func(i int) (bool, error)
 	walk = func(i int) (bool, error) {
 		if i == len(tabs) {
-			ex.visited++
-			if ex.budget > 0 && ex.visited > ex.budget {
-				return false, execError(ErrRowBudget, "row budget exceeded: %d environment rows materialized (budget %d)", ex.visited, ex.budget)
-			}
-			return fn(env)
+			return emit(env)
 		}
 		mark := len(env)
 		for _, r := range tabs[i].Rows {
@@ -469,9 +508,10 @@ func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 			return false, err
 		}
 		if ok {
-			kept := make(Row, len(row))
-			copy(kept, row)
-			filtered = append(filtered, kept)
+			if len(q.From.Tables) > 1 {
+				row = append(Row(nil), row...) // the walk reuses its buffer
+			}
+			filtered = append(filtered, row)
 		}
 		return true, nil
 	})

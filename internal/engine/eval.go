@@ -133,13 +133,16 @@ func (ex *executor) evalBool(e sqlast.Expr, b *binding, row Row) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		set, err := ex.subquerySet(v.Query)
+		res, err := ex.subqueryResult(v.Query)
 		if err != nil {
 			return false, err
 		}
+		if len(res.Columns) != 1 {
+			return false, execError(ErrArity, "IN subquery must produce exactly one column, got %d", len(res.Columns))
+		}
 		found := false
-		for _, sv := range set {
-			if sv.Equal(row[p]) {
+		for _, r := range res.Rows {
+			if r[0].Equal(row[p]) {
 				found = true
 				break
 			}
@@ -188,27 +191,25 @@ func (ex *executor) evalOperand(o sqlast.Operand, b *binding, row Row) (Value, e
 	}
 }
 
-// subqueryResult executes an uncorrelated subquery. Correlated column
-// references surface as "unknown column" errors from the inner binding,
-// which matches the paper's "uncorrelated nestings only" scope.
+// subqueryResult returns an uncorrelated subquery's result, executing
+// it on first use and serving every later outer row from the
+// executor's memo. Correlated column references surface as "unknown
+// column" errors from the inner binding, which matches the paper's
+// "uncorrelated nestings only" scope; a failed subquery is not
+// memoized, since its error ends the execution.
 func (ex *executor) subqueryResult(q *sqlast.Query) (*Result, error) {
-	return ex.query(q)
-}
-
-// subquerySet returns the first-column values of the subquery result.
-func (ex *executor) subquerySet(q *sqlast.Query) ([]Value, error) {
-	res, err := ex.subqueryResult(q)
+	if res, ok := ex.subs[q]; ok {
+		return res, nil
+	}
+	res, err := ex.query(q)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Columns) != 1 {
-		return nil, execError(ErrArity, "IN subquery must produce exactly one column, got %d", len(res.Columns))
+	if ex.subs == nil {
+		ex.subs = map[*sqlast.Query]*Result{}
 	}
-	out := make([]Value, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = r[0]
-	}
-	return out, nil
+	ex.subs[q] = res
+	return res, nil
 }
 
 // subqueryScalar returns the single value of a scalar subquery. An

@@ -148,8 +148,7 @@ func (m *Sketch) TranslateK(nl, schemaToks []string, k int) [][]string {
 		return nil
 	}
 	ss := newSchemaSet(schemaToks)
-	ec := m.encodeNL(nl)
-	enc := ec.final
+	enc := m.encodeInfer(nl)
 	nlc := newNLContext(nl)
 
 	logits := m.clsW.Forward(enc)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/neural"
 	"repro/internal/tokens"
@@ -465,39 +466,86 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 	return loss
 }
 
+// arenas recycles inference scratch across decodes. Each decode holds
+// its own arena from get to put, so concurrent decodes never share one.
+var arenas = sync.Pool{New: func() any { return neural.NewArena() }}
+
+func getArena() *neural.Arena { return arenas.Get().(*neural.Arena) }
+
+func putArena(a *neural.Arena) {
+	a.Reset()
+	arenas.Put(a)
+}
+
 // Translate implements Translator: greedy decoding with the
-// generate/copy mixture.
+// generate/copy mixture, on the inference-only arena kernels
+// (neural.StepBatch, ForwardBatch, SoftmaxRows at k=1). Nothing is kept
+// for backprop and each step's scratch is recycled, yet every kernel
+// replays the training-path operation order, so the output is
+// bit-identical to greedy decoding through forwardStep.
 func (m *Seq2Seq) Translate(nl, schemaToks []string) []string {
 	if m.vocab == nil {
 		return nil
 	}
+	hid := m.cfg.HidDim
+	a := getArena()
+	defer putArena(a)
 	input := InputSequence(nl, schemaToks)
-	es := m.encode(input)
-	h := es.final
-	prevID := tokens.BosID
+	ids := m.vocab.Encode(input)
+	id := make([]int, 1)
+
+	// Encoder. Attention reads every position's state at every decode
+	// step, so the states persist for the whole call in one slab.
+	slab := make([]float64, len(ids)*hid)
+	states := make([][]float64, len(ids))
+	h := neural.NewBatch(1, hid)
+	for t, tok := range ids {
+		id[0] = tok
+		hn := m.enc.StepBatch(m.emb.LookupBatch(id, a), h, a)
+		states[t] = slab[t*hid : (t+1)*hid]
+		copy(states[t], hn.W)
+		copy(h.W, hn.W)
+		a.Reset()
+	}
+
+	// Decoder, seeded with the final encoder state.
 	var out []string
+	id[0] = tokens.BosID
 	for step := 0; step < m.cfg.MaxOutLen; step++ {
-		st, hNew := m.forwardStep(prevID, h, es)
-		tok := m.bestToken(st, es)
+		hn := m.dec.StepBatch(m.emb.LookupBatch(id, a), h, a)
+
+		// Luong dot attention; [h; ctx] is assembled in place.
+		scores := a.Vec(len(states))
+		for i, eh := range states {
+			scores[i] = neural.Dot(hn.W, eh)
+		}
+		alpha := neural.Softmax(scores, a.Vec(len(states)))
+		cat := a.Batch(1, 2*hid)
+		copy(cat.W[:hid], hn.W)
+		for i, al := range alpha {
+			neural.Axpy(al, states[i], cat.W[hid:])
+		}
+
+		comb := a.Batch(1, hid)
+		neural.TanhBatch(m.wc.ForwardBatch(cat, a), comb)
+		logits := m.wo.ForwardBatch(comb, a)
+		pv := neural.SoftmaxRows(logits, a.Batch(1, logits.N))
+		pgen := 1.0 / (1.0 + math.Exp(-m.wg.ForwardBatch(comb, a).W[0]))
+		tok := m.pickToken(pv.W, pgen, alpha, input)
 		if tok == tokens.EosToken {
 			break
 		}
 		out = append(out, tok)
-		h = hNew
-		prevID = m.vocab.ID(tok)
+		copy(h.W, hn.W)
+		id[0] = m.vocab.ID(tok)
+		a.Reset()
 	}
 	return out
 }
 
-// bestToken picks the argmax token of the mixture distribution over
-// the vocabulary plus copyable input tokens.
-func (m *Seq2Seq) bestToken(st *decStep, es *encState) string {
-	return m.pickToken(st.pv, st.pgen, st.alpha, es.toks)
-}
-
-// pickToken is the decoding argmax shared by the sequential and the
-// batched greedy decoders: pv is the vocabulary softmax, pgen the
-// generate-vs-copy mixture weight, alpha the attention over inputToks.
+// pickToken is the greedy decoding argmax: pv is the vocabulary
+// softmax, pgen the generate-vs-copy mixture weight, alpha the
+// attention over inputToks.
 func (m *Seq2Seq) pickToken(pv []float64, pgen float64, alpha []float64, inputToks []string) string {
 	// Copy mass per distinct input token.
 	copyMass := map[string]float64{}

@@ -417,6 +417,24 @@ func (m *Sketch) encodeNL(nl []string) *encCache {
 	return ec
 }
 
+// encodeInfer is the inference-only encoder: the same GRU pass as
+// encodeNL, stepped through the arena kernels at k=1, which build no
+// backprop cache and recycle their scratch every token. The result is
+// bit-identical to encodeNL(nl).final (GRU.StepBatch replays Forward's
+// operation order).
+func (m *Sketch) encodeInfer(nl []string) []float64 {
+	a := getArena()
+	defer putArena(a)
+	h := neural.NewBatch(1, m.cfg.HidDim)
+	id := make([]int, 1)
+	for _, tok := range m.vocab.Encode(nl) {
+		id[0] = tok
+		copy(h.W, m.enc.StepBatch(m.emb.LookupBatch(id, a), h, a).W)
+		a.Reset()
+	}
+	return h.W
+}
+
 // encBackward backpropagates a gradient on the final state through the
 // GRU and embeddings.
 func (m *Sketch) encBackward(ec *encCache, dFinal []float64) {

@@ -1,21 +1,18 @@
 package neural
 
-// Batched inference substrate. The per-example training path in this
-// package works one vector at a time (MulVec and friends), which is
-// the right shape for backprop but wastes the weight matrices' cache
-// locality at serving time: decoding k concurrent questions pays k
-// full passes over every weight row. The types here give the serving
-// path a batch dimension — a Batch is k activation vectors stacked
-// row-major, MulBatch sweeps each weight row across all k examples
-// while it is hot, and an Arena recycles the step-scratch buffers so a
-// steady-state decode step allocates nothing.
+// Inference substrate. The per-example training path in this package
+// works one vector at a time (MulVec and friends) and keeps every
+// intermediate for backprop. Inference needs neither: a Batch is K
+// activation vectors stacked row-major (the decoders step one request
+// at a time, K=1), MulBatch sweeps four weight rows at a time with
+// independent accumulators, and an Arena recycles the step scratch so
+// a steady-state decode step allocates nothing.
 //
 // Equivalence invariant (tested in gemm_test.go and the models golden
 // tests): every batched kernel performs, per row, exactly the same
 // floating-point operations in exactly the same order as its
-// per-example counterpart. Batched results are therefore bit-identical
-// to the sequential path at every batch size — batching is a layout
-// change, never a numeric one.
+// per-example counterpart. Results are therefore bit-identical to the
+// training path's forward pass at every batch size.
 
 // Batch is a dense row-major K×N activation matrix: row b holds
 // example b's vector. It is the unit of the batched inference path.
@@ -32,44 +29,63 @@ func NewBatch(k, n int) *Batch {
 // Row returns a view of row b.
 func (b *Batch) Row(i int) []float64 { return b.W[i*b.N : (i+1)*b.N] }
 
-// Prefix returns a view batch over the first k rows (no copy). Rows
-// sorted so that active examples form a prefix can be stepped as one
-// contiguous sub-batch.
-func (b *Batch) Prefix(k int) *Batch {
-	return &Batch{K: k, N: b.N, W: b.W[:k*b.N]}
-}
-
 // MulBatch computes Y = X Mᵀ for a batch X (K×C) into Y (K×R):
-// Y[b][i] = Σ_j M[i][j]·X[b][j]. The weight row is the outer loop so
-// it stays cache-hot across all K examples, and the inner j loop
-// accumulates in the same ascending order as MulVec — each output row
-// is bit-identical to MulVec on that row alone.
-func (m *Mat) MulBatch(x, y *Batch) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		for b := 0; b < x.K; b++ {
-			xr := x.W[b*x.N : (b+1)*x.N]
-			s := 0.0
-			for j, rv := range row {
-				s += rv * xr[j]
-			}
-			y.W[b*y.N+i] = s
-		}
-	}
-}
+// Y[b][i] = Σ_j M[i][j]·X[b][j]. Each output is one accumulator summed
+// over j in ascending order, exactly as MulVec sums it, so every output
+// row is bit-identical to MulVec on that row alone.
+func (m *Mat) MulBatch(x, y *Batch) { m.mulBatch(x, y, false) }
 
 // MulBatchAdd computes Y += X Mᵀ with the same ordering guarantees as
 // MulBatch (the batched MulVecAdd).
-func (m *Mat) MulBatchAdd(x, y *Batch) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
+func (m *Mat) MulBatchAdd(x, y *Batch) { m.mulBatch(x, y, true) }
+
+// mulBatch sweeps four weight rows at a time across the batch. Their
+// four accumulators are independent, so the CPU overlaps their adds
+// instead of waiting on one dependency chain; each accumulator still
+// sees its own row's products in MulVec's order.
+func (m *Mat) mulBatch(x, y *Batch, add bool) {
+	c := m.C
+	i := 0
+	for ; i+4 <= m.R; i += 4 {
+		r0 := m.W[i*c : (i+1)*c]
+		r1 := m.W[(i+1)*c : (i+2)*c]
+		r2 := m.W[(i+2)*c : (i+3)*c]
+		r3 := m.W[(i+3)*c : (i+4)*c]
 		for b := 0; b < x.K; b++ {
-			xr := x.W[b*x.N : (b+1)*x.N]
+			xr := x.W[b*x.N : b*x.N+c]
+			// Equal lengths let the compiler drop the bounds checks.
+			r0, r1, r2, r3 := r0[:len(xr)], r1[:len(xr)], r2[:len(xr)], r3[:len(xr)]
+			var s0, s1, s2, s3 float64
+			for j, xv := range xr {
+				s0 += r0[j] * xv
+				s1 += r1[j] * xv
+				s2 += r2[j] * xv
+				s3 += r3[j] * xv
+			}
+			out := y.W[b*y.N+i : b*y.N+i+4]
+			if add {
+				out[0] += s0
+				out[1] += s1
+				out[2] += s2
+				out[3] += s3
+			} else {
+				out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+			}
+		}
+	}
+	for ; i < m.R; i++ {
+		row := m.W[i*c : (i+1)*c]
+		for b := 0; b < x.K; b++ {
+			xr := x.W[b*x.N : b*x.N+c]
 			s := 0.0
 			for j, rv := range row {
 				s += rv * xr[j]
 			}
-			y.W[b*y.N+i] += s
+			if add {
+				y.W[b*y.N+i] += s
+			} else {
+				y.W[b*y.N+i] = s
+			}
 		}
 	}
 }

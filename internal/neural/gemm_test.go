@@ -84,7 +84,7 @@ func TestGRUStepBatchMatchesForward(t *testing.T) {
 		}
 		hn := g.StepBatch(x, h, arena)
 		// Persist hn before Reset: the next step's input must survive
-		// recycling, exactly as TranslateBatch copies states out.
+		// recycling, exactly as the decoders copy states out.
 		carry := NewBatch(k, 10)
 		copy(carry.W, hn.W)
 		arena.Reset()

@@ -150,7 +150,14 @@ var ErrDeadline = fmt.Errorf("par: deadline exceeded")
 // panic, if any, is swallowed. Callers use this to put a hard bound on
 // an uncooperative plug-in — a misbehaving model must cost at most one
 // leaked goroutine, never a hung process.
+//
+// A ctx that can never be done (no Done channel) cannot end the wait,
+// so fn then runs inline on the caller's goroutine.
 func Await(ctx context.Context, fn func()) error {
+	if ctx.Done() == nil {
+		fn()
+		return nil
+	}
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()

@@ -194,6 +194,7 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 	}
 
 	out := &Anonymized{}
+	var counts []int32 // bestTextMatch scratch, shared by every span
 	i := 0
 	for i < len(toks) {
 		tok := toks[i]
@@ -230,7 +231,10 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 				continue
 			}
 			phrase := strings.Join(toks[i:i+n], " ")
-			ref, dbValue, sim := ph.bestTextMatch(phrase)
+			if counts == nil {
+				counts = make([]int32, len(ph.textValues))
+			}
+			ref, dbValue, sim := ph.bestTextMatch(phrase, counts)
 			if sim < ph.MinSimilarity {
 				continue
 			}
@@ -290,12 +294,14 @@ func isTopKWord(tok string) bool {
 // phrase are scored — a candidate sharing none has similarity 0 and
 // could never win anyway. Candidate order (and therefore tie-breaking
 // on equal similarity) matches a linear scan of textValues.
-func (ph *ParameterHandler) bestTextMatch(phrase string) (sqlast.ColumnRef, string, float64) {
+//
+// counts is scratch of len(ph.textValues), all zero; bestTextMatch
+// leaves it zero again, so one Anonymize call reuses it for every span.
+func (ph *ParameterHandler) bestTextMatch(phrase string, counts []int32) (sqlast.ColumnRef, string, float64) {
 	var bestRef sqlast.ColumnRef
 	bestVal := ""
 	bestSim := 0.0
 	pb := bigramKeys(strings.ToLower(phrase))
-	counts := make([]int32, len(ph.textValues))
 	for _, g := range pb {
 		for _, id := range ph.gramIndex[g] {
 			counts[id]++
@@ -316,6 +322,7 @@ func (ph *ParameterHandler) bestTextMatch(phrase string) (sqlast.ColumnRef, stri
 			bestRef = iv.cols[0]
 		}
 	}
+	clear(counts)
 	return bestRef, bestVal, bestSim
 }
 
@@ -762,12 +769,14 @@ func (tr *Translator) tryTier(ctx context.Context, model models.Translator, nl [
 		tctx, cancel = context.WithTimeout(ctx, tr.Deadline)
 		defer cancel()
 	}
-	if tctx.Done() == nil {
-		// No deadline from either side: run inline, zero overhead.
-		candidates = tr.tierCandidates(tctx, model, nl)
-	} else if derr := par.Await(tctx, func() { candidates = tr.tierCandidates(tctx, model, nl) }); derr != nil {
+	// The decode writes a local: a decode abandoned at the deadline
+	// finishes after this function has returned, and must not write
+	// its results.
+	var decoded [][]string
+	if derr := par.Await(tctx, func() { decoded = tr.tierCandidates(model, nl) }); derr != nil {
 		return nil, nil, fmt.Errorf("runtime: tier %q exceeded its deadline: %w", model.Name(), derr)
 	}
+	candidates = decoded
 	if len(candidates) == 0 {
 		return nil, nil, fmt.Errorf("runtime: model %q produced no output", model.Name())
 	}
@@ -940,21 +949,15 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 
 // tierCandidates returns the ranked outputs of one tier: one (plain
 // mode) or up to ExecutionGuided many when the tier supports
-// alternatives. Models offering ContextTranslator decode under the
-// tier's deadline context (the serving layer's batching adapter uses
-// this to exit a pending microbatch on cancellation).
-func (tr *Translator) tierCandidates(ctx context.Context, model models.Translator, nl []string) [][]string {
+// alternatives. tryTier bounds the whole call with par.Await under the
+// tier deadline, since neither model call takes a context.
+func (tr *Translator) tierCandidates(model models.Translator, nl []string) [][]string {
 	if tr.ExecutionGuided > 1 {
 		if kt, ok := model.(KTranslator); ok {
-			return kt.TranslateK(nl, tr.schema, tr.ExecutionGuided) //lint:allow ctxdrop KTranslator has no context variant; tryTier bounds this whole call with par.Await under the tier deadline
+			return kt.TranslateK(nl, tr.schema, tr.ExecutionGuided)
 		}
 	}
-	var out []string
-	if ct, ok := model.(models.ContextTranslator); ok {
-		out = ct.TranslateContext(ctx, nl, tr.schema)
-	} else {
-		out = model.Translate(nl, tr.schema) //lint:allow ctxdrop plain Translator has no context variant; tryTier bounds this whole call with par.Await under the tier deadline
-	}
+	out := model.Translate(nl, tr.schema)
 	if len(out) == 0 {
 		return nil
 	}
@@ -972,7 +975,7 @@ func (tr *Translator) AskContext(ctx context.Context, question string) (*engine.
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := tr.DB.Execute(q)
+	res, err := tr.DB.ExecuteContext(ctx, q)
 	if err != nil {
 		return nil, q, fmt.Errorf("runtime: executing %q: %w", q, err)
 	}

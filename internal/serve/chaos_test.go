@@ -9,7 +9,9 @@ package serve
 //	    answered by the fallback tier without the primary running (and
 //	    so without paying its deadline);
 //	(c) drain + shutdown finishes in-flight requests and leaks zero
-//	    goroutines.
+//	    goroutines;
+//	(d) a runaway final execute ends at the request deadline and frees
+//	    its slot.
 //
 // Determinism comes from gates (channels), call counters, and fake
 // clocks — never from sleeping and hoping.
@@ -26,8 +28,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/runtime"
+	"repro/internal/schema"
 )
 
 // decodeBody reads, closes, and unmarshals an http.Response body.
@@ -342,4 +346,65 @@ func containsSkip(tierErrors []string) bool {
 		}
 	}
 	return false
+}
+
+// crossJoinModel answers every question with a three-way cross join.
+type crossJoinModel struct{}
+
+func (crossJoinModel) Name() string           { return "crossjoin" }
+func (crossJoinModel) Train([]models.Example) {}
+func (crossJoinModel) Translate(nl, st []string) []string {
+	return strings.Fields("SELECT COUNT ( * ) FROM a , b , c")
+}
+
+// crossJoinDB has tables a, b and c of n rows each.
+func crossJoinDB(t *testing.T, n int) *engine.Database {
+	t.Helper()
+	s := &schema.Schema{Name: "wide"}
+	for _, name := range []string{"a", "b", "c"} {
+		s.Tables = append(s.Tables, &schema.Table{Name: name, Readable: name, Columns: []*schema.Column{{Name: "x", Type: schema.Number}}})
+	}
+	db := engine.NewDatabase(s)
+	for _, name := range []string{"a", "b", "c"} {
+		for i := 0; i < n; i++ {
+			if err := db.Insert(name, engine.Row{engine.Num(float64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// TestAskRunawayExecuteTimesOut: the critic passes a candidate
+// unverified when its dry-run runs out of row budget, so the final
+// execute can meet a runaway query — here 8e9 rows. It runs under the
+// request deadline: a 50 ms ask returns the typed timeout promptly,
+// frees its slot for the next request, and leaves no goroutine
+// behind.
+func TestAskRunawayExecuteTimesOut(t *testing.T) {
+	baseline := goruntime.NumGoroutine()
+	tr := runtime.NewTranslator(crossJoinDB(t, 2000), crossJoinModel{})
+	s := New(tr, Config{Workers: 1, Queue: -1, DisableBreakers: true, Critic: true, CriticRowBudget: 1000})
+	h := s.Handler()
+	for i := 0; i < 2; i++ {
+		w := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ask?timeout_ms=50&q=how+many+rows", nil))
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("ask %d returned after %v; its deadline was 50ms", i, elapsed)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+			t.Fatalf("ask %d body %q: %v", i, w.Body.String(), err)
+		}
+		// The second ask finding the one slot free proves the first
+		// released it (there is no waiting room: a held slot sheds).
+		if w.Code != http.StatusGatewayTimeout || env.Error.Kind != KindTimeout || !strings.Contains(env.Error.Message, "executing") {
+			t.Fatalf("ask %d = %d %+v, want the execute's typed timeout", i, w.Code, env)
+		}
+	}
+	if got := s.Snapshot().Timeouts; got != 2 {
+		t.Fatalf("timeouts counter = %d, want 2", got)
+	}
+	waitForGoroutines(t, baseline)
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -14,25 +13,17 @@ import (
 	"repro/internal/models"
 )
 
-// batchOracle answers like the oracle and counts which decode path
-// was used, so tests can prove the batcher really batches.
-type batchOracle struct {
-	single, batched atomic.Int64
+// countingOracle answers like the oracle and counts its decodes, so
+// tests can tell a cache hit from a decode.
+type countingOracle struct {
+	decodes atomic.Int64
 }
 
-func (*batchOracle) Name() string           { return "oracle" }
-func (*batchOracle) Train([]models.Example) {}
-func (m *batchOracle) Translate(nl, st []string) []string {
-	m.single.Add(1)
+func (*countingOracle) Name() string           { return "oracle" }
+func (*countingOracle) Train([]models.Example) {}
+func (m *countingOracle) Translate(nl, st []string) []string {
+	m.decodes.Add(1)
 	return strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
-}
-func (m *batchOracle) TranslateBatch(nls [][]string, st []string) [][]string {
-	m.batched.Add(1)
-	out := make([][]string, len(nls))
-	for i := range nls {
-		out[i] = strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
-	}
-	return out
 }
 
 // TestCacheServesConstantVariations: the tentpole property end to
@@ -40,7 +31,7 @@ func (m *batchOracle) TranslateBatch(nls [][]string, st []string) [][]string {
 // shape is a cache hit that still carries its own constant in the
 // final SQL, and the model is never consulted again.
 func TestCacheServesConstantVariations(t *testing.T) {
-	model := &batchOracle{}
+	model := &countingOracle{}
 	s, ts := newTestServer(t, model, Config{CacheSize: 64})
 
 	var first askResponse
@@ -50,7 +41,7 @@ func TestCacheServesConstantVariations(t *testing.T) {
 	if !strings.Contains(first.SQL, "80") {
 		t.Fatalf("cold SQL = %q", first.SQL)
 	}
-	decodes := model.single.Load() + model.batched.Load()
+	decodes := model.decodes.Load()
 
 	// Same shape, different constant: must hit, must restore 45.
 	var warm askResponse
@@ -60,7 +51,7 @@ func TestCacheServesConstantVariations(t *testing.T) {
 	if !strings.Contains(warm.SQL, "45") {
 		t.Fatalf("warm SQL must carry the new constant: %q", warm.SQL)
 	}
-	if got := model.single.Load() + model.batched.Load(); got != decodes {
+	if got := model.decodes.Load(); got != decodes {
 		t.Fatalf("cache hit still decoded: %d → %d model calls", decodes, got)
 	}
 	st := s.Snapshot()
@@ -108,154 +99,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushFull: the request that fills the batch flushes it,
-// every waiter gets its row, and stats record one full flush.
-func TestBatcherFlushFull(t *testing.T) {
-	model := &batchOracle{}
-	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: 4, MaxWait: time.Hour})
-	// Neutralize the timer: this test must flush on size alone.
-	b.after = func(d time.Duration, f func()) *time.Timer { return time.NewTimer(time.Hour) }
-
-	var wg sync.WaitGroup
-	outs := make([][]string, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], _ = b.Do(context.Background(), []string{"q", fmt.Sprint(i)})
-		}(i)
-	}
-	wg.Wait()
-	for i, out := range outs {
-		if len(out) == 0 {
-			t.Fatalf("row %d got no decode", i)
-		}
-	}
-	if model.batched.Load() != 1 || model.single.Load() != 0 {
-		t.Fatalf("decodes: batched=%d single=%d, want one batched pass", model.batched.Load(), model.single.Load())
-	}
-	st := b.Snapshot()
-	if st.Batches != 1 || st.Items != 4 || st.FlushFull != 1 || st.FlushWait != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.MeanBatch != 4 {
-		t.Fatalf("mean batch = %v, want 4", st.MeanBatch)
-	}
-}
-
-// TestBatcherFlushWait: a partial batch flushes when the injected
-// timer fires, not before.
-func TestBatcherFlushWait(t *testing.T) {
-	model := &batchOracle{}
-	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour})
-	fire := make(chan func(), 1)
-	b.after = func(d time.Duration, f func()) *time.Timer {
-		fire <- f
-		return time.NewTimer(time.Hour)
-	}
-
-	done := make(chan []string, 1)
-	go func() {
-		out, _ := b.Do(context.Background(), []string{"q"})
-		done <- out
-	}()
-	flush := <-fire
-	select {
-	case <-done:
-		t.Fatal("partial batch decoded before its timer fired")
-	case <-time.After(10 * time.Millisecond):
-	}
-	flush()
-	if out := <-done; len(out) == 0 {
-		t.Fatal("timer flush produced no decode")
-	}
-	st := b.Snapshot()
-	if st.FlushWait != 1 || st.FlushFull != 0 || st.Items != 1 {
-		t.Fatalf("stats = %+v, want one timer flush", st)
-	}
-}
-
-// TestBatcherCancellation: a request cancelled while queued leaves
-// immediately and the flush decodes only the live slots.
-func TestBatcherCancellation(t *testing.T) {
-	model := &batchOracle{}
-	b := NewBatcher(model, []string{"patients"}, BatcherConfig{MaxBatch: 8, MaxWait: time.Hour})
-	fire := make(chan func(), 1)
-	b.after = func(d time.Duration, f func()) *time.Timer {
-		fire <- f
-		return time.NewTimer(time.Hour)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	gone := make(chan error, 1)
-	go func() {
-		_, err := b.Do(ctx, []string{"dead"})
-		gone <- err
-	}()
-	flush := <-fire
-	live := make(chan []string, 1)
-	go func() {
-		out, _ := b.Do(context.Background(), []string{"alive"})
-		live <- out
-	}()
-	// Wait until the live request has actually joined the batch:
-	// flushing before then would strand it in a new batch whose
-	// neutralized timer never fires.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.mu.Lock()
-		joined := b.cur != nil && len(b.cur.items) == 2
-		b.mu.Unlock()
-		if joined {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("live request never joined the batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	cancel()
-	if err := <-gone; err != context.Canceled {
-		t.Fatalf("cancelled Do = %v, want context.Canceled", err)
-	}
-	flush()
-	if out := <-live; len(out) == 0 {
-		t.Fatal("live batchmate lost its decode")
-	}
-	st := b.Snapshot()
-	if st.Cancelled != 1 || st.Items != 1 {
-		t.Fatalf("stats = %+v, want 1 cancelled + 1 live item", st)
-	}
-	// A pre-cancelled context never joins a batch at all.
-	if _, err := b.Do(ctx, []string{"x"}); err != context.Canceled {
-		t.Fatalf("pre-cancelled Do = %v", err)
-	}
-}
-
-// TestBatcherPanicContained: a panicking model fails every batchmate
-// with an error instead of killing their goroutines.
-func TestBatcherPanicContained(t *testing.T) {
-	b := NewBatcher(panicTranslator{}, []string{"patients"}, BatcherConfig{MaxBatch: 2, MaxWait: time.Hour})
-	b.after = func(d time.Duration, f func()) *time.Timer { return time.NewTimer(time.Hour) }
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = b.Do(context.Background(), []string{"q"})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("batchmate %d err = %v, want contained panic", i, err)
-		}
-	}
-}
-
-// panicTranslator panics on every decode path.
+// panicTranslator panics on every decode.
 type panicTranslator struct{}
 
 func (panicTranslator) Name() string           { return "panic" }
@@ -263,24 +107,29 @@ func (panicTranslator) Train([]models.Example) {}
 func (panicTranslator) Translate(nl, st []string) []string {
 	panic("poisoned decode")
 }
-func (panicTranslator) TranslateBatch(nls [][]string, st []string) [][]string {
-	panic("poisoned batch decode")
+
+// TestServerModelPanicContained: a panicking model fails its request
+// with a typed error instead of killing the server, and the next
+// request is served the same way.
+func TestServerModelPanicContained(t *testing.T) {
+	_, ts := newTestServer(t, panicTranslator{}, Config{DisableBreakers: true})
+	for i := 0; i < 2; i++ {
+		var body errorEnvelope
+		code := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), &body)
+		if code < 500 || !strings.Contains(body.Error.Message, "panicked") {
+			t.Fatalf("request %d = %d %+v, want a 5xx naming the contained panic", i, code, body)
+		}
+	}
 }
 
-// TestServerBatchesDistinctQuestions: with the cache deduplicating
-// identical questions, distinct concurrent questions share one
-// batched forward pass through the full server stack.
-func TestServerBatchesDistinctQuestions(t *testing.T) {
-	model := &batchOracle{}
-	s, ts := newTestServer(t, model, Config{
-		CacheSize: 64,
-		BatchMax:  3,
-		BatchWait: 200 * time.Millisecond,
-		Workers:   8,
-		Queue:     16,
-	})
+// TestServerDecodesDistinctQuestions: concurrent distinct questions
+// each pay exactly one decode of their own: the cache coalesces only
+// identical keys, and a miss decodes at once, with no batch wait.
+func TestServerDecodesDistinctQuestions(t *testing.T) {
+	model := &countingOracle{}
+	s, ts := newTestServer(t, model, Config{CacheSize: 64, Workers: 8, Queue: 16})
 	// Distinct question *shapes*: constant variations alone would share
-	// an anonymized cache key and coalesce instead of batching.
+	// an anonymized cache key and coalesce.
 	questions := []string{
 		"show the names of all patients with age 80",
 		"show the diagnosis of all patients with age 80",
@@ -299,14 +148,8 @@ func TestServerBatchesDistinctQuestions(t *testing.T) {
 	}
 	wg.Wait()
 	st := s.Snapshot()
-	if st.Batcher == nil || st.Batcher.Items == 0 {
-		t.Fatalf("batcher stats = %+v, want recorded items", st.Batcher)
-	}
-	if model.batched.Load() == 0 && st.Batcher.Batches == st.Batcher.Items {
-		t.Logf("note: requests never overlapped; batching degenerated to singletons (stats %+v)", st.Batcher)
-	}
-	if total := st.Batcher.Items; total != 3 {
-		t.Fatalf("batcher carried %d items, want 3 (distinct questions are not coalesced by the cache)", total)
+	if got := model.decodes.Load(); got != 3 {
+		t.Fatalf("model decoded %d times for 3 distinct questions, want 3", got)
 	}
 	if st.Cache.Misses != 3 {
 		t.Fatalf("cache misses = %d, want 3 distinct keys", st.Cache.Misses)
@@ -317,7 +160,7 @@ func TestServerBatchesDistinctQuestions(t *testing.T) {
 // in its trace-backed response... the Trace.Cache field feeds the
 // tier trace; verify via a direct translate call.
 func TestTranslateTraceCacheField(t *testing.T) {
-	model := &batchOracle{}
+	model := &countingOracle{}
 	s, _ := newTestServer(t, model, Config{CacheSize: 64})
 	_, trace, err := s.translate(context.Background(), s.defaultVersion(), goodQuestion)
 	if err != nil {

@@ -90,12 +90,6 @@ type Config struct {
 	// overrides the shard count (0 = the cache package default).
 	CacheSize   int
 	CacheShards int
-	// BatchMax enables cross-request microbatching when >= 2: up to
-	// BatchMax concurrent cache-missing decodes share one batched
-	// forward pass, with partial batches flushed after BatchWait
-	// (0 = the batcher default, 2ms). 0 or 1 disables batching.
-	BatchMax  int
-	BatchWait time.Duration
 	// Critic enables the execution-guided validation-and-repair layer
 	// for every tenant: candidates are schema-checked, sandboxed
 	// dry-run against the tenant's engine, and deterministically
@@ -172,11 +166,10 @@ type tenantState struct {
 }
 
 // equipment is what the server attaches to every registry version:
-// breakers and batcher are per-version so a swapped-in model starts
-// with closed breakers and a batcher wrapping its own weights.
+// breakers are per-version so a swapped-in model starts with closed
+// breakers.
 type equipment struct {
 	breakers *TierBreakers
-	batcher  *Batcher
 	// criticBreaker guards the critic's sandbox: it trips only on
 	// sandbox infrastructure failures (engine panic or dry-run
 	// deadline), and while open the tenant degrades to unvalidated
@@ -245,24 +238,14 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 // Registry exposes the tenant registry (admin tooling, tests).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// equip attaches per-version breakers and batcher before the registry
-// makes the version visible.
+// equip attaches per-version breakers and the critic before the
+// registry makes the version visible.
 func (s *Server) equip(_ string, v *registry.Version) {
 	eq := &equipment{}
 	tr := v.Unit.Translator
 	if !s.cfg.DisableBreakers {
 		eq.breakers = NewTierBreakers(s.cfg.Breaker)
 		tr.Hook = eq.breakers
-	}
-	if s.cfg.BatchMax >= 2 && tr.Model != nil {
-		// The primary model decodes through the microbatcher; wrapping
-		// it keeps the tier chain (breakers, deadlines, fallbacks)
-		// oblivious to batching.
-		eq.batcher = NewBatcher(tr.Model, tr.SchemaTokens(), BatcherConfig{
-			MaxBatch: s.cfg.BatchMax,
-			MaxWait:  s.cfg.BatchWait,
-		})
-		tr.Model = batchingModel{inner: tr.Model, b: eq.batcher}
 	}
 	if s.cfg.Critic && tr.Critic == nil {
 		tr.Critic = critic.New(v.Unit.DB, critic.Config{
@@ -516,10 +499,17 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 	}
 	resp.TierErrors = append(resp.TierErrors, trace.TierErrors...)
 	if execute {
-		res, xerr := v.Unit.DB.Execute(q)
+		// The request deadline bounds the execute too: a runaway query
+		// (one the critic passed unverified on its row budget) ends
+		// with the typed timeout and frees its slot.
+		res, xerr := v.Unit.DB.ExecuteContext(ctx, q)
 		if xerr != nil {
-			ts.recordFailure(KindInternal)
-			writeError(w, KindInternal, 0, "executing %q: %v", q.String(), xerr)
+			kind := KindInternal
+			if ctx.Err() != nil {
+				kind = KindTimeout
+			}
+			ts.recordFailure(kind)
+			writeError(w, kind, 0, "executing %q: %v", q.String(), xerr)
 			return
 		}
 		resp.Columns = res.Columns
@@ -539,13 +529,12 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 
 // translate runs one question through the version's inference hot
 // path. With no cache configured it is exactly the translator's
-// one-shot entry point (batching, when on, already lives inside the
-// primary model). With a cache, the pipeline splits: the deterministic
-// pre-processing runs first, its schema-qualified lemmatized output
-// keys the version's result cache, and only a leader that misses pays
-// a decode — concurrent misses for the same key coalesce onto that one
-// decode, and each request then finalizes the shared
-// binding-independent candidates under its own constants. A cached
+// one-shot entry point. With a cache, the pipeline splits: the
+// deterministic pre-processing runs first, its schema-qualified
+// lemmatized output keys the version's result cache, and only a leader
+// that misses pays a decode — concurrent misses for the same key
+// coalesce onto that one decode, and each request then finalizes the
+// shared binding-independent candidates under its own constants. A cached
 // decode that no longer finalizes for this request's bindings falls
 // back to one fresh full-strength decode rather than failing the
 // request.

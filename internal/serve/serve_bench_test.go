@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	goruntime "runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -152,7 +153,37 @@ func measureServe(tb testing.TB, model models.Translator, cfg Config, questions 
 	}
 }
 
-// benchVariants is the cache × batch sweep shared by the benchmark
+// coldAskAllocKiB is the heap allocated per cold /ask — no cache, the
+// critic on, as dbpal-serve ships — averaged over n asks after one
+// warm pass over the questions. Allocation volume, unlike latency, does
+// not depend on the machine.
+func coldAskAllocKiB(tb testing.TB, model models.Translator, questions []string, n int) float64 {
+	tb.Helper()
+	db, err := patients.Database()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := New(runtime.NewTranslator(db, model), Config{Workers: 8, Queue: 1 << 16, Critic: true}).Handler()
+	ask := func(q string) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ask?q="+urlQuery(q), nil))
+		if w.Code != http.StatusOK {
+			tb.Fatalf("ask(%q) = %d", q, w.Code)
+		}
+	}
+	for _, q := range questions {
+		ask(q)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		ask(questions[i%len(questions)])
+	}
+	goruntime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / 1024
+}
+
+// benchVariants is the cache × critic sweep shared by the benchmark
 // and the regression gate.
 func benchVariants() []struct {
 	Name string
@@ -160,23 +191,20 @@ func benchVariants() []struct {
 } {
 	base := func() Config { return Config{Workers: 8, Queue: 1 << 16} }
 	withCache := func(c Config) Config { c.CacheSize = 1024; return c }
-	withBatch := func(c Config, n int) Config { c.BatchMax = n; c.BatchWait = time.Millisecond; return c }
 	withCritic := func(c Config) Config { c.Critic = true; return c }
 	return []struct {
 		Name string
 		Cfg  Config
 	}{
-		{"cache=off/batch=off", base()},
-		{"cache=off/batch=8", withBatch(base(), 8)},
-		{"cache=on/batch=off", withCache(base())},
-		{"cache=on/batch=8", withBatch(withCache(base()), 8)},
+		{"cache=off", base()},
+		{"cache=on", withCache(base())},
 		{"cache=off/critic=on", withCritic(base())},
 		{"cache=on/critic=on", withCritic(withCache(base()))},
 	}
 }
 
-// BenchmarkServe sweeps the inference hot path: cache on/off × batch
-// size × client concurrency, reporting QPS and latency percentiles.
+// BenchmarkServe sweeps the inference hot path: cache on/off × critic
+// on/off × client concurrency, reporting QPS and latency percentiles.
 // This is the source of BENCH_serve.json:
 //
 //	go test -bench BenchmarkServe -benchtime 300x -run '^$' ./internal/serve/
@@ -207,9 +235,9 @@ type benchBaseline struct {
 	Gates struct {
 		// CacheHitSpeedupMin is the floor on cold-p50 / warm-hit-p50.
 		CacheHitSpeedupMin float64 `json:"cache_hit_speedup_min"`
-		// BatchMeanMin is the floor on the mean decode batch size under
-		// 8 concurrent clients of distinct shapes with batching on.
-		BatchMeanMin float64 `json:"batch_mean_min"`
+		// ColdAskAllocKiBMax is the ceiling on heap KiB allocated per
+		// cold /ask (coldAskAllocKiB).
+		ColdAskAllocKiBMax float64 `json:"cold_ask_alloc_kib_max"`
 		// CriticP50OverheadMax is the ceiling on critic-on cold p50 /
 		// critic-off cold p50: how much latency the execution-guided
 		// validation layer may add to an uncached decode.
@@ -272,40 +300,13 @@ func TestServeBenchGate(t *testing.T) {
 			overhead, criticCold.P50NS, cold.P50NS, ceil)
 	}
 
-	// Batching efficacy: 8 clients, distinct shapes per request, no
-	// cache so every request decodes; the mean batch must clear the
-	// floor.
-	db, err := patients.Database()
-	if err != nil {
-		t.Fatal(err)
+	// Cold-ask allocation: what a cache miss costs the garbage
+	// collector, which on a busy single CPU is what decides the heap
+	// goal and so the process's RSS.
+	kib := coldAskAllocKiB(t, model, questions, 200)
+	if ceil := base.Gates.ColdAskAllocKiBMax * (1 + tol); kib > ceil {
+		t.Errorf("cold ask allocates %.1f KiB, above gate %.1f KiB", kib, ceil)
 	}
-	tr := runtime.NewTranslator(db, model)
-	s := New(tr, Config{Workers: 8, Queue: 1 << 16, BatchMax: 8, BatchWait: 2 * time.Millisecond})
-	h := s.Handler()
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				q := questions[(c+2*i)%len(questions)]
-				req := httptest.NewRequest(http.MethodGet, "/translate?q="+urlQuery(q), nil)
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					t.Errorf("ask(%q) = %d", q, w.Code)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	bst := s.Snapshot().Batcher
-	if bst == nil || bst.Items != 200 {
-		t.Fatalf("batcher stats = %+v, want all 200 decodes through the batcher", bst)
-	}
-	if floor := base.Gates.BatchMeanMin * (1 - tol); bst.MeanBatch < floor {
-		t.Errorf("mean batch = %.2f, below gate %.2f (stats %+v)", bst.MeanBatch, floor, bst)
-	}
-	t.Logf("cache-hit speedup %.1fx (cold p50 %.0fns, hit p50 %.0fns); critic p50 overhead %.2fx; mean batch %.2f",
-		speedup, cold.P50NS, warm.P50NS, overhead, bst.MeanBatch)
+	t.Logf("cache-hit speedup %.1fx (cold p50 %.0fns, hit p50 %.0fns); critic p50 overhead %.2fx; cold ask %.1f KiB",
+		speedup, cold.P50NS, warm.P50NS, overhead, kib)
 }

@@ -292,8 +292,8 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if stats.Breakers["oracle"] != "closed" {
 		t.Fatalf("breakers = %v, want oracle closed", stats.Breakers)
 	}
-	if stats.Cache != nil || stats.Batcher != nil {
-		t.Fatalf("cache/batcher sections must be absent when the features are off: %+v %+v", stats.Cache, stats.Batcher)
+	if stats.Cache != nil {
+		t.Fatalf("cache section must be absent when the cache is off: %+v", stats.Cache)
 	}
 	if s.Draining() {
 		t.Fatal("fresh server must not be draining")
@@ -311,9 +311,9 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 		t.Fatalf("tenant breakers = %v, want oracle closed", row.Breakers)
 	}
 
-	// With the hot path on, /statsz grows cache and batcher sections of
-	// the documented shape.
-	_, ts2 := newTestServer(t, oracleModel{}, Config{CacheSize: 32, BatchMax: 4})
+	// With the cache on, /statsz grows a cache section of the
+	// documented shape.
+	_, ts2 := newTestServer(t, oracleModel{}, Config{CacheSize: 32})
 	for _, q := range []string{goodQuestion, goodQuestion} {
 		if status := getJSON(t, ts2.URL+"/ask?q="+urlQuery(q), nil); status != http.StatusOK {
 			t.Fatalf("ask status = %d", status)
@@ -323,14 +323,11 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if status := getJSON(t, ts2.URL+"/statsz", &hot); status != http.StatusOK {
 		t.Fatalf("statsz status = %d", status)
 	}
-	if hot.Cache == nil || hot.Batcher == nil {
-		t.Fatalf("hot-path sections missing: cache=%+v batcher=%+v", hot.Cache, hot.Batcher)
+	if hot.Cache == nil {
+		t.Fatal("cache section missing")
 	}
 	if hot.Cache.Capacity != 32 || hot.Cache.Misses != 1 || hot.Cache.Hits != 1 || hot.Cache.Entries != 1 {
 		t.Fatalf("cache section = %+v, want capacity 32 with 1 miss + 1 hit", hot.Cache)
-	}
-	if hot.Batcher.MaxBatch != 4 || hot.Batcher.Batches != 1 || hot.Batcher.Items != 1 || hot.Batcher.MeanBatch != 1 {
-		t.Fatalf("batcher section = %+v, want one singleton flush", hot.Batcher)
 	}
 	if hotRow := hot.Tenants["patients"]; hotRow.Cache == nil || hotRow.Cache.Hits != 1 {
 		t.Fatalf("tenant cache stats = %+v, want the hit mirrored per tenant", hot.Tenants["patients"])

@@ -15,7 +15,7 @@ import (
 // state of every tier breaker. The shape is part of the serving
 // contract (DESIGN.md, "Serving layer"). The top-level occupancy and
 // counter fields aggregate across tenants (single-tenant servers see
-// the original shape unchanged); Breakers/Cache/Batcher describe the
+// the original shape unchanged); Breakers/Cache describe the
 // default tenant's serving version, and Tenants breaks everything out
 // per tenant.
 type Stats struct {
@@ -39,10 +39,8 @@ type Stats struct {
 	// (Trace.Tier); Breakers names each tier breaker's state.
 	Tiers    map[string]int64  `json:"tiers"`
 	Breakers map[string]string `json:"breakers"`
-	// Cache and Batcher describe the inference hot path; absent when
-	// the corresponding feature is off.
-	Cache   *cache.Stats  `json:"cache,omitempty"`
-	Batcher *BatcherStats `json:"batcher,omitempty"`
+	// Cache describes the result cache; absent when it is off.
+	Cache *cache.Stats `json:"cache,omitempty"`
 	// Critic aggregates the default tenant's critic counters and
 	// CriticBreaker names its sandbox breaker's state; absent when the
 	// critic is off.
@@ -79,7 +77,6 @@ type TenantStats struct {
 	Tiers         map[string]int64  `json:"tiers,omitempty"`
 	Breakers      map[string]string `json:"breakers,omitempty"`
 	Cache         *cache.Stats      `json:"cache,omitempty"`
-	Batcher       *BatcherStats     `json:"batcher,omitempty"`
 	Critic        *critic.Stats     `json:"critic,omitempty"`
 	CriticBreaker string            `json:"critic_breaker,omitempty"`
 }
@@ -122,7 +119,6 @@ func (s *Server) Snapshot() Stats {
 				st.Breakers = row.Breakers
 			}
 			st.Cache = row.Cache
-			st.Batcher = row.Batcher
 			st.Critic = row.Critic
 			st.CriticBreaker = row.CriticBreaker
 		}
@@ -160,10 +156,6 @@ func (s *Server) tenantStats(t *registry.Tenant) TenantStats {
 	if eq := versionEquipment(t.Current()); eq != nil {
 		if eq.breakers != nil {
 			row.Breakers = eq.breakers.States()
-		}
-		if eq.batcher != nil {
-			bs := eq.batcher.Snapshot()
-			row.Batcher = &bs
 		}
 		if eq.criticBreaker != nil {
 			row.CriticBreaker = eq.criticBreaker.State().String()
