@@ -336,13 +336,6 @@ func (m *Seq2Seq) Loss(ex Example) float64 {
 	return loss
 }
 
-// step runs one training example: forward, loss, backward, update.
-func (m *Seq2Seq) step(ex Example, opt *neural.Adam) {
-	m.backprop(ex)
-	m.ps.ClipGrad(m.cfg.GradClip)
-	opt.Step()
-}
-
 // backprop accumulates gradients for one example and returns its loss.
 func (m *Seq2Seq) backprop(ex Example) float64 {
 	es, steps, loss := m.rollout(ex)

@@ -623,8 +623,7 @@ func (m *Sketch) step(ex Example) {
 				frG[j] += ds * feats[i][j]
 			}
 		}
-		m.slotW[k].AddOuterGrad(dProj, enc)
-		m.slotW[k].MulVecT(dProj, dEnc)
+		m.slotW[k].BackwardVec(dProj, enc, dEnc)
 	}
 
 	m.encBackward(ec, dEnc)

@@ -47,11 +47,12 @@ func (p *ParamSet) Shadow() *ParamSet {
 
 // MergeGradsFrom adds other's gradients into p's (matrix by matrix, in
 // registration order) and zeroes other's gradient buffers so the
-// shadow set can be reused for the next batch. The two sets must have
-// been registered in the same order with the same shapes (AddGrad
-// panics otherwise). Because callers invoke this sequentially in lane
-// order, the floating-point merge order is fixed regardless of how
-// many workers produced the shadows.
+// shadow set can be reused for the next batch. Clean shadow matrices
+// (ones the batch's examples never touched) cost nothing. The two sets
+// must have been registered in the same order with the same shapes
+// (AddGrad panics otherwise). Because callers invoke this
+// sequentially in lane order, the floating-point merge order is fixed
+// regardless of how many workers produced the shadows.
 func (p *ParamSet) MergeGradsFrom(other *ParamSet) {
 	if len(other.mats) != len(p.mats) {
 		panic(fmt.Sprintf("neural: MergeGradsFrom set size mismatch: %d vs %d", len(p.mats), len(other.mats)))
@@ -62,10 +63,14 @@ func (p *ParamSet) MergeGradsFrom(other *ParamSet) {
 	}
 }
 
-// GradNorm returns the global L2 norm of all gradients.
+// GradNorm returns the global L2 norm of all gradients. Clean
+// matrices are skipped: their squares would add exactly zero.
 func (p *ParamSet) GradNorm() float64 {
 	s := 0.0
 	for _, m := range p.mats {
+		if !m.dirty {
+			continue
+		}
 		for _, g := range m.G {
 			s += g * g
 		}
@@ -81,6 +86,9 @@ func (p *ParamSet) ClipGrad(maxNorm float64) {
 	}
 	scale := maxNorm / n
 	for _, m := range p.mats {
+		if !m.dirty {
+			continue
+		}
 		for i := range m.G {
 			m.G[i] *= scale
 		}
@@ -105,6 +113,10 @@ type Adam struct {
 	t      int
 	m, v   [][]float64
 	params *ParamSet
+	// live[k] is false only when every first and second moment of
+	// matrix k is zero. A clean matrix that is not live has nothing for
+	// Step to do: every element would take the untouched-element skip.
+	live []bool
 }
 
 // NewAdam returns an Adam optimizer with the usual defaults.
@@ -114,6 +126,7 @@ func NewAdam(p *ParamSet, lr float64) *Adam {
 		a.m = append(a.m, make([]float64, len(m.W)))
 		a.v = append(a.v, make([]float64, len(m.W)))
 	}
+	a.live = make([]bool, len(p.mats))
 	return a
 }
 
@@ -149,29 +162,48 @@ func (a *Adam) Restore(st AdamState) error {
 		}
 		copy(a.m[i], st.M[i])
 		copy(a.v[i], st.V[i])
+		a.live[i] = true // the next Step finds out which really are
 	}
 	a.t = st.T
 	return nil
 }
 
 // Step applies one Adam update from the accumulated gradients and
-// clears them.
+// clears them. Matrices that are clean and not live are skipped whole;
+// within the rest, elements with a zero gradient and zero moments are
+// skipped one by one (untouched embedding rows, unused slot scorers).
+// Both skips leave exactly the state the full update would: such an
+// element's update is a no-op. What remains is bound by the divides
+// and the square root on live elements, which cannot be rewritten as
+// multiplications without changing the rounding.
 func (a *Adam) Step() {
 	a.t++
-	b1c := 1 - math.Pow(a.Beta1, float64(a.t))
-	b2c := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, b2 := a.Beta1, a.Beta2
+	c1, c2 := 1-b1, 1-b2
+	b1c := 1 - math.Pow(b1, float64(a.t))
+	b2c := 1 - math.Pow(b2, float64(a.t))
+	lr, eps := a.LR, a.Eps
 	for k, mat := range a.params.mats {
-		mbuf, vbuf := a.m[k], a.v[k]
-		for i, g := range mat.G {
-			if g == 0 && mbuf[i] == 0 && vbuf[i] == 0 {
-				continue // untouched sparse rows (embeddings)
-			}
-			mbuf[i] = a.Beta1*mbuf[i] + (1-a.Beta1)*g
-			vbuf[i] = a.Beta2*vbuf[i] + (1-a.Beta2)*g*g
-			mhat := mbuf[i] / b1c
-			vhat := vbuf[i] / b2c
-			mat.W[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-			mat.G[i] = 0
+		if !mat.dirty && !a.live[k] {
+			continue
 		}
+		mat.dirty = false
+		grad := mat.G
+		// Equal lengths let the compiler drop the bounds checks.
+		w, mbuf, vbuf := mat.W[:len(grad)], a.m[k][:len(grad)], a.v[k][:len(grad)]
+		live := false
+		for i, g := range grad {
+			m, v := mbuf[i], vbuf[i]
+			if g == 0 && m == 0 && v == 0 {
+				continue
+			}
+			live = true
+			m = b1*m + c1*g
+			v = b2*v + c2*g*g
+			mbuf[i], vbuf[i] = m, v
+			w[i] -= lr * (m / b1c) / (math.Sqrt(v/b2c) + eps)
+			grad[i] = 0
+		}
+		a.live[k] = live
 	}
 }

@@ -125,14 +125,10 @@ func (g *GRU) Backward(cache *GRUCache, dHNew []float64) (dx, dh []float64) {
 	for i := 0; i < hid; i++ {
 		dac[i] = dc[i] * (1 - cache.C[i]*cache.C[i])
 	}
-	g.Wh.AddOuterGrad(dac, cache.X)
-	g.Uh.AddOuterGrad(dac, cache.RH)
-	for i := 0; i < hid; i++ {
-		g.Bh.G[i] += dac[i]
-	}
-	g.Wh.MulVecT(dac, dx)
+	g.Wh.BackwardVec(dac, cache.X, dx)
 	dRH := NewVec(hid)
-	g.Uh.MulVecT(dac, dRH)
+	g.Uh.BackwardVec(dac, cache.RH, dRH)
+	g.Bh.addBiasGrad(dac)
 	dr := NewVec(hid)
 	for i := 0; i < hid; i++ {
 		dr[i] = dRH[i] * cache.H[i]
@@ -144,26 +140,18 @@ func (g *GRU) Backward(cache *GRUCache, dHNew []float64) (dx, dh []float64) {
 	for i := 0; i < hid; i++ {
 		daz[i] = dz[i] * cache.Z[i] * (1 - cache.Z[i])
 	}
-	g.Wz.AddOuterGrad(daz, cache.X)
-	g.Uz.AddOuterGrad(daz, cache.H)
-	for i := 0; i < hid; i++ {
-		g.Bz.G[i] += daz[i]
-	}
-	g.Wz.MulVecT(daz, dx)
-	g.Uz.MulVecT(daz, dh)
+	g.Wz.BackwardVec(daz, cache.X, dx)
+	g.Uz.BackwardVec(daz, cache.H, dh)
+	g.Bz.addBiasGrad(daz)
 
 	// Reset gate path.
 	dar := NewVec(hid)
 	for i := 0; i < hid; i++ {
 		dar[i] = dr[i] * cache.R[i] * (1 - cache.R[i])
 	}
-	g.Wr.AddOuterGrad(dar, cache.X)
-	g.Ur.AddOuterGrad(dar, cache.H)
-	for i := 0; i < hid; i++ {
-		g.Br.G[i] += dar[i]
-	}
-	g.Wr.MulVecT(dar, dx)
-	g.Ur.MulVecT(dar, dh)
+	g.Wr.BackwardVec(dar, cache.X, dx)
+	g.Ur.BackwardVec(dar, cache.H, dh)
+	g.Br.addBiasGrad(dar)
 
 	return dx, dh
 }
@@ -246,12 +234,9 @@ func (l *Linear) Forward(x []float64) []float64 {
 // Backward accumulates gradients given dY and the cached input x, and
 // returns dX.
 func (l *Linear) Backward(x, dY []float64) []float64 {
-	l.W.AddOuterGrad(dY, x)
-	for i, g := range dY {
-		l.B.G[i] += g
-	}
 	dx := NewVec(l.In)
-	l.W.MulVecT(dY, dx)
+	l.W.BackwardVec(dY, x, dx)
+	l.B.addBiasGrad(dY)
 	return dx
 }
 

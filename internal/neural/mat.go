@@ -18,15 +18,28 @@ import (
 
 // Mat is a row-major matrix with a weight buffer and a gradient
 // buffer of the same shape.
+//
+// Dirty tracking. A matrix is clean when its whole gradient buffer is
+// known to be zero. Every method that writes G (BackwardVec, GradRow,
+// AddGrad, Embedding.AccumGrad and the bias updates of GRU and Linear)
+// marks it dirty; ZeroGrad and Adam.Step, which zero G, mark it clean.
+// GradNorm, ClipGrad, MergeGradsFrom, ZeroGrad and Adam.Step skip clean
+// matrices, which is exact: a zero gradient adds nothing to the norm
+// and is unchanged by scaling. Outside this package G must therefore
+// be written only through those methods; a direct write to G of a
+// clean matrix would be silently dropped.
 type Mat struct {
-	R, C int
-	W    []float64
-	G    []float64
+	R, C  int
+	W     []float64
+	G     []float64
+	dirty bool
 }
 
-// NewMat allocates a zero matrix.
+// NewMat allocates a zero matrix. It starts dirty, so code in this
+// package (tests included) may write its G directly before the first
+// ZeroGrad or optimizer step.
 func NewMat(r, c int) *Mat {
-	return &Mat{R: r, C: c, W: make([]float64, r*c), G: make([]float64, r*c)}
+	return &Mat{R: r, C: c, W: make([]float64, r*c), G: make([]float64, r*c), dirty: true}
 }
 
 // NewMatRand allocates a matrix with Xavier/Glorot uniform init.
@@ -48,14 +61,28 @@ func (m *Mat) Set(i, j int, v float64) { m.W[i*m.C+j] = v }
 // Row returns a view of row i of the weights.
 func (m *Mat) Row(i int) []float64 { return m.W[i*m.C : (i+1)*m.C] }
 
-// GradRow returns a view of row i of the gradients.
-func (m *Mat) GradRow(i int) []float64 { return m.G[i*m.C : (i+1)*m.C] }
+// GradRow returns a view of row i of the gradients for the caller to
+// accumulate into, and marks the matrix dirty.
+func (m *Mat) GradRow(i int) []float64 {
+	m.dirty = true
+	return m.G[i*m.C : (i+1)*m.C]
+}
 
-// ZeroGrad clears the gradient buffer.
-func (m *Mat) ZeroGrad() {
-	for i := range m.G {
-		m.G[i] = 0
+// addBiasGrad accumulates g into the gradient of a column bias (G += g).
+func (m *Mat) addBiasGrad(g []float64) {
+	m.dirty = true
+	for i, v := range g {
+		m.G[i] += v
 	}
+}
+
+// ZeroGrad clears the gradient buffer (a no-op on a clean matrix).
+func (m *Mat) ZeroGrad() {
+	if !m.dirty {
+		return
+	}
+	clear(m.G)
+	m.dirty = false
 }
 
 // Copy returns a deep copy of the weights only; the copy's gradient
@@ -82,17 +109,21 @@ func (m *Mat) CopyWithGrads() *Mat {
 // shared weights are read-only, each worker backprops into its own G,
 // and the shadows are merged in deterministic order via AddGrad.
 func (m *Mat) Shadow() *Mat {
-	return &Mat{R: m.R, C: m.C, W: m.W, G: make([]float64, len(m.G))}
+	return &Mat{R: m.R, C: m.C, W: m.W, G: make([]float64, len(m.G)), dirty: true}
 }
 
-// AddGrad accumulates other's gradient buffer into m's (G += other.G).
-// It panics when the shapes disagree — merging shadow gradients across
-// mismatched parameter sets is a programming error, not a recoverable
-// condition.
+// AddGrad accumulates other's gradient buffer into m's (G += other.G);
+// a clean other adds nothing. It panics when the shapes disagree —
+// merging shadow gradients across mismatched parameter sets is a
+// programming error, not a recoverable condition.
 func (m *Mat) AddGrad(other *Mat) {
 	if other.R != m.R || other.C != m.C || len(other.G) != len(m.G) {
 		panic(fmt.Sprintf("neural: AddGrad shape mismatch: %v += %v", m, other))
 	}
+	if !other.dirty {
+		return
+	}
+	m.dirty = true
 	for i, g := range other.G {
 		m.G[i] += g
 	}
@@ -101,57 +132,74 @@ func (m *Mat) AddGrad(other *Mat) {
 // String summarizes the matrix shape.
 func (m *Mat) String() string { return fmt.Sprintf("Mat(%dx%d)", m.R, m.C) }
 
-// MulVec computes y = M v (len(v) == C, len(y) == R).
+// MulVec computes y = M v (len(v) == C, len(y) == R). It is the
+// one-row case of MulBatch, so training's forward pass and inference
+// run the same four-row sweep.
 func (m *Mat) MulVec(v, y []float64) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		y[i] = s
-	}
+	m.mulBatch(&Batch{K: 1, N: len(v), W: v}, &Batch{K: 1, N: len(y), W: y}, false)
 }
 
 // MulVecAdd computes y += M v.
 func (m *Mat) MulVecAdd(v, y []float64) {
-	for i := 0; i < m.R; i++ {
-		row := m.W[i*m.C : (i+1)*m.C]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
+	m.mulBatch(&Batch{K: 1, N: len(v), W: v}, &Batch{K: 1, N: len(y), W: y}, true)
+}
+
+// BackwardVec is the backward pass of y = M x: it accumulates the
+// weight gradient G += dy xᵀ and the input gradient dx += Mᵀ dy
+// (len(dy) == R, len(x) == len(dx) == C) in one sweep over the rows, so
+// x and dx are loaded once per four rows instead of once per row. Rows
+// with dy[i] == 0 contribute nothing and are skipped. Every G element
+// gets its single product, and every dx element its sum over rows in
+// ascending order, exactly as separate outer-product and
+// transposed-product loops compute them.
+func (m *Mat) BackwardVec(dy, x, dx []float64) {
+	m.dirty = true
+	c := m.C
+	x, dx = x[:c], dx[:c]
+	dy = dy[:m.R]
+	i := 0
+	for ; i+4 <= len(dy); i += 4 {
+		d0, d1, d2, d3 := dy[i], dy[i+1], dy[i+2], dy[i+3]
+		if d0 == 0 || d1 == 0 || d2 == 0 || d3 == 0 {
+			for r := i; r < i+4; r++ {
+				m.backwardRow(r, dy[r], x, dx)
+			}
+			continue
 		}
-		y[i] += s
+		// Equal lengths let the compiler drop the bounds checks.
+		w0, g0 := m.W[i*c : (i+1)*c][:len(x)], m.G[i*c : (i+1)*c][:len(x)]
+		w1, g1 := m.W[(i+1)*c : (i+2)*c][:len(x)], m.G[(i+1)*c : (i+2)*c][:len(x)]
+		w2, g2 := m.W[(i+2)*c : (i+3)*c][:len(x)], m.G[(i+2)*c : (i+3)*c][:len(x)]
+		w3, g3 := m.W[(i+3)*c : (i+4)*c][:len(x)], m.G[(i+3)*c : (i+4)*c][:len(x)]
+		for j, xv := range x {
+			g0[j] += d0 * xv
+			g1[j] += d1 * xv
+			g2[j] += d2 * xv
+			g3[j] += d3 * xv
+			s := dx[j]
+			s += d0 * w0[j]
+			s += d1 * w1[j]
+			s += d2 * w2[j]
+			s += d3 * w3[j]
+			dx[j] = s
+		}
+	}
+	for ; i < len(dy); i++ {
+		m.backwardRow(i, dy[i], x, dx)
 	}
 }
 
-// MulVecT computes y += Mᵀ v (len(v) == R, len(y) == C); used for
-// gradient backflow through a linear map.
-func (m *Mat) MulVecT(v, y []float64) {
-	for i := 0; i < m.R; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.W[i*m.C : (i+1)*m.C]
-		for j, rv := range row {
-			y[j] += vi * rv
-		}
+// backwardRow is BackwardVec for the single row i with dy[i] == d.
+func (m *Mat) backwardRow(i int, d float64, x, dx []float64) {
+	if d == 0 {
+		return
 	}
-}
-
-// AddOuterGrad accumulates G += u vᵀ (len(u) == R, len(v) == C); the
-// weight-gradient update of a linear map.
-func (m *Mat) AddOuterGrad(u, v []float64) {
-	for i := 0; i < m.R; i++ {
-		ui := u[i]
-		if ui == 0 {
-			continue
-		}
-		grow := m.G[i*m.C : (i+1)*m.C]
-		for j, vj := range v {
-			grow[j] += ui * vj
-		}
+	c := m.C
+	w, g := m.W[i*c : (i+1)*c][:len(x)], m.G[i*c : (i+1)*c][:len(x)]
+	dx = dx[:len(x)]
+	for j, xv := range x {
+		g[j] += d * xv
+		dx[j] += d * w[j]
 	}
 }
 

@@ -46,13 +46,12 @@ func TestMulVecAndTranspose(t *testing.T) {
 	}
 	u := []float64{1, 2}
 	x := NewVec(3)
-	m.MulVecT(u, x)
+	m.BackwardVec(u, v, x)
 	if x[0] != 9 || x[1] != 12 || x[2] != 15 {
-		t.Fatalf("MulVecT = %v", x)
+		t.Fatalf("BackwardVec dx = %v", x)
 	}
-	m.AddOuterGrad(u, v)
 	if m.G[0] != 1 || m.G[3] != 2 {
-		t.Fatalf("AddOuterGrad = %v", m.G)
+		t.Fatalf("BackwardVec G = %v", m.G)
 	}
 }
 
