@@ -1,10 +1,10 @@
 package analysis
 
 import (
+	"go/types"
+	"slices"
 	"strings"
 	"testing"
-
-	"go/types"
 )
 
 // nodeFor walks the module graph for the function named pkgPath.name
@@ -113,5 +113,77 @@ func TestGraphNodeCanonicalization(t *testing.T) {
 			t.Errorf("graph keyed by instantiation, not origin: %v", fn)
 		}
 		var _ *types.Func = fn
+	}
+}
+
+// TestAssemblyBackedFunction: a body-less //go:noescape declaration
+// implemented in assembly, as internal/neural's SIMD kernels are, is a
+// leaf of the call graph. It gets no node of its own, its callers
+// record the call without inheriting a blocking fact, and no analyzer
+// panics on it or reports it, including at a call in a loop and one
+// under a held lock.
+func TestAssemblyBackedFunction(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module kern\n\ngo 1.22\n",
+		"kern.go": `package kern
+
+import "sync"
+
+// add4 adds src into dst; kern_amd64.s implements it.
+//
+//go:noescape
+func add4(dst, src *[4]float64)
+
+// Sum adds every block of src into dst.
+func Sum(dst *[4]float64, src [][4]float64) {
+	for i := range src {
+		add4(dst, &src[i])
+	}
+}
+
+// Acc is an accumulator shared between goroutines.
+type Acc struct {
+	mu  sync.Mutex
+	sum [4]float64
+}
+
+// Add adds src under the lock.
+func (a *Acc) Add(src *[4]float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	add4(&a.sum, src)
+}
+`,
+		"kern_amd64.s": "#include \"textflag.h\"\n\n// func add4(dst, src *[4]float64)\nTEXT ·add4(SB), NOSPLIT, $0-16\n\tRET\n",
+	})
+	m, err := LoadModule(dir)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	if len(m.LoadDiags) != 0 || len(m.Pkgs) != 1 {
+		t.Fatalf("load: %d packages, diagnostics %v", len(m.Pkgs), m.LoadDiags)
+	}
+	pkg := m.Pkgs[0]
+	for _, err := range pkg.TypeErrors {
+		t.Errorf("type error: %v", err)
+	}
+	add4, ok := pkg.Types.Scope().Lookup("add4").(*types.Func)
+	if !ok {
+		t.Fatal("add4 not declared")
+	}
+	if n := m.Graph(nil).NodeOf(add4); n != nil {
+		t.Errorf("body-less add4 has a graph node: %+v", n)
+	}
+	for _, name := range []string{"Sum", "Acc.Add"} {
+		n := nodeFor(t, m, "kern", name)
+		if !slices.Contains(n.Calls, add4) {
+			t.Errorf("%s: calls %v, want add4 among them", name, n.Calls)
+		}
+		if n.Blocking {
+			t.Errorf("%s: blocking (%s), but add4 is a leaf", name, n.BlockReason)
+		}
+	}
+	if diags := Run(m, m.Pkgs, Suite()); len(diags) != 0 {
+		t.Errorf("findings on an assembly-backed function: %v", diags)
 	}
 }

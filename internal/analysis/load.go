@@ -3,12 +3,14 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/scanner"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -217,7 +219,7 @@ func (l *loader) parseDirAs(dir, importPath string) ([]*Package, error) {
 	var order []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || !goodArchFileName(dir, name) {
 			continue
 		}
 		full := filepath.Join(dir, name)
@@ -325,6 +327,21 @@ func excludedByBuildTags(file *ast.File) bool {
 		}
 	}
 	return false
+}
+
+// goodArchFileName reports whether a _GOOS, _GOARCH or _GOOS_GOARCH
+// suffix in a file name (simd_amd64.go) admits the file on this
+// platform, as it does for go build. The context reads a stub in place
+// of the file, so only the name decides; build tags are
+// excludedByBuildTags' job.
+func goodArchFileName(dir, name string) bool {
+	ctx := build.Default
+	ctx.GOOS, ctx.GOARCH = runtime.GOOS, runtime.GOARCH
+	ctx.OpenFile = func(string) (io.ReadCloser, error) {
+		return io.NopCloser(strings.NewReader("package p\n")), nil
+	}
+	ok, err := ctx.MatchFile(dir, name)
+	return ok && err == nil
 }
 
 func buildTagSet(tag string) bool {

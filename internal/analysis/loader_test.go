@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -76,15 +77,22 @@ func TestParseErrorSurfacesAsFinding(t *testing.T) {
 
 // TestLoaderFileSelection pins which files enter the module set:
 // _test.go files never, build-tag-excluded files never, always-true
-// build tags yes, and testdata-only packages never.
+// build tags yes, a _GOARCH file name only for this GOARCH, and
+// testdata-only packages never.
 func TestLoaderFileSelection(t *testing.T) {
+	otherArch := "arm64"
+	if runtime.GOARCH == otherArch {
+		otherArch = "amd64"
+	}
 	dir := writeModule(t, map[string]string{
-		"go.mod":            "module edge\n\ngo 1.22\n",
-		"a.go":              "package edge\n\nfunc A() int { return 1 }\n",
-		"a_test.go":         "package edge\n\nfunc helperOnlyInTests() {}\n",
-		"skip.go":           "//go:build neverbuild\n\npackage edge\n\nfunc gone() { go func() {}() }\n",
-		"keep.go":           "//go:build go1.1\n\npackage edge\n\nfunc B() int { return 2 }\n",
-		"testdata/sub/t.go": "package tsub\n\nfunc T() { go func() {}() }\n",
+		"go.mod":                         "module edge\n\ngo 1.22\n",
+		"a.go":                           "package edge\n\nfunc A() int { return 1 }\n",
+		"a_test.go":                      "package edge\n\nfunc helperOnlyInTests() {}\n",
+		"skip.go":                        "//go:build neverbuild\n\npackage edge\n\nfunc gone() { go func() {}() }\n",
+		"keep.go":                        "//go:build go1.1\n\npackage edge\n\nfunc B() int { return 2 }\n",
+		"host_" + runtime.GOARCH + ".go": "package edge\n\nfunc C() int { return 3 }\n",
+		"gone_" + otherArch + ".go":      "package edge\n\nfunc gone2() { go func() {}() }\n",
+		"testdata/sub/t.go":              "package tsub\n\nfunc T() { go func() {}() }\n",
 	})
 	m, err := LoadModule(dir)
 	if err != nil {
@@ -101,8 +109,8 @@ func TestLoaderFileSelection(t *testing.T) {
 		bases = append(bases, filepath.Base(name))
 	}
 	got := strings.Join(bases, ",")
-	if got != "a.go,keep.go" {
-		t.Errorf("loaded files = %s, want a.go,keep.go (_test.go and neverbuild excluded)", got)
+	if want := "a.go,host_" + runtime.GOARCH + ".go,keep.go"; got != want {
+		t.Errorf("loaded files = %s, want %s (_test.go, neverbuild and another GOARCH's file excluded)", got, want)
 	}
 
 	// The excluded files must also be invisible to analyzers: skip.go

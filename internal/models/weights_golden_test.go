@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/neural"
 	"repro/internal/patients"
 )
 
@@ -77,32 +78,47 @@ func savedHash(t *testing.T, save func(io.Writer) error, out any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// TestTrainedWeightsGolden runs on both of the neural package's
+// dispatches: the AVX2 kernels of Adam.Step and BackwardVec must
+// produce the same bits as the scalar loops.
 func TestTrainedWeightsGolden(t *testing.T) {
-	exs := patientsExamples()
-	for _, batch := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			scfg := DefaultSketchConfig()
-			scfg.Epochs, scfg.SampleCap = 2, 48
-			scfg.BatchSize, scfg.Workers = batch, workers
-			sk := NewSketch(scfg)
-			sk.Train(exs)
+	for _, d := range []struct {
+		name string
+		avx2 bool
+	}{{"avx2", true}, {"generic", false}} {
+		t.Run(d.name, func(t *testing.T) {
+			restore, ok := neural.SetAVX2ForTesting(d.avx2)
+			if !ok {
+				t.Skip("CPU lacks AVX2")
+			}
+			defer restore()
+			exs := patientsExamples()
+			for _, batch := range []int{1, 4} {
+				for _, workers := range []int{1, 4} {
+					scfg := DefaultSketchConfig()
+					scfg.Epochs, scfg.SampleCap = 2, 48
+					scfg.BatchSize, scfg.Workers = batch, workers
+					sk := NewSketch(scfg)
+					sk.Train(exs)
 
-			qcfg := DefaultSeq2SeqConfig()
-			qcfg.Epochs, qcfg.SampleCap = 2, 24
-			qcfg.BatchSize, qcfg.Workers = batch, workers
-			sq := NewSeq2Seq(qcfg)
-			sq.Train(exs)
+					qcfg := DefaultSeq2SeqConfig()
+					qcfg.Epochs, qcfg.SampleCap = 2, 24
+					qcfg.BatchSize, qcfg.Workers = batch, workers
+					sq := NewSeq2Seq(qcfg)
+					sq.Train(exs)
 
-			for _, c := range []struct {
-				model string
-				save  func(io.Writer) error
-				out   any
-			}{{"sketch", sk.SaveFull, &savedSketch{}}, {"seq2seq", sq.SaveFull, &savedSeq2Seq{}}} {
-				key := fmt.Sprintf("%s/batch%d", c.model, batch)
-				if got := savedHash(t, c.save, c.out); got != weightsGolden[key] {
-					t.Errorf("%s at %d workers: SaveFull sha256 = %s, want %s", key, workers, got, weightsGolden[key])
+					for _, c := range []struct {
+						model string
+						save  func(io.Writer) error
+						out   any
+					}{{"sketch", sk.SaveFull, &savedSketch{}}, {"seq2seq", sq.SaveFull, &savedSeq2Seq{}}} {
+						key := fmt.Sprintf("%s/batch%d", c.model, batch)
+						if got := savedHash(t, c.save, c.out); got != weightsGolden[key] {
+							t.Errorf("%s at %d workers: SaveFull sha256 = %s, want %s", key, workers, got, weightsGolden[key])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }

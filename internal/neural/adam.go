@@ -168,6 +168,11 @@ func (a *Adam) Restore(st AdamState) error {
 	return nil
 }
 
+// adamConsts are one step's constants, in the layout adamAVX2 reads.
+type adamConsts struct {
+	b1, c1, b2, c2, b1c, b2c, lr, eps float64
+}
+
 // Step applies one Adam update from the accumulated gradients and
 // clears them. Matrices that are clean and not live are skipped whole;
 // within the rest, elements with a zero gradient and zero moments are
@@ -175,7 +180,11 @@ func (a *Adam) Restore(st AdamState) error {
 // Both skips leave exactly the state the full update would: such an
 // element's update is a no-op. What remains is bound by the divides
 // and the square root on live elements, which cannot be rewritten as
-// multiplications without changing the rounding.
+// multiplications without changing the rounding. With AVX2 the
+// elements go four at a time through adamAVX2, which performs each
+// element's operations in this loop's order and keeps a skipped
+// element's bits, so results are bit-identical; the scalar loop below
+// runs the last len%4 elements, or all of them without AVX2.
 func (a *Adam) Step() {
 	a.t++
 	b1, b2 := a.Beta1, a.Beta2
@@ -183,15 +192,23 @@ func (a *Adam) Step() {
 	b1c := 1 - math.Pow(b1, float64(a.t))
 	b2c := 1 - math.Pow(b2, float64(a.t))
 	lr, eps := a.LR, a.Eps
+	consts := adamConsts{b1, c1, b2, c2, b1c, b2c, lr, eps}
 	for k, mat := range a.params.mats {
 		if !mat.dirty && !a.live[k] {
 			continue
 		}
 		mat.dirty = false
 		grad := mat.G
-		// Equal lengths let the compiler drop the bounds checks.
-		w, mbuf, vbuf := mat.W[:len(grad)], a.m[k][:len(grad)], a.v[k][:len(grad)]
-		live := false
+		live, n := false, 0
+		if hasAVX2 {
+			n = len(grad) &^ 3
+			live = adamAVX2(mat.W[:n], a.m[k][:n], a.v[k][:n], grad[:n], &consts)
+		}
+		// The scalar loop: the last len%4 elements after the kernel, or
+		// all of them without AVX2. Equal lengths let the compiler drop
+		// the bounds checks.
+		grad = grad[n:]
+		w, mbuf, vbuf := mat.W[n:][:len(grad)], a.m[k][n:][:len(grad)], a.v[k][n:][:len(grad)]
 		for i, g := range grad {
 			m, v := mbuf[i], vbuf[i]
 			if g == 0 && m == 0 && v == 0 {

@@ -169,114 +169,119 @@ func sameBits(a, b []float64) bool {
 // matrices per step (most stay clean), include explicit zeros, and
 // leave one matrix untouched until step 600; the optimizer is also
 // rebuilt from State/Restore halfway, which must not lose liveness.
+// It runs on both dispatches: the AVX2 kernel and the scalar loop.
 func TestSparseStepsMatchFullScan(t *testing.T) {
-	build := func() *ParamSet {
-		rng := rand.New(rand.NewSource(7))
-		ps := &ParamSet{}
-		for k := 0; k < 12; k++ {
-			ps.Register(fmt.Sprintf("m%02d", k), NewMatRand(3+k%4, 5+k%3, rng))
-		}
-		ps.ZeroGrad()
-		return ps
-	}
-	got, want := build(), build()
-	opt := NewAdam(got, 0.01)
-	ref := newRefAdam(want, 0.01)
-	rng := rand.New(rand.NewSource(8))
-	late := 11 // first written at step 600
-	for step := 0; step < 1000; step++ {
-		if step == 500 {
-			st := opt.State()
-			opt = NewAdam(got, 0.01)
-			if err := opt.Restore(st); err != nil {
-				t.Fatal(err)
+	forEachDispatch(t, func(t *testing.T) {
+		build := func() *ParamSet {
+			rng := rand.New(rand.NewSource(7))
+			ps := &ParamSet{}
+			for k := 0; k < 12; k++ {
+				ps.Register(fmt.Sprintf("m%02d", k), NewMatRand(3+k%4, 5+k%3, rng))
 			}
+			ps.ZeroGrad()
+			return ps
 		}
-		for n := rng.Intn(4); n >= 0; n-- {
-			k := rng.Intn(len(got.Mats()))
-			if k == late && step < 600 {
-				continue
-			}
-			gm, wm := got.Mats()[k], want.Mats()[k]
-			switch rng.Intn(3) {
-			case 0: // one row through GradRow, sometimes all zeros
-				i := rng.Intn(gm.R)
-				scale := float64(rng.Intn(2)) * rng.NormFloat64()
-				gr, wr := gm.GradRow(i), wm.GradRow(i)
-				for j := range gr {
-					v := scale * rng.NormFloat64()
-					gr[j] += v
-					wr[j] += v
+		got, want := build(), build()
+		opt := NewAdam(got, 0.01)
+		ref := newRefAdam(want, 0.01)
+		rng := rand.New(rand.NewSource(8))
+		late := 11 // first written at step 600
+		for step := 0; step < 1000; step++ {
+			if step == 500 {
+				st := opt.State()
+				opt = NewAdam(got, 0.01)
+				if err := opt.Restore(st); err != nil {
+					t.Fatal(err)
 				}
-			case 1: // a full backward with some zero rows in dy
-				dy, x := randVec(gm.R, rng), randVec(gm.C, rng)
-				dy[rng.Intn(gm.R)] = 0
-				gm.BackwardVec(dy, x, NewVec(gm.C))
-				wm.BackwardVec(dy, x, NewVec(wm.C))
-			default: // merge from a shadow
-				gs, ws := gm.Shadow(), wm.Shadow()
-				i := rng.Intn(len(gs.G))
-				v := rng.NormFloat64()
-				gs.G[i], ws.G[i] = v, v
-				gm.AddGrad(gs)
-				wm.AddGrad(ws)
+			}
+			for n := rng.Intn(4); n >= 0; n-- {
+				k := rng.Intn(len(got.Mats()))
+				if k == late && step < 600 {
+					continue
+				}
+				gm, wm := got.Mats()[k], want.Mats()[k]
+				switch rng.Intn(3) {
+				case 0: // one row through GradRow, sometimes all zeros
+					i := rng.Intn(gm.R)
+					scale := float64(rng.Intn(2)) * rng.NormFloat64()
+					gr, wr := gm.GradRow(i), wm.GradRow(i)
+					for j := range gr {
+						v := scale * rng.NormFloat64()
+						gr[j] += v
+						wr[j] += v
+					}
+				case 1: // a full backward with some zero rows in dy
+					dy, x := randVec(gm.R, rng), randVec(gm.C, rng)
+					dy[rng.Intn(gm.R)] = 0
+					gm.BackwardVec(dy, x, NewVec(gm.C))
+					wm.BackwardVec(dy, x, NewVec(wm.C))
+				default: // merge from a shadow
+					gs, ws := gm.Shadow(), wm.Shadow()
+					i := rng.Intn(len(gs.G))
+					v := rng.NormFloat64()
+					gs.G[i], ws.G[i] = v, v
+					gm.AddGrad(gs)
+					wm.AddGrad(ws)
+				}
+			}
+			got.ClipGrad(1)
+			ref.clip(want, 1)
+			opt.Step()
+			ref.step(want)
+			for k, gm := range got.Mats() {
+				wm := want.Mats()[k]
+				if !sameBits(gm.W, wm.W) || !sameBits(opt.m[k], ref.m[k]) || !sameBits(opt.v[k], ref.v[k]) {
+					t.Fatalf("step %d: matrix %d diverged from the full-scan reference", step, k)
+				}
+				if !sameBits(gm.G, wm.G) {
+					t.Fatalf("step %d: matrix %d gradient not cleared", step, k)
+				}
 			}
 		}
-		got.ClipGrad(1)
-		ref.clip(want, 1)
-		opt.Step()
-		ref.step(want)
-		for k, gm := range got.Mats() {
-			wm := want.Mats()[k]
-			if !sameBits(gm.W, wm.W) || !sameBits(opt.m[k], ref.m[k]) || !sameBits(opt.v[k], ref.v[k]) {
-				t.Fatalf("step %d: matrix %d diverged from the full-scan reference", step, k)
-			}
-			if !sameBits(gm.G, wm.G) {
-				t.Fatalf("step %d: matrix %d gradient not cleared", step, k)
-			}
-		}
-	}
+	})
 }
 
 // TestBackwardVecMatchesSeparateLoops pins the fused kernel to the two
 // loops it replaced, bit for bit: the outer-product weight gradient and
 // the transposed product into dx, at shapes that exercise the four-row
-// sweep, its tail, and rows skipped for a zero dy.
+// sweep, its tail, and rows skipped for a zero dy, on both dispatches.
 func TestBackwardVecMatchesSeparateLoops(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, shape := range [][2]int{{1, 3}, {4, 4}, {7, 5}, {80, 40}, {102, 80}} {
-		r, c := shape[0], shape[1]
-		m := NewMatRand(r, c, rng)
-		for i := range m.G {
-			m.G[i] = rng.NormFloat64()
-		}
-		dy, x, dx := randVec(r, rng), randVec(c, rng), randVec(c, rng)
-		for i := 2; i < r; i += 7 {
-			dy[i] = 0
-		}
-		wantG := append([]float64(nil), m.G...)
-		wantDx := append([]float64(nil), dx...)
-		for i := 0; i < r; i++ { // G += dy xᵀ
-			if dy[i] == 0 {
-				continue
+	forEachDispatch(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for _, shape := range [][2]int{{1, 3}, {4, 4}, {7, 5}, {80, 40}, {102, 80}} {
+			r, c := shape[0], shape[1]
+			m := NewMatRand(r, c, rng)
+			for i := range m.G {
+				m.G[i] = rng.NormFloat64()
 			}
-			for j := 0; j < c; j++ {
-				wantG[i*c+j] += dy[i] * x[j]
+			dy, x, dx := randVec(r, rng), randVec(c, rng), randVec(c, rng)
+			for i := 2; i < r; i += 7 {
+				dy[i] = 0
+			}
+			wantG := append([]float64(nil), m.G...)
+			wantDx := append([]float64(nil), dx...)
+			for i := 0; i < r; i++ { // G += dy xᵀ
+				if dy[i] == 0 {
+					continue
+				}
+				for j := 0; j < c; j++ {
+					wantG[i*c+j] += dy[i] * x[j]
+				}
+			}
+			for i := 0; i < r; i++ { // dx += Wᵀ dy
+				if dy[i] == 0 {
+					continue
+				}
+				for j := 0; j < c; j++ {
+					wantDx[j] += dy[i] * m.W[i*c+j]
+				}
+			}
+			m.BackwardVec(dy, x, dx)
+			if !sameBits(m.G, wantG) || !sameBits(dx, wantDx) {
+				t.Fatalf("%dx%d: BackwardVec differs from the separate loops", r, c)
 			}
 		}
-		for i := 0; i < r; i++ { // dx += Wᵀ dy
-			if dy[i] == 0 {
-				continue
-			}
-			for j := 0; j < c; j++ {
-				wantDx[j] += dy[i] * m.W[i*c+j]
-			}
-		}
-		m.BackwardVec(dy, x, dx)
-		if !sameBits(m.G, wantG) || !sameBits(dx, wantDx) {
-			t.Fatalf("%dx%d: BackwardVec differs from the separate loops", r, c)
-		}
-	}
+	})
 }
 
 // TestMulVecMatchesRowLoop pins MulVec and MulVecAdd, which now run on
@@ -306,21 +311,24 @@ func TestMulVecMatchesRowLoop(t *testing.T) {
 }
 
 // BenchmarkBackwardVec times the fused backward kernel on the GRU
-// shapes of the sketch encoder (hidden 80, input 40).
+// shapes of the sketch encoder (hidden 80, input 40), on the AVX2
+// kernel (/avx2) and the scalar loop (/generic).
 func BenchmarkBackwardVec(b *testing.B) {
-	for _, shape := range [][2]int{{80, 40}, {80, 80}} {
-		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			m := NewMatRand(shape[0], shape[1], rng)
-			dy, x := randVec(shape[0], rng), randVec(shape[1], rng)
-			dx := NewVec(shape[1])
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				m.BackwardVec(dy, x, dx)
-			}
-		})
-	}
+	forEachDispatch(b, func(b *testing.B) {
+		for _, shape := range [][2]int{{80, 40}, {80, 80}} {
+			b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				m := NewMatRand(shape[0], shape[1], rng)
+				dy, x := randVec(shape[0], rng), randVec(shape[1], rng)
+				dx := NewVec(shape[1])
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					m.BackwardVec(dy, x, dx)
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkAdamStep times ClipGrad + Adam.Step on the parameter set of
@@ -328,50 +336,52 @@ func BenchmarkBackwardVec(b *testing.B) {
 // 102-way classifier, 48 slot scorers of 40×80), where each step writes
 // what one training example does: a dozen embedding rows, the whole
 // encoder and classifier, and three scorers out of the ten that the
-// Patients corpus ever uses.
+// Patients corpus ever uses. /avx2 and /generic select the dispatch.
 func BenchmarkAdamStep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ps := &ParamSet{}
-	emb := NewEmbedding(ps, "emb", 257, 40, rng)
-	gru := NewGRU(ps, "enc", 40, 80, rng)
-	cls := NewLinear(ps, "cls", 80, 102, rng)
-	slots := make([]*Mat, 48)
-	for k := range slots {
-		slots[k] = ps.Register(fmt.Sprintf("slotW%02d", k), NewMatRand(40, 80, rng))
-	}
-	dense := []*Mat{gru.Wz, gru.Uz, gru.Bz, gru.Wr, gru.Ur, gru.Br, gru.Wh, gru.Uh, gru.Bh, cls.W, cls.B}
-	grad := randVec(80, rng)
-	write := func(m *Mat, row int) {
-		g := m.GradRow(row)
-		for j := range g {
-			g[j] += grad[j] * 1e-3
+	forEachDispatch(b, func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		ps := &ParamSet{}
+		emb := NewEmbedding(ps, "emb", 257, 40, rng)
+		gru := NewGRU(ps, "enc", 40, 80, rng)
+		cls := NewLinear(ps, "cls", 80, 102, rng)
+		slots := make([]*Mat, 48)
+		for k := range slots {
+			slots[k] = ps.Register(fmt.Sprintf("slotW%02d", k), NewMatRand(40, 80, rng))
 		}
-	}
-	opt := NewAdam(ps, 0.004)
-	step := func(n int) {
-		for i := 0; i < 12; i++ {
-			write(emb.E, (n*31+i*97)%emb.E.R)
-		}
-		for _, m := range dense {
-			for r := 0; r < m.R; r++ {
-				write(m, r)
+		dense := []*Mat{gru.Wz, gru.Uz, gru.Bz, gru.Wr, gru.Ur, gru.Br, gru.Wh, gru.Uh, gru.Bh, cls.W, cls.B}
+		grad := randVec(80, rng)
+		write := func(m *Mat, row int) {
+			g := m.GradRow(row)
+			for j := range g {
+				g[j] += grad[j] * 1e-3
 			}
 		}
-		for i := 0; i < 3; i++ {
-			s := slots[(n+i*3)%10]
-			for r := 0; r < s.R; r++ {
-				write(s, r)
+		opt := NewAdam(ps, 0.004)
+		step := func(n int) {
+			for i := 0; i < 12; i++ {
+				write(emb.E, (n*31+i*97)%emb.E.R)
 			}
+			for _, m := range dense {
+				for r := 0; r < m.R; r++ {
+					write(m, r)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				s := slots[(n+i*3)%10]
+				for r := 0; r < s.R; r++ {
+					write(s, r)
+				}
+			}
+			ps.ClipGrad(5)
+			opt.Step()
 		}
-		ps.ClipGrad(5)
-		opt.Step()
-	}
-	for n := 0; n < 200; n++ {
-		step(n)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		step(200 + n)
-	}
+		for n := 0; n < 200; n++ {
+			step(n)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			step(200 + n)
+		}
+	})
 }

@@ -151,7 +151,9 @@ func (m *Mat) MulVecAdd(v, y []float64) {
 // with dy[i] == 0 contribute nothing and are skipped. Every G element
 // gets its single product, and every dx element its sum over rows in
 // ascending order, exactly as separate outer-product and
-// transposed-product loops compute them.
+// transposed-product loops compute them. With AVX2 a four-row block
+// runs through backward4AVX2, four columns at a time in the same
+// per-element order.
 func (m *Mat) BackwardVec(dy, x, dx []float64) {
 	m.dirty = true
 	c := m.C
@@ -159,33 +161,50 @@ func (m *Mat) BackwardVec(dy, x, dx []float64) {
 	dy = dy[:m.R]
 	i := 0
 	for ; i+4 <= len(dy); i += 4 {
-		d0, d1, d2, d3 := dy[i], dy[i+1], dy[i+2], dy[i+3]
-		if d0 == 0 || d1 == 0 || d2 == 0 || d3 == 0 {
+		d := (*[4]float64)(dy[i : i+4])
+		if d[0] == 0 || d[1] == 0 || d[2] == 0 || d[3] == 0 {
 			for r := i; r < i+4; r++ {
 				m.backwardRow(r, dy[r], x, dx)
 			}
 			continue
 		}
-		// Equal lengths let the compiler drop the bounds checks.
-		w0, g0 := m.W[i*c : (i+1)*c][:len(x)], m.G[i*c : (i+1)*c][:len(x)]
-		w1, g1 := m.W[(i+1)*c : (i+2)*c][:len(x)], m.G[(i+1)*c : (i+2)*c][:len(x)]
-		w2, g2 := m.W[(i+2)*c : (i+3)*c][:len(x)], m.G[(i+2)*c : (i+3)*c][:len(x)]
-		w3, g3 := m.W[(i+3)*c : (i+4)*c][:len(x)], m.G[(i+3)*c : (i+4)*c][:len(x)]
-		for j, xv := range x {
-			g0[j] += d0 * xv
-			g1[j] += d1 * xv
-			g2[j] += d2 * xv
-			g3[j] += d3 * xv
-			s := dx[j]
-			s += d0 * w0[j]
-			s += d1 * w1[j]
-			s += d2 * w2[j]
-			s += d3 * w3[j]
-			dx[j] = s
+		w, g := m.W[i*c:(i+4)*c], m.G[i*c:(i+4)*c]
+		j := 0
+		if hasAVX2 {
+			j = c &^ 3
+			backward4AVX2(d, w, g, x, dx)
 		}
+		backward4(d, w[j:], g[j:], c, x[j:], dx[j:])
 	}
 	for ; i < len(dy); i++ {
 		m.backwardRow(i, dy[i], x, dx)
+	}
+}
+
+// backward4 is BackwardVec's four-row block in scalar form, over the
+// columns of x: w and g start at the block's first row and column,
+// with row stride c, and d holds the four rows' dy. With AVX2 it runs
+// only the last c%4 columns, after backward4AVX2.
+func backward4(d *[4]float64, w, g []float64, c int, x, dx []float64) {
+	d0, d1, d2, d3 := d[0], d[1], d[2], d[3]
+	// Equal lengths let the compiler drop the bounds checks.
+	n := len(x)
+	dx = dx[:n]
+	w0, g0 := w[:n], g[:n]
+	w1, g1 := w[c:][:n], g[c:][:n]
+	w2, g2 := w[2*c:][:n], g[2*c:][:n]
+	w3, g3 := w[3*c:][:n], g[3*c:][:n]
+	for j, xv := range x {
+		g0[j] += d0 * xv
+		g1[j] += d1 * xv
+		g2[j] += d2 * xv
+		g3[j] += d3 * xv
+		s := dx[j]
+		s += d0 * w0[j]
+		s += d1 * w1[j]
+		s += d2 * w2[j]
+		s += d3 * w3[j]
+		dx[j] = s
 	}
 }
 

@@ -1,0 +1,21 @@
+package neural
+
+// hasAVX2 selects the AVX2 kernels of Adam.Step and BackwardVec. It is
+// set once at init (false off amd64); only SetAVX2ForTesting changes
+// it afterwards.
+var hasAVX2 = cpuHasAVX2()
+
+// SetAVX2ForTesting selects the path Adam.Step and BackwardVec take,
+// so tests can check that both give the same bits: on=false forces the
+// scalar loops, on=true the AVX2 kernels. When on is true and the CPU
+// lacks AVX2 it changes nothing and reports false. The returned
+// function restores the previous setting. It must not be called while
+// a training step runs.
+func SetAVX2ForTesting(on bool) (restore func(), ok bool) {
+	if on && !cpuHasAVX2() {
+		return func() {}, false
+	}
+	prev := hasAVX2
+	hasAVX2 = on
+	return func() { hasAVX2 = prev }, true
+}

@@ -1,0 +1,45 @@
+package neural
+
+// cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches (XCR0 bits 1 and 2).
+func cpuHasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xgetbv()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}
+
+// cpuid executes CPUID for a leaf and subleaf.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv returns the low half of XCR0, the OS-enabled state components.
+func xgetbv() (eax uint32)
+
+// adamAVX2 runs Adam.Step's element update on the first len(g)&^3
+// elements, four at a time, with the scalar loop's operations in the
+// scalar loop's order and no fused multiply-add, so every lane rounds
+// exactly as the scalar code does. Lanes the scalar loop skips (zero
+// gradient and zero moments) keep their old W, m, v and G bits. It
+// reports whether any lane was updated. w, m and v must be at least
+// as long as g.
+//
+//go:noescape
+func adamAVX2(w, m, v, g []float64, k *adamConsts) (live bool)
+
+// backward4AVX2 is BackwardVec's four-row block over the first
+// len(x)&^3 columns, four columns at a time: w and g hold the block's
+// four rows (row stride len(x)), d their four dy values. Each G
+// element gets its single d·x added and each dx element its sum over
+// the rows in ascending order, as in the scalar loop.
+//
+//go:noescape
+func backward4AVX2(d *[4]float64, w, g, x, dx []float64)
