@@ -30,18 +30,19 @@ import (
 	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/patients"
+	"repro/internal/runtime"
 	"repro/internal/spider"
 )
 
 func main() {
 	var (
-		modelKind  = flag.String("model", "sketch", "translator: sketch | seq2seq")
-		loadPath   = flag.String("load", "", "model file saved by dbpal-train")
-		train      = flag.Bool("train", false, "bootstrap and train a fresh model instead of loading")
-		failures   = flag.Bool("failures", false, "print every failed case")
-		seed       = flag.Int64("seed", 1, "pipeline/training seed for -train")
-		execGuided = flag.Int("execguided", 1, "try up to N ranked candidates per question")
-		workers    = flag.Int("workers", 0, "evaluation worker-pool bound (0 = all cores)")
+		modelKind = flag.String("model", "sketch", "translator: sketch | seq2seq")
+		loadPath  = flag.String("load", "", "model file saved by dbpal-train")
+		train     = flag.Bool("train", false, "bootstrap and train a fresh model instead of loading")
+		failures  = flag.Bool("failures", false, "print every failed case")
+		seed      = flag.Int64("seed", 1, "pipeline/training seed for -train")
+		beam      = flag.Int("beam", 1, "ranked candidates decoded per question; the first usable one answers, or the critic's pick under -critic")
+		workers   = flag.Int("workers", 0, "evaluation worker-pool bound (0 = all cores)")
 
 		criticOn  = flag.Bool("critic", false, "run the critic-on/off comparison on a spider-style workload instead of the Patients benchmark")
 		schemaN   = flag.String("schema", "patients", "schema for the -critic workload: patients | flights | ... | synth:<seed>")
@@ -61,7 +62,7 @@ func main() {
 	if *criticOn {
 		if err := runCritic(ctx, criticConfig{
 			schema: *schemaN, model: *modelKind, loadPath: *loadPath, seed: *seed,
-			rows: *rows, questions: *criticQs, execGuided: *execGuided, workers: *workers,
+			rows: *rows, questions: *criticQs, beam: *beam, workers: *workers,
 			corrupt: *corrupt,
 			critic:  critic.Config{RowBudget: *rowBudget, Timeout: *criticTO, Seed: *seed},
 		}); err != nil {
@@ -108,7 +109,9 @@ func main() {
 		os.Exit(1)
 	}
 	cases := patients.Cases()
-	rep, evalErr := eval.EvalPatientsCtx(ctx, model, db, cases, *execGuided, *workers)
+	rt := runtime.NewTranslator(db, model)
+	rt.Beam = *beam
+	rep, evalErr := eval.EvalPatients(ctx, rt, cases, *workers)
 	if evalErr != nil {
 		fmt.Fprintf(os.Stderr, "evaluation interrupted (%v): partial report over %d/%d cases\n",
 			evalErr, rep.Overall.Total, len(cases))
@@ -142,7 +145,7 @@ type criticConfig struct {
 	schema, model, loadPath string
 	seed                    int64
 	rows, questions         int
-	execGuided, workers     int
+	beam, workers           int
 	corrupt                 int
 	critic                  critic.Config
 }
@@ -174,13 +177,13 @@ func runCritic(ctx context.Context, cfg criticConfig) error {
 		model = fault.NewTypos(model, fault.NewInjector(cfg.seed, cfg.corrupt), cols)
 	}
 	qs := spider.Workload(u.Schema, cfg.questions, cfg.seed+7919)
-	rep, evalErr := eval.EvalCriticCtx(ctx, model, u.Schema, u.DB, qs, cfg.execGuided, cfg.critic, cfg.workers)
+	rep, evalErr := eval.EvalCriticCtx(ctx, model, u.Schema, u.DB, qs, cfg.beam, cfg.critic, cfg.workers)
 	if evalErr != nil {
 		fmt.Fprintf(os.Stderr, "evaluation interrupted (%v): partial report over %d/%d questions\n",
 			evalErr, rep.Questions, len(qs))
 	}
-	fmt.Printf("\nExecution-guided critic (schema %s, %d questions, %s model, execguided %d)\n",
-		u.Schema.Name, rep.Questions, model.Name(), cfg.execGuided)
+	fmt.Printf("\nExecution-guided critic (schema %s, %d questions, %s model, beam %d)\n",
+		u.Schema.Name, rep.Questions, model.Name(), cfg.beam)
 	fmt.Printf("  critic off  %s\n", rep.Off)
 	fmt.Printf("  critic on   %s\n", rep.On)
 	fmt.Printf("  valid-rate delta: %+.3f\n", rep.On.Valid.Acc()-rep.Off.Valid.Acc())

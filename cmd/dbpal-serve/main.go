@@ -11,15 +11,15 @@
 //	curl -X POST localhost:8080/schemas -d '{"schema":"college","model":"nn"}'
 //
 // -schema takes a comma-separated list; every named schema boots
-// before the listener opens, and the first is the default tenant for
-// the legacy un-prefixed routes. More schemas onboard at runtime
-// through POST /schemas — generate→train→eval→swap in the background,
-// with progress at GET /schemas/{name} — gated by -min-accuracy and
-// restartable from -checkpoint-dir.
+// before the listener opens. More schemas onboard at runtime through
+// POST /schemas — generate→train→eval→swap in the background, with
+// progress at GET /schemas/{name} — gated by -min-accuracy and
+// restartable from -checkpoint-dir. -critic, -critic-budget and
+// -critic-timeout configure the critic of boot-time and onboarded
+// tenants alike (an onboarding request's "critic" field overrides).
 //
 // Endpoints: /v1/{schema}/ask (translate + execute), /v1/{schema}/
-// translate, the legacy /ask and /translate (?schema= selects a
-// tenant), /schemas (GET list, POST onboard), /schemas/{name} (GET
+// translate, /schemas (GET list, POST onboard), /schemas/{name} (GET
 // status, DELETE), /healthz, /readyz, /statsz. SIGINT/SIGTERM drain:
 // /readyz flips to 503, onboarding is cancelled (its checkpoint
 // survives for the next run), in-flight requests finish under -drain,
@@ -48,15 +48,14 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		schemas    = flag.String("schema", "patients", "comma-separated schemas to boot: patients | flights | ... | synth:<seed>")
-		modelKind  = flag.String("model", "sketch", "translator: sketch | seq2seq | nn")
-		loadPath   = flag.String("load", "", "load model weights saved by dbpal-train instead of training (single-schema only)")
-		seed       = flag.Int64("seed", 1, "pipeline, training, and retry-jitter seed")
-		rows       = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
-		execGuided = flag.Int("execguided", 1, "try up to N ranked candidates, keeping the first that executes")
-		deadline   = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = none)")
-		fallback   = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
+		addr      = flag.String("addr", ":8080", "listen address")
+		schemas   = flag.String("schema", "patients", "comma-separated schemas to boot: patients | flights | ... | synth:<seed>")
+		modelKind = flag.String("model", "sketch", "translator: sketch | seq2seq | nn")
+		loadPath  = flag.String("load", "", "load model weights saved by dbpal-train instead of training (single-schema only)")
+		seed      = flag.Int64("seed", 1, "pipeline, training, and retry-jitter seed")
+		rows      = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
+		deadline  = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = none)")
+		fallback  = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
 
 		workers  = flag.Int("workers", 0, "max concurrent translations per tenant (0 = NumCPU)")
 		queue    = flag.Int("queue", 0, "waiting-room size before shedding (0 = 2x workers)")
@@ -81,7 +80,7 @@ func main() {
 
 	if err := run(config{
 		addr: *addr, schemas: strings.Split(*schemas, ","), modelKind: *modelKind, loadPath: *loadPath,
-		seed: *seed, rows: *rows, execGuided: *execGuided, deadline: *deadline, fallback: *fallback,
+		seed: *seed, rows: *rows, deadline: *deadline, fallback: *fallback,
 		workers: *workers, queue: *queue, timeout: *timeout, drain: *drain,
 		retries: *retries, breakers: *breakers, cooldown: *cooldown,
 		critic: *criticOn, criticBudget: *rowBudget, criticTimeout: *criticTO,
@@ -99,7 +98,7 @@ type config struct {
 	schemas             []string
 	modelKind, loadPath string
 	seed                int64
-	rows, execGuided    int
+	rows                int
 	deadline            time.Duration
 	fallback            bool
 	workers, queue      int
@@ -131,14 +130,16 @@ func run(cfg config) error {
 			continue
 		}
 		u, err := boot.Build(context.Background(), boot.Spec{
-			Schema:     name,
-			Model:      cfg.modelKind,
-			LoadPath:   cfg.loadPath,
-			Seed:       cfg.seed,
-			Rows:       cfg.rows,
-			ExecGuided: cfg.execGuided,
-			Deadline:   cfg.deadline,
-			Fallback:   cfg.fallback,
+			Schema:          name,
+			Model:           cfg.modelKind,
+			LoadPath:        cfg.loadPath,
+			Seed:            cfg.seed,
+			Rows:            cfg.rows,
+			Deadline:        cfg.deadline,
+			Fallback:        cfg.fallback,
+			Critic:          cfg.critic,
+			CriticRowBudget: cfg.criticBudget,
+			CriticTimeout:   cfg.criticTimeout,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			},

@@ -37,7 +37,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "pipeline and training seed")
 		rows       = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
 		verbose    = flag.Bool("verbose", false, "print the full translation lifecycle per question")
-		execGuided = flag.Int("execguided", 1, "try up to N ranked candidates, keeping the first that executes")
 		deadline   = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = none)")
 		fallback   = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
 	)
@@ -49,14 +48,13 @@ func main() {
 
 	t0 := time.Now() //lint:allow determinism wall-clock timing is progress reporting only
 	u, err := boot.Build(ctx, boot.Spec{
-		Schema:     *schemaName,
-		Model:      *modelKind,
-		LoadPath:   *loadPath,
-		Seed:       *seed,
-		Rows:       *rows,
-		ExecGuided: *execGuided,
-		Deadline:   *deadline,
-		Fallback:   *fallback,
+		Schema:   *schemaName,
+		Model:    *modelKind,
+		LoadPath: *loadPath,
+		Seed:     *seed,
+		Rows:     *rows,
+		Deadline: *deadline,
+		Fallback: *fallback,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
@@ -82,13 +80,13 @@ func main() {
 			break
 		}
 		if *verbose {
-			q, trace, err := nli.TranslateTraceContext(ctx, line)
+			q, trace, err := nli.Translate(ctx, line)
 			fmt.Println(indent(trace.String(), "  "))
 			if err != nil {
 				fmt.Printf("  error: %v\n", err)
 				continue
 			}
-			res, execErr := nli.DB.Execute(q)
+			res, execErr := nli.DB.ExecuteContext(ctx, q)
 			if execErr != nil {
 				fmt.Printf("  error: %v\n", execErr)
 				continue
@@ -96,7 +94,7 @@ func main() {
 			fmt.Println(indent(res.String(), "  "))
 			continue
 		}
-		res, q, err := nli.AskContext(ctx, line)
+		res, q, err := nli.Ask(ctx, line)
 		if err != nil {
 			fmt.Printf("  error: %v\n", err)
 			continue

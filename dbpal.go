@@ -24,7 +24,7 @@
 //	model := dbpal.NewSeq2Seq(dbpal.DefaultSeq2SeqConfig())
 //	model.Train(dbpal.TrainingExamples(pairs, s))
 //	nli := dbpal.NewInterface(db, model)
-//	result, sql, _ := nli.Ask("show me all cities in massachusetts")
+//	result, sql, _ := nli.Ask(ctx, "show me all cities in massachusetts")
 //
 // The training pipeline is composed from streaming stages; callers who
 // need more than GenerateTrainingData can edit the stage list (ablate,

@@ -1,6 +1,7 @@
 package dbpal_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	model.Train(dbpal.TrainingExamples(pairs, s))
 
 	nli := dbpal.NewInterface(cityDB(t), model)
-	res, sql, err := nli.Ask("show me all cities in massachusetts")
+	res, sql, err := nli.Ask(context.Background(), "show me all cities in massachusetts")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("expected the 2 massachusetts cities, got %d rows:\n%s", len(res.Rows), res)
 	}
 
-	res2, _, err := nli.Ask("how many cities are there")
+	res2, _, err := nli.Ask(context.Background(), "how many cities are there")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 		"show the population of all cities",
 	}
 	for _, q := range questions {
-		res, sql, err := nli.Ask(q)
+		res, sql, err := nli.Ask(context.Background(), q)
 		if err != nil {
 			fmt.Printf("\nQ: %s\n  error: %v\n", q, err)
 			continue

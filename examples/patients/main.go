@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 		"where the diagnosis is influenza, how many patients are there",
 	}
 	for _, q := range questions {
-		res, sql, err := nli.Ask(q)
+		res, sql, err := nli.Ask(context.Background(), q)
 		if err != nil {
 			fmt.Printf("\nQ: %s\n  error: %v\n", q, err)
 			continue

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,7 +81,7 @@ func main() {
 		"what is the average population of cities where state is oregon",
 		"show the name of the city with the maximum population",
 	} {
-		res, sql, err := nli.Ask(question)
+		res, sql, err := nli.Ask(context.Background(), question)
 		if err != nil {
 			log.Fatalf("%q: %v", question, err)
 		}

@@ -410,7 +410,7 @@ func pkgName(info *types.Info, call *ast.CallExpr) string {
 }
 
 // isModelCallName matches the pluggable-model call surface:
-// Translate, TranslateK, Ask, AskContext, Train, TrainContext, ... —
+// Translate, TranslateK, TranslatePrepared, Ask, Train, TrainContext, ... —
 // a name-based convention because the model behind the interface is
 // exactly what the module cannot see.
 func isModelCallName(name string) bool {

@@ -48,9 +48,6 @@ type Spec struct {
 	Seed int64
 	// Rows is the synthetic rows per table for non-patients schemas.
 	Rows int
-	// ExecGuided tries up to N ranked candidates, keeping the first
-	// that executes.
-	ExecGuided int
 	// Deadline is the per-question inference deadline per tier.
 	Deadline time.Duration
 	// Fallback adds a template nearest-neighbor degradation tier.
@@ -113,7 +110,6 @@ func (sp Spec) ParamsOrDefault() core.Params {
 // Unit is one fully assembled tenant: schema, database, trained model,
 // and the wired runtime translator.
 type Unit struct {
-	Spec       Spec
 	Schema     *schema.Schema
 	DB         *engine.Database
 	Model      models.Translator
@@ -283,13 +279,13 @@ func Train(ctx context.Context, m models.Translator, exs []models.Example, opts 
 }
 
 // Assemble wires a trained model to its database: the runtime
-// translator with execution-guided decoding, per-tier deadline, and
-// the optional nearest-neighbor degradation tier trained on the same
-// corpus.
+// translator with its per-tier deadline, the critic when the spec asks
+// for one, and the optional nearest-neighbor degradation tier trained
+// on the same corpus. It is the one place a tenant's critic is
+// constructed; the serving layer only wires breakers around it.
 func Assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translator, exs []models.Example, pairs int) *Unit {
 	sp = sp.WithDefaults()
 	tr := runtime.NewTranslator(db, m)
-	tr.ExecutionGuided = sp.ExecGuided
 	tr.Deadline = sp.Deadline
 	if sp.Critic {
 		tr.Critic = critic.New(db, critic.Config{
@@ -303,7 +299,7 @@ func Assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translato
 		nn.Train(exs)
 		tr.Fallbacks = []models.Translator{nn}
 	}
-	return &Unit{Spec: sp, Schema: s, DB: db, Model: m, Translator: tr, Pairs: pairs}
+	return &Unit{Schema: s, DB: db, Model: m, Translator: tr, Pairs: pairs}
 }
 
 // Build runs the whole construction path in one call: resolve, corpus,

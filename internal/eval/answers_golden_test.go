@@ -73,7 +73,7 @@ func TestAnswersGolden(t *testing.T) {
 			tr.Critic = critic.New(db, critic.Config{Seed: 1, Timeout: time.Minute})
 			for _, c := range patients.Cases() {
 				fmt.Fprintf(&b, "patients-bench %s ", c.ID)
-				fq, trace, err := tr.TranslateTraceContext(context.Background(), c.NL)
+				fq, trace, err := tr.Translate(context.Background(), c.NL)
 				if err != nil {
 					fmt.Fprintf(&b, "error: %v\n", err)
 					continue
@@ -87,7 +87,7 @@ func TestAnswersGolden(t *testing.T) {
 			for _, withCritic := range []bool{false, true} {
 				for _, beam := range []int{1, 3} {
 					tr := runtime.NewTranslator(db, m)
-					tr.ExecutionGuided = beam
+					tr.Beam = beam
 					if withCritic {
 						// A generous dry-run deadline keeps verdicts a
 						// function of the row budget alone.
@@ -97,7 +97,7 @@ func TestAnswersGolden(t *testing.T) {
 						nl := lemma.LemmatizeAll(tokens.Tokenize(q.NL))
 						bindings := criticBindings(sqlast.MustParse(q.SQL), db)
 						trace := &runtime.Trace{}
-						fq, _, err := tr.TranslatePrepared(context.Background(), nl, bindings, nil, trace)
+						fq, _, err := tr.TranslatePrepared(context.Background(), nl, bindings, trace)
 						fmt.Fprintf(&b, "%s %s critic=%v beam=%d q%02d ", name, m.Name(), withCritic, beam, i)
 						if err != nil {
 							fmt.Fprintf(&b, "error: %v\n", err)

@@ -56,13 +56,12 @@ type CriticReport struct {
 // database values, so the whole report is a pure function of (model,
 // schema, database, questions, critic config): bit-identical at any
 // worker count, with cancellation yielding a deterministic
-// prefix-shaped partial report.
-func EvalCriticCtx(ctx context.Context, model models.Translator, s *schema.Schema, db *engine.Database, qs []spider.Question, execGuided int, cfg critic.Config, workers int) (*CriticReport, error) {
+// prefix-shaped partial report. beam is the number of ranked
+// candidates decoded per question.
+func EvalCriticCtx(ctx context.Context, model models.Translator, s *schema.Schema, db *engine.Database, qs []spider.Question, beam int, cfg critic.Config, workers int) (*CriticReport, error) {
 	schemaToks := models.SchemaTokens(s)
 	trOff := runtime.NewTranslator(db, model)
-	trOff.ExecutionGuided = execGuided
 	trOn := runtime.NewTranslator(db, model)
-	trOn.ExecutionGuided = execGuided
 	trOn.Critic = critic.New(db, cfg)
 
 	type slot struct {
@@ -80,16 +79,20 @@ func EvalCriticCtx(ctx context.Context, model models.Translator, s *schema.Schem
 		goldConcrete, gerr := runtime.PostProcess(gold.Clone(), s, bindings)
 
 		var sl slot
-		if candidates := decodeBeam(model, nl, schemaToks, execGuided); len(candidates) > 0 {
-			offQ, _ := trOff.FinalizeCandidates(candidates, bindings, nil)
+		if candidates := decodeBeam(model, nl, schemaToks, beam); len(candidates) > 0 {
+			dec := &runtime.DecodeResult{Candidates: candidates}
+			offQ, _ := trOff.Finalize(ctx, dec, bindings, nil)
 			sl.offValid, sl.offExact = armScore(db, offQ, goldConcrete, gerr)
 
 			traceOn := &runtime.Trace{}
-			onQ, onErr := trOn.FinalizeCandidates(candidates, bindings, traceOn)
+			onQ, onErr := trOn.Finalize(ctx, dec, bindings, traceOn)
 			sl.onValid, sl.onExact = armScore(db, onQ, goldConcrete, gerr)
 			sl.repaired = traceOn.Repaired
 			var rej *runtime.RejectedError
 			sl.rejected = errors.As(onErr, &rej)
+		}
+		if ctx.Err() != nil {
+			return // a dry-run may have been cut short: leave the question unscored
 		}
 		slots[i] = sl
 		done[i] = true

@@ -70,29 +70,17 @@ type SpiderReport struct {
 
 // EvalSpider runs the translator over pre-anonymized questions and
 // scores canonicalized exact match, as in the paper's Spider setup.
-// Questions are translated concurrently on the default worker pool.
-func EvalSpider(tr models.Translator, qs []spider.Question) *SpiderReport {
-	return EvalSpiderWorkers(tr, qs, 0)
-}
-
-// EvalSpiderWorkers is EvalSpider with an explicit worker-pool bound
-// (0 = runtime.NumCPU). The translator's Translate must be safe for
+// Questions are translated concurrently on up to workers goroutines
+// (0 = runtime.NumCPU), so the translator's Translate must be safe for
 // concurrent calls (both repository models are: inference only reads
 // the trained weights). The report is identical for every worker
 // count: results are produced into per-question slots and aggregated
-// in question order.
-func EvalSpiderWorkers(tr models.Translator, qs []spider.Question, workers int) *SpiderReport {
-	// Background is never done, so the report is always complete.
-	rep, _ := EvalSpiderCtx(context.Background(), tr, qs, workers)
-	return rep
-}
-
-// EvalSpiderCtx is EvalSpiderWorkers with cooperative cancellation.
-// On cancellation it returns the context's error together with a
-// partial report covering the completed prefix of the question list —
-// par.MapCtx dispatches questions in index order, so the evaluated
-// set is always a prefix and the partial report is deterministic.
-func EvalSpiderCtx(ctx context.Context, tr models.Translator, qs []spider.Question, workers int) (*SpiderReport, error) {
+// in question order. On cancellation it returns the context's error
+// together with a partial report covering the completed prefix of the
+// question list — par.MapCtx dispatches questions in index order, so
+// the evaluated set is always a prefix and the partial report is
+// deterministic.
+func EvalSpider(ctx context.Context, tr models.Translator, qs []spider.Question, workers int) (*SpiderReport, error) {
 	// Schema-token contexts are built up front so the workers share a
 	// read-only map.
 	schemaToks := map[string][]string{}
@@ -105,7 +93,7 @@ func EvalSpiderCtx(ctx context.Context, tr models.Translator, qs []spider.Questi
 }
 
 // EvalSchemaCtx scores a translator on questions over one explicit
-// schema — unlike EvalSpiderCtx it does not look the schema up in the
+// schema — unlike EvalSpider it does not look the schema up in the
 // zoo, so it works for generated tenant schemas too. It is the
 // registry's onboarding eval gate.
 func EvalSchemaCtx(ctx context.Context, tr models.Translator, s *schema.Schema, qs []spider.Question, workers int) (*SpiderReport, error) {
@@ -114,7 +102,7 @@ func EvalSchemaCtx(ctx context.Context, tr models.Translator, s *schema.Schema, 
 }
 
 // evalQuestions is the shared exact-match scoring loop behind
-// EvalSpiderCtx and EvalSchemaCtx.
+// EvalSpider and EvalSchemaCtx.
 func evalQuestions(ctx context.Context, tr models.Translator, schemaToks map[string][]string, qs []spider.Question, workers int) (*SpiderReport, error) {
 	rep := &SpiderReport{ByDifficulty: map[sqlast.Difficulty]*Frac{}}
 	for _, d := range sqlast.Difficulties {
@@ -248,21 +236,6 @@ type PatientsFailure struct {
 	Err  string
 }
 
-// EvalPatients runs the full runtime (Parameter Handler, lemmatizer,
-// model, post-processor) on every benchmark case and scores semantic
-// equivalence: the prediction is correct when it executes to the same
-// result as the gold query on the benchmark database. Cases are
-// evaluated concurrently on the default worker pool.
-func EvalPatients(tr models.Translator, db *engine.Database, cases []patients.Case) *PatientsReport {
-	return EvalPatientsGuided(tr, db, cases, 1)
-}
-
-// EvalPatientsGuided is EvalPatients with execution-guided decoding:
-// the runtime tries up to execGuided ranked candidates per question.
-func EvalPatientsGuided(tr models.Translator, db *engine.Database, cases []patients.Case, execGuided int) *PatientsReport {
-	return EvalPatientsWorkers(tr, db, cases, execGuided, 0)
-}
-
 // patientsOutcome is one case's result slot, filled by a worker.
 type patientsOutcome struct {
 	correct bool
@@ -270,30 +243,23 @@ type patientsOutcome struct {
 	err     string
 }
 
-// EvalPatientsWorkers is EvalPatientsGuided with an explicit
-// worker-pool bound (0 = runtime.NumCPU). The runtime translator and
-// execution engine are stateless per call, so one shared instance
-// serves every worker; outcomes land in per-case slots and are
-// aggregated in case order, making the report identical for every
-// worker count.
-func EvalPatientsWorkers(tr models.Translator, db *engine.Database, cases []patients.Case, execGuided, workers int) *PatientsReport {
-	// Background is never done, so the report is always complete.
-	rep, _ := EvalPatientsCtx(context.Background(), tr, db, cases, execGuided, workers)
-	return rep
-}
-
-// EvalPatientsCtx is EvalPatientsWorkers with cooperative
-// cancellation. On cancellation it returns the context's error
-// together with a partial report covering the completed prefix of the
-// case list (see EvalSpiderCtx), so an interrupted evaluation can
-// still flush what it measured.
-func EvalPatientsCtx(ctx context.Context, tr models.Translator, db *engine.Database, cases []patients.Case, execGuided, workers int) (*PatientsReport, error) {
+// EvalPatients runs every benchmark case through the full runtime rt
+// (Parameter Handler, lemmatizer, model, post-processor, and whatever
+// beam and critic the caller configured on it) and scores semantic
+// equivalence: the prediction is correct when it executes to the same
+// result as the gold query on rt's database. Cases are evaluated on up
+// to workers goroutines (0 = runtime.NumCPU); the runtime and engine
+// are stateless per call, so one shared rt serves every worker, and
+// outcomes land in per-case slots aggregated in case order, making the
+// report identical for every worker count. On cancellation it returns
+// the context's error together with a partial report covering the
+// completed prefix of the case list (see EvalSpider).
+func EvalPatients(ctx context.Context, rt *runtime.Translator, cases []patients.Case, workers int) (*PatientsReport, error) {
+	db := rt.DB
 	rep := &PatientsReport{ByCategory: map[patients.Category]*Frac{}}
 	for _, c := range patients.Categories {
 		rep.ByCategory[c] = &Frac{}
 	}
-	rt := runtime.NewTranslator(db, tr)
-	rt.ExecutionGuided = execGuided
 	outcomes := make([]patientsOutcome, len(cases))
 	done := make([]bool, len(cases))
 	err := par.MapCtx(ctx, workers, len(cases), func(i int) {
@@ -304,7 +270,10 @@ func EvalPatientsCtx(ctx context.Context, tr models.Translator, db *engine.Datab
 			panic(fmt.Sprintf("eval: gold query %q does not execute: %v", cs.SQL, gerr))
 		}
 		var out patientsOutcome
-		pred, terr := rt.Translate(cs.NL)
+		pred, _, terr := rt.Translate(ctx, cs.NL)
+		if terr != nil && ctx.Err() != nil {
+			return // interrupted, not scored: the partial report stops before it
+		}
 		if terr == nil {
 			out.pred = pred.String()
 			predRes, execErr := db.Execute(pred)

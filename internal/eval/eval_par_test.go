@@ -36,9 +36,9 @@ func TestEvalSpiderWorkerCountInvariance(t *testing.T) {
 	}
 	tr := halfTranslator{gold: g}
 
-	base := EvalSpiderWorkers(tr, qs, 1)
+	base := spiderReport(t, tr, qs, 1)
 	for _, workers := range []int{2, 4, 16} {
-		rep := EvalSpiderWorkers(tr, qs, workers)
+		rep := spiderReport(t, tr, qs, workers)
 		if rep.Overall != base.Overall {
 			t.Fatalf("workers=%d: overall %v vs %v", workers, rep.Overall, base.Overall)
 		}
@@ -67,8 +67,8 @@ func TestEvalPatientsWorkerCountInvariance(t *testing.T) {
 	}
 	tr := brokenTranslator{} // exercises the failure path in every slot
 
-	base := EvalPatientsWorkers(tr, db, cases, 1, 1)
-	rep := EvalPatientsWorkers(tr, db, cases, 1, 4)
+	base := patientsReport(t, tr, db, cases, 1)
+	rep := patientsReport(t, tr, db, cases, 4)
 	if rep.Overall != base.Overall {
 		t.Fatalf("overall differs: %v vs %v", rep.Overall, base.Overall)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,6 +14,27 @@ import (
 	"repro/internal/sqlast"
 	"repro/internal/tokens"
 )
+
+// spiderReport runs EvalSpider to completion.
+func spiderReport(t *testing.T, tr models.Translator, qs []spider.Question, workers int) *SpiderReport {
+	t.Helper()
+	rep, err := EvalSpider(context.Background(), tr, qs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// patientsReport runs EvalPatients to completion on a plain runtime
+// (beam 1, no critic) over tr.
+func patientsReport(t *testing.T, tr models.Translator, db *engine.Database, cases []patients.Case, workers int) *PatientsReport {
+	t.Helper()
+	rep, err := EvalPatients(context.Background(), runtime.NewTranslator(db, tr), cases, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 func TestFrac(t *testing.T) {
 	var f Frac
@@ -55,7 +77,7 @@ func TestEvalSpiderGoldGetsPerfectScore(t *testing.T) {
 		nl := lemmaTokens(q.NL)
 		g.answers[strings.Join(nl, " ")] = models.NormalizeSQLTokens(sqlast.MustParse(q.SQL).Tokens())
 	}
-	rep := EvalSpider(g, qs)
+	rep := spiderReport(t, g, qs, 0)
 	if rep.Overall.Acc() != 1.0 {
 		t.Fatalf("gold translator should score 1.0, got %v", rep.Overall)
 	}
@@ -69,7 +91,7 @@ func TestEvalSpiderGoldGetsPerfectScore(t *testing.T) {
 
 func TestEvalSpiderBrokenGetsZero(t *testing.T) {
 	qs := spider.GeoWorkload(20, 3)
-	rep := EvalSpider(brokenTranslator{}, qs)
+	rep := spiderReport(t, brokenTranslator{}, qs, 0)
 	if rep.Overall.Correct != 0 {
 		t.Fatalf("broken translator scored %v", rep.Overall)
 	}
@@ -93,7 +115,7 @@ func TestClassify(t *testing.T) {
 
 func TestCoverageReportPartition(t *testing.T) {
 	qs := spider.GeoWorkload(30, 7)
-	rep := EvalSpider(brokenTranslator{}, qs)
+	rep := spiderReport(t, brokenTranslator{}, qs, 0)
 	sp := map[string]bool{}
 	dp := map[string]bool{}
 	for _, r := range rep.Results[:10] {
@@ -221,7 +243,7 @@ func TestEvalPatientsWithOracle(t *testing.T) {
 		key := strings.Join(lemmaTokens(strings.Join(anonNLFor(db, cs.NL), " ")), " ")
 		o.byNL[key] = models.NormalizeSQLTokens(anonGold.Tokens())
 	}
-	rep := EvalPatients(o, db, cases)
+	rep := patientsReport(t, o, db, cases, 0)
 	if rep.Overall.Total != len(cases) {
 		t.Fatalf("evaluated %d of %d", rep.Overall.Total, len(cases))
 	}

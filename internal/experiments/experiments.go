@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/patients"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/schema"
 	"repro/internal/spider"
 	"repro/internal/sqlast"
@@ -267,7 +269,7 @@ func RunSpider(s Scale) *SpiderExperiment {
 	par.Map(s.Workers, len(Configs), func(i int) {
 		m := s.newModel(s.Seed)
 		m.Train(datasets[Configs[i]])
-		reports[i] = eval.EvalSpiderWorkers(m, d.Test, s.Workers)
+		reports[i], _ = eval.EvalSpider(context.Background(), m, d.Test, s.Workers)
 	})
 	for i, cfg := range Configs {
 		exp.Reports[cfg] = reports[i]
@@ -350,7 +352,7 @@ func RunPatients(s Scale) *PatientsExperiment {
 	par.Map(s.Workers, len(Configs), func(i int) {
 		m := s.newModel(s.Seed)
 		m.Train(datasets[Configs[i]])
-		reports[i] = eval.EvalPatientsWorkers(m, db, cases, 1, s.Workers)
+		reports[i], _ = eval.EvalPatients(context.Background(), runtime.NewTranslator(db, m), cases, s.Workers)
 	})
 	for i, cfg := range Configs {
 		exp.Reports[cfg] = reports[i]

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/critic"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/hyperopt"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/patients"
 	"repro/internal/pipeline"
+	"repro/internal/runtime"
 	"repro/internal/spider"
 	"repro/internal/sqlast"
 )
@@ -55,7 +58,7 @@ func RunFigure3(s Scale) *Figure3Result {
 		}
 		m := s.newModel(s.Seed)
 		m.Train(exs)
-		rep := eval.EvalPatientsWorkers(m, db, cases, 1, s.Workers)
+		rep, _ := eval.EvalPatients(context.Background(), runtime.NewTranslator(db, m), cases, s.Workers)
 		res.Accuracy[i] = rep.Overall.Acc()
 	})
 	full := res.Accuracy[len(res.Accuracy)-1]
@@ -138,7 +141,7 @@ func RunFigure4(s Scale) *Figure4Result {
 		}
 		m := trialScale.newModel(trialSeed)
 		m.Train(exs)
-		rep := eval.EvalSpiderWorkers(m, geo, s.Workers)
+		rep, _ := eval.EvalSpider(context.Background(), m, geo, s.Workers)
 		return rep.Overall.Acc(), true
 	}
 
@@ -227,7 +230,7 @@ func RunAblations(s Scale) *AblationResult {
 	// All variants instantiate the Patients schema at the same seed, and
 	// every one except biased-agg shares the default instantiation
 	// parameters — a GenCache shared across the loop replays that single
-	// generation for all of them (and for the exec-guided and
+	// generation for all of them (and for the critic+beam and
 	// literal-constants runs below) instead of re-instantiating.
 	cache := core.NewGenCache(4)
 	res := &AblationResult{Scale: s}
@@ -236,18 +239,22 @@ func RunAblations(s Scale) *AblationResult {
 		pairs = subsamplePairs(pairs, 2*s.PipelinePerSchema, s.Seed+777+17)
 		m := s.newModel(s.Seed)
 		m.Train(balance(base, models.PairExamples(pairs, patients.Schema())))
-		rep := eval.EvalPatients(m, db, cases)
+		rep, _ := eval.EvalPatients(context.Background(), runtime.NewTranslator(db, m), cases, 0)
 		res.Names = append(res.Names, v.name)
 		res.Accuracy = append(res.Accuracy, rep.Overall.Acc())
 	}
 
-	// Execution-guided decoding (a runtime-side ablation: same model
-	// as "defaults", up to 3 ranked candidates per question).
+	// Critic over a beam (a runtime-side ablation: same model as
+	// "defaults", 3 ranked candidates per question reranked
+	// validity-first by a default-budget critic).
 	exs, _ := pipelineData(patients.Schema(), s.Pipeline, 2*s.PipelinePerSchema, s.Seed+777, s.Workers, cache)
 	m := s.newModel(s.Seed)
 	m.Train(balance(base, exs))
-	rep := eval.EvalPatientsGuided(m, db, cases, 3)
-	res.Names = append(res.Names, "exec-guided(3)")
+	rt := runtime.NewTranslator(db, m)
+	rt.Beam = 3
+	rt.Critic = critic.New(db, critic.Config{Seed: s.Seed})
+	rep, _ := eval.EvalPatients(context.Background(), rt, cases, 0)
+	res.Names = append(res.Names, "critic+beam(3)")
 	res.Accuracy = append(res.Accuracy, rep.Overall.Acc())
 
 	// Literal constants instead of anonymization (DESIGN.md ablation 2,
@@ -257,7 +264,7 @@ func RunAblations(s Scale) *AblationResult {
 	litPairs := literalizePairs(subsamplePairs(pipelinePairs(patients.Schema(), s.Pipeline, s.Seed+777, s.Workers, cache, nil), 2*s.PipelinePerSchema, s.Seed+17), db, s.Seed+5)
 	mLit := s.newModel(s.Seed)
 	mLit.Train(balance(base, models.PairExamples(litPairs, patients.Schema())))
-	repLit := eval.EvalPatients(mLit, db, cases)
+	repLit, _ := eval.EvalPatients(context.Background(), runtime.NewTranslator(db, mLit), cases, 0)
 	res.Names = append(res.Names, "literal-constants")
 	res.Accuracy = append(res.Accuracy, repLit.Overall.Acc())
 	return res

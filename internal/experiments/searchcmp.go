@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -60,7 +61,8 @@ func RunSearchComparison(s Scale) *SearchComparison {
 		}
 		m := trialScale.newModel(s.Seed)
 		m.Train(exs)
-		return eval.EvalSpider(m, geo).Overall.Acc(), true
+		rep, _ := eval.EvalSpider(context.Background(), m, geo, 0)
+		return rep.Overall.Acc(), true
 	}
 
 	n := s.HyperoptTrials

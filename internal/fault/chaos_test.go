@@ -298,7 +298,7 @@ func TestInjectedPrimaryFailureFallsThrough(t *testing.T) {
 	tr := runtime.NewTranslator(db, primary)
 	tr.Fallbacks = []models.Translator{nn}
 
-	q, trace, err := tr.TranslateTrace("show the names of all patients")
+	q, trace, err := tr.Translate(context.Background(), "show the names of all patients")
 	if err != nil {
 		t.Fatalf("fallback chain failed: %v\n%s", err, trace)
 	}
@@ -326,7 +326,7 @@ func TestInjectedPrimaryPanicIsContained(t *testing.T) {
 	tr := runtime.NewTranslator(db, primary)
 	tr.Fallbacks = []models.Translator{trainedNN()}
 
-	_, trace, err := tr.TranslateTrace("show the names of all patients")
+	_, trace, err := tr.Translate(context.Background(), "show the names of all patients")
 	if err != nil {
 		t.Fatalf("panicking primary took the chain down: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestDeadlineAbandonsSlowPrimary(t *testing.T) {
 	tr.Deadline = 20 * time.Millisecond
 	tr.Fallbacks = []models.Translator{trainedNN()}
 
-	_, trace, err := tr.TranslateTrace("show the names of all patients")
+	_, trace, err := tr.Translate(context.Background(), "show the names of all patients")
 	if err != nil {
 		t.Fatalf("slow primary took the chain down: %v", err)
 	}

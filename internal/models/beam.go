@@ -10,8 +10,9 @@ import (
 // TranslateBeam decodes with beam search of the given width, returning
 // up to width candidate token sequences ordered by length-normalized
 // log-likelihood (best first). Width 1 degenerates to greedy decoding.
-// The runtime's execution-guided mode uses the alternatives to recover
-// from candidates that fail to execute.
+// The runtime's beam (runtime.Translator.Beam) hands the alternatives
+// to the critic, whose validity-first rerank recovers from candidates
+// that fail to execute.
 func (m *Seq2Seq) TranslateBeam(nl, schemaToks []string, width int) [][]string {
 	if m.vocab == nil {
 		return nil
@@ -79,7 +80,8 @@ func (m *Seq2Seq) TranslateBeam(nl, schemaToks []string, width int) [][]string {
 	return out
 }
 
-// TranslateK implements the execution-guided alternatives contract.
+// TranslateK implements the runtime's ranked-alternatives contract
+// (runtime.KTranslator).
 func (m *Seq2Seq) TranslateK(nl, schemaToks []string, k int) [][]string {
 	return m.TranslateBeam(nl, schemaToks, k)
 }

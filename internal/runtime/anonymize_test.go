@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -91,7 +92,7 @@ func TestAnonymizeMaxTokensConfigurable(t *testing.T) {
 func TestTranslateValidationErrorIsTyped(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	for _, q := range []string{"", "   ", "bad \xff utf8", "nul\x00byte"} {
-		_, _, err := tr.TranslateTrace(q)
+		_, _, err := tr.Translate(context.Background(), q)
 		var verr *ValidationError
 		if !errors.As(err, &verr) {
 			t.Fatalf("TranslateTrace(%q) err = %v, want *ValidationError", q, err)
@@ -129,7 +130,7 @@ func TestTierHookGatesAndObserves(t *testing.T) {
 	hook := &recordingHook{veto: map[string]bool{"panic": true}}
 	tr.Hook = hook
 
-	q, trace, err := tr.TranslateTrace("show the names of all patients with age 80")
+	q, trace, err := tr.Translate(context.Background(), "show the names of all patients with age 80")
 	if err != nil {
 		t.Fatalf("vetoed primary must fall through: %v", err)
 	}
@@ -157,7 +158,7 @@ func TestTierHookGatesAndObserves(t *testing.T) {
 func TestTierHookAllVetoedErrors(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	tr.Hook = &recordingHook{veto: map[string]bool{"oracle": true}}
-	_, trace, err := tr.TranslateTrace("show the names of all patients")
+	_, trace, err := tr.Translate(context.Background(), "show the names of all patients")
 	if err == nil || !strings.Contains(err.Error(), "skipped") {
 		t.Fatalf("err = %v, want skip error", err)
 	}
@@ -173,7 +174,7 @@ func TestTierHookRecordsFailures(t *testing.T) {
 	tr.Fallbacks = []models.Translator{oracleModel{}}
 	hook := &recordingHook{}
 	tr.Hook = hook
-	if _, _, err := tr.TranslateTrace("show the names of all patients with age 80"); err != nil {
+	if _, _, err := tr.Translate(context.Background(), "show the names of all patients with age 80"); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(hook.records, ","); got != "nil:false,oracle:true" {

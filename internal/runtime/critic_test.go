@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,6 +18,12 @@ func criticTranslator(t *testing.T, cfg critic.Config) *Translator {
 	tr := NewTranslator(db, oracleModel{})
 	tr.Critic = critic.New(db, cfg)
 	return tr
+}
+
+// finalizeBeam finalizes a hand-written beam the way a cache replay
+// does.
+func finalizeBeam(tr *Translator, beam [][]string, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
+	return tr.Finalize(context.Background(), &DecodeResult{Candidates: beam}, bindings, trace)
 }
 
 // criticRecHook captures every critic-breaker consultation.
@@ -40,9 +47,9 @@ func TestFinalizeCriticRerank(t *testing.T) {
 	bad := strings.Fields("SELECT xqzw FROM patients")
 	good := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
 	trace := &Trace{}
-	q, err := tr.FinalizeCandidates([][]string{bad, good}, anon.Bindings, trace)
+	q, err := finalizeBeam(tr, [][]string{bad, good}, anon.Bindings, trace)
 	if err != nil || q == nil || !strings.Contains(q.String(), "name") {
-		t.Fatalf("FinalizeCandidates = (%v, %v)", q, err)
+		t.Fatalf("Finalize = (%v, %v)", q, err)
 	}
 	if len(trace.CriticVerdicts) != 2 || !strings.HasPrefix(trace.CriticVerdicts[0], "invalid") || trace.CriticVerdicts[1] != "valid" {
 		t.Fatalf("CriticVerdicts = %v, want [invalid..., valid]", trace.CriticVerdicts)
@@ -60,9 +67,9 @@ func TestFinalizeCriticRepairedFallback(t *testing.T) {
 
 	typo := strings.Fields("SELECT nme FROM patients WHERE age = @PATIENTS.AGE")
 	trace := &Trace{}
-	q, err := tr.FinalizeCandidates([][]string{typo}, anon.Bindings, trace)
+	q, err := finalizeBeam(tr, [][]string{typo}, anon.Bindings, trace)
 	if err != nil || q == nil {
-		t.Fatalf("FinalizeCandidates = (%v, %v)", q, err)
+		t.Fatalf("Finalize = (%v, %v)", q, err)
 	}
 	if !strings.Contains(q.String(), "name") {
 		t.Fatalf("repair did not fix the identifier: %s", q)
@@ -80,7 +87,7 @@ func TestFinalizeCriticValidBeatsRepaired(t *testing.T) {
 	typo := strings.Fields("SELECT nme FROM patients")
 	good := strings.Fields("SELECT diagnosis FROM patients WHERE age = @PATIENTS.AGE")
 	trace := &Trace{}
-	q, err := tr.FinalizeCandidates([][]string{typo, good}, anon.Bindings, trace)
+	q, err := finalizeBeam(tr, [][]string{typo, good}, anon.Bindings, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +107,7 @@ func TestFinalizeCriticRejectedError(t *testing.T) {
 
 	junk := strings.Fields("SELECT xqzw FROM patients")
 	garbled := strings.Fields("WHERE WHERE ( SELECT")
-	_, err := tr.FinalizeCandidates([][]string{junk, garbled}, anon.Bindings, &Trace{})
+	_, err := finalizeBeam(tr, [][]string{junk, garbled}, anon.Bindings, &Trace{})
 	var rej *RejectedError
 	if !errors.As(err, &rej) {
 		t.Fatalf("err = %v, want *RejectedError", err)
@@ -124,7 +131,7 @@ func TestFinalizeCriticHookDegrades(t *testing.T) {
 
 	good := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
 	trace := &Trace{}
-	q, err := tr.FinalizeCandidates([][]string{good}, anon.Bindings, trace)
+	q, err := finalizeBeam(tr, [][]string{good}, anon.Bindings, trace)
 	if err != nil || q == nil {
 		t.Fatalf("degraded finalize = (%v, %v)", q, err)
 	}
@@ -154,7 +161,7 @@ func TestFinalizeCriticHookRecordsInfraOnly(t *testing.T) {
 	junk := strings.Fields("SELECT xqzw FROM patients")                            // rejected statically: Record(nil)
 	sound := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE") // hits the panicking engine: Record(infra)
 	trace := &Trace{}
-	q, err := tr.FinalizeCandidates([][]string{junk, sound}, anon.Bindings, trace)
+	q, err := finalizeBeam(tr, [][]string{junk, sound}, anon.Bindings, trace)
 	if err != nil || q == nil || !strings.Contains(q.String(), "name") {
 		t.Fatalf("sandbox failure must degrade, not reject: (%v, %v)", q, err)
 	}
@@ -186,7 +193,7 @@ func TestFinalizeCriticValidBeatsDegraded(t *testing.T) {
 
 	doomed := strings.Fields("SELECT diagnosis FROM patients")
 	good := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
-	q, err := tr.FinalizeCandidates([][]string{doomed, good}, anon.Bindings, &Trace{})
+	q, err := finalizeBeam(tr, [][]string{doomed, good}, anon.Bindings, &Trace{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,20 +35,16 @@ func TestPreprocessCanonicalizesConstants(t *testing.T) {
 	if _, _, err := tr.Preprocess(""); err == nil {
 		t.Fatal("Preprocess must reject malformed questions")
 	}
-	if len(tr.SchemaTokens()) == 0 {
-		t.Fatal("SchemaTokens must expose the model's schema serialization")
-	}
 }
 
 // TestTranslatePreparedMatchesTranslateTrace: the split pipeline is
 // the whole pipeline — Preprocess + TranslatePrepared produces the
-// same query, trace fields, and DecodeResult tier as the one-shot
-// entry point.
+// same query, trace fields, and DecodeResult tier as Translate.
 func TestTranslatePreparedMatchesTranslateTrace(t *testing.T) {
 	question := "show the names of all patients with age 80"
 	tr := NewTranslator(benchDB(t), oracleModel{})
 
-	wantQ, wantTrace, err := tr.TranslateTrace(question)
+	wantQ, wantTrace, err := tr.Translate(context.Background(), question)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +53,7 @@ func TestTranslatePreparedMatchesTranslateTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := &Trace{Question: question}
-	gotQ, dec, err := tr.TranslatePrepared(context.Background(), nl, anon.Bindings, nil, trace)
+	gotQ, dec, err := tr.TranslatePrepared(context.Background(), nl, anon.Bindings, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +81,7 @@ func TestTranslatePreparedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dec, err := tr.TranslatePrepared(context.Background(), nl, anon80.Bindings, nil, nil)
+	_, dec, err := tr.TranslatePrepared(context.Background(), nl, anon80.Bindings, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +95,15 @@ func TestTranslatePreparedReplay(t *testing.T) {
 	hook := &vetoHook{}
 	tr.Hook = hook
 	trace := &Trace{}
-	q, dec2, err := tr.TranslatePrepared(context.Background(), nl, anon45.Bindings, dec, trace)
+	q, err := tr.Finalize(context.Background(), dec, anon45.Bindings, trace)
 	if err != nil {
 		t.Fatalf("replay failed: %v", err)
 	}
 	if !strings.Contains(q.String(), "45") {
 		t.Fatalf("replayed query must carry the new constant: %s", q)
 	}
-	if dec2 != dec {
-		t.Fatalf("replay must return the shared DecodeResult")
-	}
-	if trace.Tier != "oracle" {
-		t.Fatalf("trace.Tier = %q, want the cached tier", trace.Tier)
+	if trace.Tier != "oracle" || !reflect.DeepEqual(trace.ModelOut, dec.Candidates[0]) {
+		t.Fatalf("trace tier/model out = %q/%v, want the cached decode's", trace.Tier, trace.ModelOut)
 	}
 	if hook.allowed != 0 || hook.recorded != 0 {
 		t.Fatalf("hook consulted on replay: %+v", hook)
@@ -124,9 +116,9 @@ type vetoHook struct{ allowed, recorded int }
 func (h *vetoHook) Allow(string) error   { h.allowed++; return nil }
 func (h *vetoHook) Record(string, error) { h.recorded++ }
 
-// TestTranslatePreparedStaleCandidates: candidates that no longer
-// finalize fail fast with ErrStaleCandidates instead of walking the
-// fallback chain, so the caller can re-decode at full strength.
+// TestTranslatePreparedStaleCandidates: replayed candidates that no
+// longer finalize fail Finalize without walking the fallback chain,
+// so the caller can re-decode at full strength.
 func TestTranslatePreparedStaleCandidates(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	tr.Fallbacks = []models.Translator{oracleModel{}}
@@ -136,47 +128,48 @@ func TestTranslatePreparedStaleCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := &Trace{}
-	_, _, err = tr.TranslatePrepared(context.Background(), nl, anon.Bindings, stale, trace)
-	if !errors.Is(err, ErrStaleCandidates) {
-		t.Fatalf("err = %v, want ErrStaleCandidates", err)
+	if _, err := tr.Finalize(context.Background(), stale, anon.Bindings, trace); err == nil {
+		t.Fatal("stale candidates must fail to finalize")
 	}
-	if trace.Tier != "" || len(trace.TierErrors) != 0 {
-		t.Fatalf("stale replay must not walk the chain: %+v", trace)
+	if trace.Tier != "" || len(trace.TierErrors) != 0 || trace.ModelOut != nil {
+		t.Fatalf("stale replay must not walk the chain or claim a tier: %+v", trace)
 	}
 	// Fresh decode recovers.
-	q, _, err := tr.TranslatePrepared(context.Background(), nl, anon.Bindings, nil, nil)
+	q, _, err := tr.TranslatePrepared(context.Background(), nl, anon.Bindings, nil)
 	if err != nil || q == nil {
 		t.Fatalf("fresh decode after stale = (%v, %v)", q, err)
 	}
 }
 
 // TestFinalizeCandidatesContract: exported finalization recovers
-// panics, rejects empty input, and requires execution only in
-// multi-candidate (execution-guided) mode.
+// panics, rejects empty input, and without a critic skips to the
+// first candidate that parses and post-processes.
 func TestFinalizeCandidatesContract(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	anon := mustAnon(t, tr.PH, "show the names of all patients with age 80")
 
-	if _, err := tr.FinalizeCandidates(nil, anon.Bindings, nil); err == nil {
+	if _, err := tr.Finalize(context.Background(), nil, anon.Bindings, nil); err == nil {
+		t.Fatal("a nil DecodeResult must error")
+	}
+	if _, err := finalizeBeam(tr, nil, anon.Bindings, nil); err == nil {
 		t.Fatal("empty candidates must error")
 	}
 	good := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
-	q, err := tr.FinalizeCandidates([][]string{good}, anon.Bindings, nil)
+	q, err := finalizeBeam(tr, [][]string{good}, anon.Bindings, nil)
 	if err != nil || !strings.Contains(q.String(), "80") {
-		t.Fatalf("FinalizeCandidates = (%v, %v)", q, err)
+		t.Fatalf("Finalize = (%v, %v)", q, err)
 	}
-	// Ranked mode: the unparsable first candidate is skipped and the
-	// second must execute.
+	// Ranked beam: the unparsable first candidate is skipped.
 	bad := strings.Fields("WHERE WHERE ( SELECT")
-	q, err = tr.FinalizeCandidates([][]string{bad, good}, anon.Bindings, nil)
+	q, err = finalizeBeam(tr, [][]string{bad, good}, anon.Bindings, nil)
 	if err != nil || q == nil {
 		t.Fatalf("ranked finalize = (%v, %v)", q, err)
 	}
 	// A nil-query panic path inside PostProcess must be contained.
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("FinalizeCandidates leaked a panic: %v", r)
+			t.Fatalf("Finalize leaked a panic: %v", r)
 		}
 	}()
-	_, _ = tr.FinalizeCandidates([][]string{nil, good}, anon.Bindings, nil)
+	_, _ = finalizeBeam(tr, [][]string{nil, good}, anon.Bindings, nil)
 }

@@ -37,7 +37,7 @@ func (panicModel) Translate(nl, st []string) []string {
 func TestAskEmptyQuestionErrors(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	for _, q := range []string{"", "   ", "\t\n"} {
-		_, _, err := tr.Ask(q)
+		_, _, err := tr.Ask(context.Background(), q)
 		if err == nil {
 			t.Fatalf("Ask(%q) must error", q)
 		}
@@ -49,7 +49,7 @@ func TestAskEmptyQuestionErrors(t *testing.T) {
 
 func TestAskNoOutputErrors(t *testing.T) {
 	tr := NewTranslator(benchDB(t), nilModel{})
-	_, _, err := tr.Ask("show patients with age 80")
+	_, _, err := tr.Ask(context.Background(), "show patients with age 80")
 	if err == nil {
 		t.Fatal("nil model output must error, not panic")
 	}
@@ -60,7 +60,7 @@ func TestAskNoOutputErrors(t *testing.T) {
 
 func TestAskUnparsableCandidatesError(t *testing.T) {
 	tr := NewTranslator(benchDB(t), gibberishModel{})
-	_, _, err := tr.Ask("show patients with age 80")
+	_, _, err := tr.Ask(context.Background(), "show patients with age 80")
 	if err == nil {
 		t.Fatal("unparsable candidates must error, not panic")
 	}
@@ -68,7 +68,7 @@ func TestAskUnparsableCandidatesError(t *testing.T) {
 
 func TestAskPanickingModelIsContained(t *testing.T) {
 	tr := NewTranslator(benchDB(t), panicModel{})
-	_, _, err := tr.Ask("show patients with age 80")
+	_, _, err := tr.Ask(context.Background(), "show patients with age 80")
 	if err == nil {
 		t.Fatal("model panic must surface as an error")
 	}
@@ -92,7 +92,7 @@ func TestAskMalformedQuestionNeverPanics(t *testing.T) {
 				}
 			}()
 			// The answer may be wrong or an error; it must not panic.
-			_, _, _ = tr.Ask(q)
+			_, _, _ = tr.Ask(context.Background(), q)
 		}()
 	}
 }
@@ -100,7 +100,7 @@ func TestAskMalformedQuestionNeverPanics(t *testing.T) {
 func TestFallbackChainOrderAndTrace(t *testing.T) {
 	tr := NewTranslator(benchDB(t), gibberishModel{})
 	tr.Fallbacks = []models.Translator{nilModel{}, oracleModel{}}
-	q, trace, err := tr.TranslateTrace("show the names of all patients with age 80")
+	q, trace, err := tr.Translate(context.Background(), "show the names of all patients with age 80")
 	if err != nil {
 		t.Fatalf("fallback chain should recover: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestTranslateContextCancelled(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := tr.TranslateContext(ctx, "show patients with age 80")
+	_, _, err := tr.Translate(ctx, "show patients with age 80")
 	if err == nil {
 		t.Fatal("cancelled context must error")
 	}

@@ -8,7 +8,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -413,10 +412,11 @@ func placeholderName(ref sqlast.ColumnRef) string {
 }
 
 // KTranslator is the optional contract for models that can propose
-// ranked alternative translations; the runtime's execution-guided mode
-// uses it to recover when the top candidate fails post-processing or
-// execution. Both bundled models implement it (beam search for the
-// seq2seq, top-k sketches for the sketch model).
+// ranked alternative translations. When Translator.Beam is above one,
+// each tier decodes that many candidates through it, so finalization —
+// and the critic's validity-first rerank — can recover when the top
+// candidate is unusable. Both bundled models implement it (beam search
+// for the seq2seq, top-k sketches for the sketch model).
 type KTranslator interface {
 	TranslateK(nl, schemaToks []string, k int) [][]string
 }
@@ -430,10 +430,11 @@ type Translator struct {
 	Model  models.Translator
 	PH     *ParameterHandler
 	schema []string
-	// ExecutionGuided, when > 1 and the model implements KTranslator,
-	// makes Translate consider up to that many ranked candidates and
-	// return the first that survives post-processing and executes.
-	ExecutionGuided int
+	// Beam is how many ranked candidates each tier decodes when the
+	// model implements KTranslator (<= 1: the single top translation).
+	// Finalization answers with the first candidate that parses and
+	// post-processes or, with a Critic, reranks the beam validity-first.
+	Beam int
 	// Deadline bounds each tier's model inference per question
 	// (0 = unbounded). A tier still running at expiry is abandoned —
 	// it costs at most one leaked goroutine, never a hung question —
@@ -569,37 +570,13 @@ func (t *Trace) String() string {
 	return b.String()
 }
 
-// Translate maps an NL question to an executable SQL query.
-func (tr *Translator) Translate(question string) (*sqlast.Query, error) {
-	q, _, err := tr.TranslateTrace(question)
-	return q, err
-}
-
-// TranslateContext is Translate with cooperative cancellation: the
-// tier chain stops (returning ctx's error) once the context is done.
-func (tr *Translator) TranslateContext(ctx context.Context, question string) (*sqlast.Query, error) {
-	q, _, err := tr.TranslateTraceContext(ctx, question)
-	return q, err
-}
-
-// TranslateTrace translates and returns the full lifecycle trace; the
-// trace is non-nil even on error, holding the stages that completed.
-func (tr *Translator) TranslateTrace(question string) (*sqlast.Query, *Trace, error) {
-	return tr.TranslateTraceContext(context.Background(), question)
-}
-
-// TranslateTraceContext runs the pre-processing stages once, then
-// walks the degradation chain (primary model, then each Fallback)
-// until a tier yields SQL that parses, post-processes, and — in
-// execution-guided mode — executes. A tier that panics, exceeds the
-// Deadline, or produces nothing usable is recorded in
-// Trace.TierErrors and the next tier is tried; it can never take the
-// process down. The returned error is the primary tier's failure
-// (the most informative one) when every tier fails.
-//
-// It is Preprocess followed by TranslatePrepared; serving layers that
-// cache or batch decodes call those two halves directly.
-func (tr *Translator) TranslateTraceContext(ctx context.Context, question string) (*sqlast.Query, *Trace, error) {
+// Translate is the whole pipeline of Figure 1 short of execution: it
+// runs Preprocess, then TranslatePrepared's degradation chain, and
+// returns the final query with the lifecycle trace. The trace is
+// non-nil even on error, holding the stages that completed. ctx
+// bounds the whole chain; once it is done the chain stops with ctx's
+// error.
+func (tr *Translator) Translate(ctx context.Context, question string) (*sqlast.Query, *Trace, error) {
 	trace := &Trace{Question: question}
 	anon, nl, err := tr.Preprocess(question)
 	if err != nil {
@@ -608,8 +585,21 @@ func (tr *Translator) TranslateTraceContext(ctx context.Context, question string
 	trace.Anonymized = anon.Tokens
 	trace.Bindings = anon.Bindings
 	trace.Lemmatized = nl
-	q, _, err := tr.TranslatePrepared(ctx, nl, anon.Bindings, nil, trace)
+	q, _, err := tr.TranslatePrepared(ctx, nl, anon.Bindings, trace)
 	return q, trace, err
+}
+
+// Ask translates and executes under ctx, returning the tabular result.
+func (tr *Translator) Ask(ctx context.Context, question string) (*engine.Result, *sqlast.Query, error) {
+	q, _, err := tr.Translate(ctx, question)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := tr.DB.ExecuteContext(ctx, q)
+	if err != nil {
+		return nil, q, fmt.Errorf("runtime: executing %q: %w", q, err)
+	}
+	return res, q, nil
 }
 
 // Preprocess runs the deterministic pre-model stages alone: the
@@ -626,10 +616,6 @@ func (tr *Translator) Preprocess(question string) (*Anonymized, []string, error)
 	}
 	return anon, lemma.LemmatizeAll(anon.Tokens), nil
 }
-
-// SchemaTokens returns the schema serialization fed to the model
-// alongside each question.
-func (tr *Translator) SchemaTokens() []string { return tr.schema }
 
 // CacheKey derives the result-cache key for a preprocessed question:
 // the owning schema's name joined to the lemmatized anonymized tokens
@@ -654,48 +640,22 @@ type DecodeResult struct {
 	Candidates [][]string
 }
 
-// ErrStaleCandidates reports that a cached DecodeResult passed to
-// TranslatePrepared failed finalization under this request's
-// bindings. The caller should fall back to a fresh decode
-// (TranslatePrepared with a nil primary); the stale entry must not be
-// shared further.
-var ErrStaleCandidates = errors.New("runtime: prepared candidates failed finalization")
-
 // TranslatePrepared is the post-preprocessing half of a translation:
 // given the lemmatized anonymized question and its constant bindings,
-// it walks the degradation chain and finalizes the first tier that
-// yields usable SQL, returning the winning tier's DecodeResult
-// alongside the query so callers can cache it.
-//
-// When primary is non-nil it is a cached DecodeResult for this nl:
-// the model is not consulted at all — the candidates are replayed
-// through finalization with this request's bindings (the cheap,
-// binding-dependent tail of the pipeline). If they no longer finalize
-// the call fails fast with ErrStaleCandidates instead of walking the
-// fallback chain, so the caller can re-decode at full strength rather
-// than silently degrade. The Hook is not consulted on the replay
-// path: breakers meter model decodes, and a replay performs none.
+// it walks the degradation chain (primary model, then each Fallback)
+// until a tier yields a candidate that finalizes, returning the
+// winning tier's DecodeResult alongside the query so callers can
+// cache it. A tier that panics, exceeds the Deadline, or produces
+// nothing usable is recorded in Trace.TierErrors and the next tier is
+// tried; it can never take the process down. The returned error is
+// the primary tier's failure (the most informative one) when every
+// tier fails.
 //
 // trace may be nil when no lifecycle report is wanted.
-func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindings []Binding, primary *DecodeResult, trace *Trace) (*sqlast.Query, *DecodeResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindings []Binding, trace *Trace) (*sqlast.Query, *DecodeResult, error) {
 	if trace == nil {
 		trace = &Trace{}
 	}
-	if primary != nil {
-		q, err := tr.FinalizeCandidatesContext(ctx, primary.Candidates, bindings, trace)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrStaleCandidates, err)
-		}
-		if trace.ModelOut == nil && len(primary.Candidates) > 0 {
-			trace.ModelOut = primary.Candidates[0]
-		}
-		trace.Tier = primary.Tier
-		return q, primary, nil
-	}
-
 	var firstErr error
 	for _, model := range tr.chain() {
 		if err := ctx.Err(); err != nil {
@@ -731,6 +691,34 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 		firstErr = fmt.Errorf("runtime: no translator tiers configured")
 	}
 	return nil, nil, firstErr
+}
+
+// Finalize is the binding-dependent tail of a translation: it turns a
+// DecodeResult — typically one decoded for another request's
+// constants and replayed from the serving layer's result cache — into
+// this request's query, without consulting the model or the tier
+// Hook (breakers meter model decodes, and a replay performs none).
+// On success trace records dec's tier and top candidate. Errors are
+// finalize's own, so errors.As still finds a *RejectedError; the
+// caller decides whether to fall back to a fresh decode.
+//
+// trace may be nil when no lifecycle report is wanted.
+func (tr *Translator) Finalize(ctx context.Context, dec *DecodeResult, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
+	if trace == nil {
+		trace = &Trace{}
+	}
+	if dec == nil {
+		return nil, fmt.Errorf("runtime: no candidates to finalize")
+	}
+	q, err := tr.finalize(ctx, dec.Candidates, bindings, trace)
+	if err != nil {
+		return nil, err
+	}
+	if trace.ModelOut == nil {
+		trace.ModelOut = dec.Candidates[0]
+	}
+	trace.Tier = dec.Tier
+	return q, nil
 }
 
 // chain returns the ordered translator tiers: the primary model, then
@@ -783,7 +771,7 @@ func (tr *Translator) tryTier(ctx context.Context, model models.Translator, nl [
 	if trace.ModelOut == nil {
 		trace.ModelOut = candidates[0]
 	}
-	q, err = tr.FinalizeCandidatesContext(tctx, candidates, bindings, trace)
+	q, err = tr.finalize(tctx, candidates, bindings, trace)
 	return q, candidates, err
 }
 
@@ -801,36 +789,25 @@ func (e *RejectedError) Error() string {
 	return "runtime: critic rejected every candidate [" + strings.Join(e.Verdicts, "; ") + "]"
 }
 
-// FinalizeCandidates is the binding-dependent tail of a translation:
-// it walks the ranked candidate token sequences and returns the first
-// that parses, post-processes against this request's bindings, and —
-// when more than one candidate is offered (execution-guided mode) —
-// executes. When a Critic is configured (and its hook, if any,
-// allows) every candidate is instead reviewed by the critic and the
-// beam is reranked validity-first: the first valid candidate wins
-// immediately, otherwise the first repaired-valid one, otherwise the
-// first candidate the sandbox itself failed on (answered unvalidated),
-// otherwise the finalization fails with *RejectedError. It is safe to call with
-// candidates decoded for a different request's constants (the result
-// cache's replay path); a panic from a pathological candidate is
-// recovered into an error. trace, when non-nil, receives the winning
-// query in Final and the critic verdicts.
-func (tr *Translator) FinalizeCandidates(candidates [][]string, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
-	return tr.FinalizeCandidatesContext(context.Background(), candidates, bindings, trace)
-}
-
-// FinalizeCandidatesContext is FinalizeCandidates with the caller's
-// context threaded into the critic's sandboxed dry-runs, so a request
-// deadline bounds validation work too.
-func (tr *Translator) FinalizeCandidatesContext(ctx context.Context, candidates [][]string, bindings []Binding, trace *Trace) (q *sqlast.Query, err error) {
+// finalize walks the ranked candidates and returns the first that
+// parses and post-processes against this request's bindings. When a
+// Critic is configured (and its hook, if any, allows) every candidate
+// is instead reviewed by the critic and the beam is reranked
+// validity-first: the first valid candidate wins immediately,
+// otherwise the first repaired-valid one, otherwise the first
+// candidate the sandbox itself failed on (answered unvalidated),
+// otherwise the finalization fails with *RejectedError. The critic's
+// sandboxed dry-run is the only "must execute" check. It is safe to
+// call with candidates decoded for a different request's constants,
+// and a panic from a pathological candidate is recovered into an
+// error. trace receives the winning query in Final and the critic
+// verdicts.
+func (tr *Translator) finalize(ctx context.Context, candidates [][]string, bindings []Binding, trace *Trace) (q *sqlast.Query, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			q, err = nil, fmt.Errorf("runtime: finalize panicked: %v", r)
 		}
 	}()
-	if trace == nil {
-		trace = &Trace{}
-	}
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("runtime: no candidates to finalize")
 	}
@@ -846,21 +823,10 @@ func (tr *Translator) FinalizeCandidatesContext(ctx context.Context, candidates 
 	}
 	var firstErr error
 	for _, sqlToks := range candidates {
-		pq, perr := tr.parseFinalize(sqlToks, bindings, &firstErr)
-		if perr != nil {
-			continue
+		if pq, perr := tr.parseFinalize(sqlToks, bindings, &firstErr); perr == nil {
+			trace.Final = pq
+			return pq, nil
 		}
-		// In execution-guided mode a candidate must also execute.
-		if len(candidates) > 1 {
-			if _, eerr := tr.DB.Execute(pq); eerr != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("runtime: candidate does not execute: %w", eerr)
-				}
-				continue
-			}
-		}
-		trace.Final = pq
-		return pq, nil
 	}
 	return nil, firstErr
 }
@@ -947,14 +913,14 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 	return nil, &RejectedError{Verdicts: verdicts}
 }
 
-// tierCandidates returns the ranked outputs of one tier: one (plain
-// mode) or up to ExecutionGuided many when the tier supports
+// tierCandidates returns the ranked outputs of one tier: the single
+// top translation, or up to Beam many when the tier supports
 // alternatives. tryTier bounds the whole call with par.Await under the
 // tier deadline, since neither model call takes a context.
 func (tr *Translator) tierCandidates(model models.Translator, nl []string) [][]string {
-	if tr.ExecutionGuided > 1 {
+	if tr.Beam > 1 {
 		if kt, ok := model.(KTranslator); ok {
-			return kt.TranslateK(nl, tr.schema, tr.ExecutionGuided)
+			return kt.TranslateK(nl, tr.schema, tr.Beam)
 		}
 	}
 	out := model.Translate(nl, tr.schema)
@@ -962,22 +928,4 @@ func (tr *Translator) tierCandidates(model models.Translator, nl []string) [][]s
 		return nil
 	}
 	return [][]string{out}
-}
-
-// Ask translates and executes, returning the tabular result.
-func (tr *Translator) Ask(question string) (*engine.Result, *sqlast.Query, error) {
-	return tr.AskContext(context.Background(), question)
-}
-
-// AskContext is Ask with cooperative cancellation.
-func (tr *Translator) AskContext(ctx context.Context, question string) (*engine.Result, *sqlast.Query, error) {
-	q, err := tr.TranslateContext(ctx, question)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := tr.DB.ExecuteContext(ctx, q)
-	if err != nil {
-		return nil, q, fmt.Errorf("runtime: executing %q: %w", q, err)
-	}
-	return res, q, nil
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -255,7 +256,7 @@ func TestPostProcessDropsUnknownTables(t *testing.T) {
 func TestEndToEndAsk(t *testing.T) {
 	db := benchDB(t)
 	tr := NewTranslator(db, oracleModel{db: db})
-	res, q, err := tr.Ask("show the names of all patients with age 80")
+	res, q, err := tr.Ask(context.Background(), "show the names of all patients with age 80")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func spiderGeo() *schema.Schema {
 func TestTraceRendering(t *testing.T) {
 	db := benchDB(t)
 	tr := NewTranslator(db, oracleModel{})
-	_, trace, err := tr.TranslateTrace("show the names of all patients with age 80")
+	_, trace, err := tr.Translate(context.Background(), "show the names of all patients with age 80")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,8 @@ type onboardRequest struct {
 	Model  string `json:"model,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
 	Rows   int    `json:"rows,omitempty"`
-	// Fallback adds the nearest-neighbor degradation tier; ExecGuided
-	// enables execution-guided decoding over N candidates.
-	Fallback   bool `json:"fallback,omitempty"`
-	ExecGuided int  `json:"execguided,omitempty"`
+	// Fallback adds the nearest-neighbor degradation tier.
+	Fallback bool `json:"fallback,omitempty"`
 	// Critic overrides the server's critic setting for this tenant
 	// (absent = inherit the server configuration).
 	Critic *bool `json:"critic,omitempty"`
@@ -83,7 +81,6 @@ func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 		Seed:            req.Seed,
 		Rows:            req.Rows,
 		Fallback:        req.Fallback,
-		ExecGuided:      req.ExecGuided,
 		Critic:          criticOn,
 		CriticRowBudget: s.cfg.CriticRowBudget,
 		CriticTimeout:   s.cfg.CriticTimeout,

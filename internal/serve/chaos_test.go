@@ -28,6 +28,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/critic"
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/runtime"
@@ -88,7 +89,7 @@ func TestOverloadShedsWhileInFlightCompletes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		go func() {
 			var resp askResponse
-			status := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), &resp)
+			status := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp)
 			results <- result{status, len(resp.Rows)}
 		}()
 	}
@@ -100,7 +101,7 @@ func TestOverloadShedsWhileInFlightCompletes(t *testing.T) {
 	})
 
 	// The fourth request finds no slot and a full waiting room: shed.
-	resp, err := http.Get(ts.URL + "/ask?q=" + urlQuery(goodQuestion))
+	resp, err := http.Get(ts.URL + "/v1/patients/ask?q=" + urlQuery(goodQuestion))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +142,14 @@ func TestBreakerTripsAndFallbackKeepsAnswering(t *testing.T) {
 	clk := newFakeClock()
 	tr := runtime.NewTranslator(testDB(t), fail)
 	tr.Fallbacks = []models.Translator{oracleModel{}}
-	s := New(tr, Config{Workers: 2, Breaker: BreakerConfig{
+	s := newServer(tr, Config{Workers: 2, Breaker: BreakerConfig{
 		Window: 4, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Hour, Now: clk.Now,
 	}})
 
 	ask := func() askResponse {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodGet, "/ask?q="+urlQuery(goodQuestion), nil)
+		req := httptest.NewRequest(http.MethodGet, "/v1/patients/ask?q="+urlQuery(goodQuestion), nil)
 		s.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status = %d body %s", rec.Code, rec.Body.String())
@@ -169,7 +170,7 @@ func TestBreakerTripsAndFallbackKeepsAnswering(t *testing.T) {
 	if calls := fail.calls.Load(); calls != 2 {
 		t.Fatalf("primary calls = %d, want 2 before the trip", calls)
 	}
-	if st := s.Snapshot().Breakers["fail"]; st != "open" {
+	if st := s.Snapshot().Tenants["patients"].Breakers["fail"]; st != "open" {
 		t.Fatalf("primary breaker = %q, want open", st)
 	}
 
@@ -197,7 +198,7 @@ func TestBreakerTripsAndFallbackKeepsAnswering(t *testing.T) {
 	if calls := fail.calls.Load(); calls != 3 {
 		t.Fatalf("primary calls = %d after cooldown, want the half-open probe", calls)
 	}
-	if st := s.Snapshot().Breakers["fail"]; st != "open" {
+	if st := s.Snapshot().Tenants["patients"].Breakers["fail"]; st != "open" {
 		t.Fatalf("breaker after failed probe = %q, want open again", st)
 	}
 }
@@ -214,14 +215,14 @@ func TestOpenBreakerSkipsSlowTierWithoutPayingDeadline(t *testing.T) {
 	tr := runtime.NewTranslator(testDB(t), block)
 	tr.Fallbacks = []models.Translator{oracleModel{}}
 	tr.Deadline = time.Hour // hanging tier would eat this without the breaker
-	s := New(tr, Config{Workers: 1, Breaker: BreakerConfig{
+	s := newServer(tr, Config{Workers: 1, Breaker: BreakerConfig{
 		Window: 4, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Hour, Now: clk.Now,
 	}})
 
 	// Trip the primary's breaker directly (deterministic setup: no
 	// request ever has to wait out the hanging tier). Breakers live on
 	// the serving version now, so reach them through its equipment.
-	brk := versionEquipment(s.defaultVersion()).breakers
+	brk := versionEquipment(s.Registry().Lookup("patients").Current()).breakers
 	brk.Record("block", errTier)
 	brk.Record("block", errTier)
 	if st := brk.States()["block"]; st != "open" {
@@ -229,7 +230,7 @@ func TestOpenBreakerSkipsSlowTierWithoutPayingDeadline(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/ask?q="+urlQuery(goodQuestion), nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/patients/ask?q="+urlQuery(goodQuestion), nil)
 	s.Handler().ServeHTTP(rec, req) // would block ~1h if the tier ran
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body %s", rec.Code, rec.Body.String())
@@ -259,7 +260,7 @@ func TestDrainFinishesInFlightAndLeaksNothing(t *testing.T) {
 
 	block := newBlockModel()
 	tr := runtime.NewTranslator(testDB(t), block)
-	s := New(tr, Config{Workers: 2, DisableBreakers: true})
+	s := newServer(tr, Config{Workers: 2, DisableBreakers: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestDrainFinishesInFlightAndLeaksNothing(t *testing.T) {
 	// Park one request inside the translator.
 	inFlight := make(chan result1, 1)
 	go func() {
-		resp, err := client.Get(base + "/ask?q=" + urlQuery(goodQuestion))
+		resp, err := client.Get(base + "/v1/patients/ask?q=" + urlQuery(goodQuestion))
 		if err != nil {
 			inFlight <- result1{err: err}
 			return
@@ -294,7 +295,7 @@ func TestDrainFinishesInFlightAndLeaksNothing(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	resp, err := client.Get(base + "/ask?q=" + urlQuery(goodQuestion))
+	resp, err := client.Get(base + "/v1/patients/ask?q=" + urlQuery(goodQuestion))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,13 +384,15 @@ func crossJoinDB(t *testing.T, n int) *engine.Database {
 // behind.
 func TestAskRunawayExecuteTimesOut(t *testing.T) {
 	baseline := goruntime.NumGoroutine()
-	tr := runtime.NewTranslator(crossJoinDB(t, 2000), crossJoinModel{})
-	s := New(tr, Config{Workers: 1, Queue: -1, DisableBreakers: true, Critic: true, CriticRowBudget: 1000})
+	db := crossJoinDB(t, 2000)
+	tr := runtime.NewTranslator(db, crossJoinModel{})
+	tr.Critic = critic.New(db, critic.Config{RowBudget: 1000})
+	s := newServer(tr, Config{Workers: 1, Queue: -1, DisableBreakers: true})
 	h := s.Handler()
 	for i := 0; i < 2; i++ {
 		w := httptest.NewRecorder()
 		start := time.Now()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ask?timeout_ms=50&q=how+many+rows", nil))
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/wide/ask?timeout_ms=50&q=how+many+rows", nil))
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
 			t.Fatalf("ask %d returned after %v; its deadline was 50ms", i, elapsed)
 		}

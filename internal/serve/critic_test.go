@@ -29,7 +29,7 @@ func criticServer(t *testing.T, model models.Translator, cfg Config, exec func(*
 	db := testDB(t)
 	tr := runtime.NewTranslator(db, model)
 	tr.Critic = critic.New(db, critic.Config{Seed: 1, Exec: exec})
-	s := New(tr, cfg)
+	s := newServer(tr, cfg)
 	ts := newHTTPServer(t, s)
 	return s, ts
 }
@@ -57,7 +57,7 @@ func TestCriticRejectionIsTierExhausted(t *testing.T) {
 	s, ts := criticServer(t, oracleModel{}, Config{Workers: 2}, execFail)
 
 	var env errorEnvelope
-	status := getJSON(t, ts+"/ask?q="+urlQuery(goodQuestion), &env)
+	status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery(goodQuestion), &env)
 	if status != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502", status)
 	}
@@ -67,7 +67,7 @@ func TestCriticRejectionIsTierExhausted(t *testing.T) {
 	if !strings.Contains(env.Error.Message, "exec_failed") {
 		t.Fatalf("message = %q, want the critic verdict summary", env.Error.Message)
 	}
-	if got := s.Snapshot().CriticBreaker; got != "closed" {
+	if got := s.Snapshot().Tenants["patients"].CriticBreaker; got != "closed" {
 		t.Fatalf("critic breaker = %q after candidate rejections, want closed", got)
 	}
 }
@@ -84,11 +84,11 @@ func TestCriticBreakerMeltdownDegrades(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		var resp map[string]any
-		if status := getJSON(t, ts+"/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
+		if status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
 			t.Fatalf("request %d: status = %d, want 200 via degradation (resp %v)", i, status, resp)
 		}
 	}
-	snap := s.Snapshot()
+	snap := s.Snapshot().Tenants["patients"]
 	if snap.CriticBreaker != "open" {
 		t.Fatalf("critic breaker = %q after sustained sandbox failure, want open", snap.CriticBreaker)
 	}
@@ -98,10 +98,10 @@ func TestCriticBreakerMeltdownDegrades(t *testing.T) {
 	// Breaker open: the sandbox is no longer consulted, answers keep
 	// flowing, and the sandbox-failure count stops climbing.
 	var resp map[string]any
-	if status := getJSON(t, ts+"/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
+	if status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
 		t.Fatalf("post-trip status = %d, want 200 (resp %v)", status, resp)
 	}
-	after := s.Snapshot()
+	after := s.Snapshot().Tenants["patients"]
 	if after.Critic.Sandbox != snap.Critic.Sandbox {
 		t.Fatalf("sandbox failures grew %d -> %d with the breaker open; critic was not skipped",
 			snap.Critic.Sandbox, after.Critic.Sandbox)
@@ -126,12 +126,12 @@ func TestCriticCacheStaleFallsBackToFreshDecode(t *testing.T) {
 			return err
 		},
 	})
-	s := New(tr, Config{Workers: 2, CacheSize: 32})
+	s := newServer(tr, Config{Workers: 2, CacheSize: 32})
 	ts := newHTTPServer(t, s)
 
 	// Leader: decodes, validates with constant 80, populates the cache.
 	var first map[string]any
-	if status := getJSON(t, ts+"/ask?q="+urlQuery(goodQuestion), &first); status != http.StatusOK {
+	if status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery(goodQuestion), &first); status != http.StatusOK {
 		t.Fatalf("leader status = %d (resp %v)", status, first)
 	}
 	if model.calls.Load() != 1 {
@@ -141,7 +141,7 @@ func TestCriticCacheStaleFallsBackToFreshDecode(t *testing.T) {
 	// Same shape, different constant: cache hit, replay fails critic
 	// validation, one fresh decode answers.
 	var second map[string]any
-	status := getJSON(t, ts+"/ask?q="+urlQuery("show the names of all patients with age 45"), &second)
+	status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery("show the names of all patients with age 45"), &second)
 	if status != http.StatusOK {
 		t.Fatalf("stale-replay status = %d, want 200 via fresh decode (resp %v)", status, second)
 	}

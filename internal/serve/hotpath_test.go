@@ -35,7 +35,7 @@ func TestCacheServesConstantVariations(t *testing.T) {
 	s, ts := newTestServer(t, model, Config{CacheSize: 64})
 
 	var first askResponse
-	if code := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), &first); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), &first); code != http.StatusOK {
 		t.Fatalf("cold ask = %d", code)
 	}
 	if !strings.Contains(first.SQL, "80") {
@@ -45,7 +45,7 @@ func TestCacheServesConstantVariations(t *testing.T) {
 
 	// Same shape, different constant: must hit, must restore 45.
 	var warm askResponse
-	if code := getJSON(t, ts.URL+"/ask?q="+urlQuery("show the names of all patients with age 45"), &warm); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery("show the names of all patients with age 45"), &warm); code != http.StatusOK {
 		t.Fatalf("warm ask = %d", code)
 	}
 	if !strings.Contains(warm.SQL, "45") {
@@ -54,9 +54,8 @@ func TestCacheServesConstantVariations(t *testing.T) {
 	if got := model.decodes.Load(); got != decodes {
 		t.Fatalf("cache hit still decoded: %d → %d model calls", decodes, got)
 	}
-	st := s.Snapshot()
-	if st.Cache == nil || st.Cache.Hits < 1 || st.Cache.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 miss then hits", st.Cache)
+	if c := s.Snapshot().Tenants["patients"].Cache; c == nil || c.Hits < 1 || c.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 miss then hits", c)
 	}
 }
 
@@ -74,7 +73,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i] = getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), nil)
+			codes[i] = getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), nil)
 		}(i)
 	}
 	// Wait until the leader is inside the model, then let it finish.
@@ -93,9 +92,8 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	if got := model.calls.Load(); got != 1 {
 		t.Fatalf("model decoded %d times for %d concurrent identical questions, want 1", got, n)
 	}
-	st := s.Snapshot()
-	if st.Cache.Misses != 1 || st.Cache.Coalesced+st.Cache.Hits != n-1 {
-		t.Fatalf("cache stats = %+v, want 1 miss and %d shared", st.Cache, n-1)
+	if c := s.Snapshot().Tenants["patients"].Cache; c.Misses != 1 || c.Coalesced+c.Hits != n-1 {
+		t.Fatalf("cache stats = %+v, want 1 miss and %d shared", c, n-1)
 	}
 }
 
@@ -115,7 +113,7 @@ func TestServerModelPanicContained(t *testing.T) {
 	_, ts := newTestServer(t, panicTranslator{}, Config{DisableBreakers: true})
 	for i := 0; i < 2; i++ {
 		var body errorEnvelope
-		code := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), &body)
+		code := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), &body)
 		if code < 500 || !strings.Contains(body.Error.Message, "panicked") {
 			t.Fatalf("request %d = %d %+v, want a 5xx naming the contained panic", i, code, body)
 		}
@@ -141,18 +139,17 @@ func TestServerDecodesDistinctQuestions(t *testing.T) {
 		go func(q string) {
 			defer wg.Done()
 			var resp askResponse
-			if code := getJSON(t, ts.URL+"/ask?q="+urlQuery(q), &resp); code != http.StatusOK {
+			if code := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(q), &resp); code != http.StatusOK {
 				t.Errorf("ask(%q) = %d", q, code)
 			}
 		}(q)
 	}
 	wg.Wait()
-	st := s.Snapshot()
 	if got := model.decodes.Load(); got != 3 {
 		t.Fatalf("model decoded %d times for 3 distinct questions, want 3", got)
 	}
-	if st.Cache.Misses != 3 {
-		t.Fatalf("cache misses = %d, want 3 distinct keys", st.Cache.Misses)
+	if c := s.Snapshot().Tenants["patients"].Cache; c.Misses != 3 {
+		t.Fatalf("cache misses = %d, want 3 distinct keys", c.Misses)
 	}
 }
 
@@ -162,14 +159,15 @@ func TestServerDecodesDistinctQuestions(t *testing.T) {
 func TestTranslateTraceCacheField(t *testing.T) {
 	model := &countingOracle{}
 	s, _ := newTestServer(t, model, Config{CacheSize: 64})
-	_, trace, err := s.translate(context.Background(), s.defaultVersion(), goodQuestion)
+	v := s.Registry().Lookup("patients").Current()
+	_, trace, err := s.translate(context.Background(), v, goodQuestion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trace.Cache != cache.Miss.String() {
 		t.Fatalf("cold trace.Cache = %q, want miss", trace.Cache)
 	}
-	_, trace, err = s.translate(context.Background(), s.defaultVersion(), goodQuestion)
+	_, trace, err = s.translate(context.Background(), v, goodQuestion)
 	if err != nil || trace.Cache != cache.Hit.String() {
 		t.Fatalf("warm trace.Cache = %q (err %v), want hit", trace.Cache, err)
 	}

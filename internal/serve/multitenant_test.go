@@ -78,10 +78,9 @@ func newMultiServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// TestMultiTenantRouting: one server, two schemas, four routes — the
-// /v1/{schema}/ prefix and the legacy ?schema= parameter both reach
-// the named tenant, and the bare legacy route reaches the default
-// (first-installed) tenant.
+// TestMultiTenantRouting: one server, two schemas — every
+// /v1/{schema}/ route reaches the named tenant, and the un-prefixed
+// routes are gone.
 func TestMultiTenantRouting(t *testing.T) {
 	_, ts := newMultiServer(t, Config{Workers: 2})
 	cases := []struct {
@@ -91,9 +90,8 @@ func TestMultiTenantRouting(t *testing.T) {
 	}{
 		{"/v1/patients/ask?q=", "FROM patients", "patients"},
 		{"/v1/ships/ask?q=", "FROM ships", "ships"},
-		{"/ask?q=", "FROM patients", "patients"}, // default tenant
-		{"/ask?schema=ships&q=", "FROM ships", "ships"},
 		{"/v1/ships/translate?q=", "FROM ships", "ships"},
+		{"/v1/patients/translate?q=", "FROM patients", "patients"},
 	}
 	for _, tc := range cases {
 		var resp askResponse
@@ -105,6 +103,16 @@ func TestMultiTenantRouting(t *testing.T) {
 		}
 		if resp.Schema != tc.schema {
 			t.Fatalf("%s: schema %q, want %q", tc.path, resp.Schema, tc.schema)
+		}
+	}
+	for _, path := range []string{"/ask?q=", "/translate?schema=ships&q="} {
+		resp, err := http.Get(ts.URL + path + urlQuery(goodQuestion))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s: status %d, want 404 for the removed un-prefixed route", path, resp.StatusCode)
 		}
 	}
 }
@@ -155,13 +163,12 @@ func TestCacheKeySeparatesTenants(t *testing.T) {
 }
 
 // TestUnknownSchemaIs404: requests naming a schema nobody serves get
-// the unknown_schema kind, on both route forms, as does a malformed
-// /v1/ path.
+// the unknown_schema kind, as does a malformed /v1/ path.
 func TestUnknownSchemaIs404(t *testing.T) {
 	_, ts := newMultiServer(t, Config{Workers: 1})
 	for _, path := range []string{
 		"/v1/nosuch/ask?q=x",
-		"/ask?schema=nosuch&q=x",
+		"/v1/nosuch/translate?q=x",
 		"/v1/patients/frobnicate?q=x",
 		"/v1/patients",
 	} {
@@ -340,5 +347,40 @@ func TestAdminValidation(t *testing.T) {
 	}
 	if env.Error.Kind != KindDraining {
 		t.Fatalf("draining kind = %q", env.Error.Kind)
+	}
+}
+
+// TestOnboardCriticOverride: a POST /schemas "critic": false override
+// reaches the onboarded tenant even when the server's critic setting
+// is on, while a tenant onboarded without the field inherits the
+// server's critic — with its sandbox breaker wired around it.
+func TestOnboardCriticOverride(t *testing.T) {
+	s, ts := newMultiServer(t, Config{Workers: 1, Critic: true})
+	for _, body := range []map[string]any{
+		{"schema": "synth:21", "model": "nn", "rows": 3, "seed": 21, "critic": false},
+		{"schema": "synth:22", "model": "nn", "rows": 3, "seed": 22},
+	} {
+		if status := postJSON(t, ts.URL+"/schemas", body, nil); status != http.StatusAccepted {
+			t.Fatalf("POST /schemas %v: status %d", body, status)
+		}
+	}
+	s.Registry().Wait()
+
+	translator := func(name string) *runtime.Translator {
+		t.Helper()
+		v := s.Registry().Lookup(name).Current()
+		if v == nil {
+			t.Fatalf("tenant %s never became ready: %+v", name, s.Registry().Lookup(name).Status())
+		}
+		return v.Unit.Translator
+	}
+	if tr := translator("synth21"); tr.Critic != nil || tr.CriticHook != nil {
+		t.Fatal(`tenant onboarded with "critic": false got a critic anyway`)
+	}
+	if tr := translator("synth22"); tr.Critic == nil || tr.CriticHook == nil {
+		t.Fatal("tenant onboarded without an override must inherit the server's critic and its breaker")
+	}
+	if row := s.Snapshot().Tenants["synth22"]; row.CriticBreaker != "closed" {
+		t.Fatalf("synth22 critic breaker = %q, want closed", row.CriticBreaker)
 	}
 }

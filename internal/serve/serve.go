@@ -30,11 +30,10 @@
 //     in-flight requests finish under the caller's drain deadline.
 //
 // Tenant endpoints: /v1/{schema}/ask (translate + execute) and
-// /v1/{schema}/translate (translate only), plus the legacy /ask and
-// /translate which accept ?schema= and default to the first installed
-// tenant. Admin: POST /schemas onboards a new schema in the background
-// (generate→train→eval→swap, with onboarding status), GET /schemas
-// lists tenants, GET/DELETE /schemas/{name} inspects or removes one.
+// /v1/{schema}/translate (translate only). Admin: POST /schemas
+// onboards a new schema in the background (generate→train→eval→swap,
+// with onboarding status), GET /schemas lists tenants, GET/DELETE
+// /schemas/{name} inspects or removes one.
 // Probes: /healthz (liveness), /readyz (readiness, drain-aware),
 // /statsz (JSON Stats snapshot with a per-tenant section). Failures
 // use the ErrorKind taxonomy in errors.go.
@@ -55,7 +54,6 @@ import (
 
 	"repro/internal/boot"
 	"repro/internal/cache"
-	"repro/internal/critic"
 	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/runtime"
@@ -75,8 +73,8 @@ type Config struct {
 	// may lower it per request with timeout_ms, never raise it.
 	Timeout time.Duration
 	// Retry is the transient-failure retry policy (zero = no retry).
-	// The default tenant jitters on Retry.Seed itself; every other
-	// tenant derives a disjoint jitter stream from its name.
+	// The first-installed tenant jitters on Retry.Seed itself; every
+	// other tenant derives a disjoint jitter stream from its name.
 	Retry RetryPolicy
 	// Breaker parameterizes the per-tier circuit breakers; set
 	// DisableBreakers to run without them.
@@ -90,15 +88,17 @@ type Config struct {
 	// overrides the shard count (0 = the cache package default).
 	CacheSize   int
 	CacheShards int
-	// Critic enables the execution-guided validation-and-repair layer
-	// for every tenant: candidates are schema-checked, sandboxed
-	// dry-run against the tenant's engine, and deterministically
-	// repaired before answering. A tenant whose Unit was assembled
-	// without a critic gets one attached at equip time, and onboarded
-	// tenants inherit these settings.
+	// Critic is the critic setting for tenants onboarded through POST
+	// /schemas (a request's "critic" field overrides it): their
+	// candidates are schema-checked, sandboxed dry-run against the
+	// tenant's engine, and deterministically repaired before
+	// answering. Tenants passed to NewMulti keep whatever critic
+	// boot.Assemble gave them; the server only wires a breaker around
+	// it.
 	Critic bool
 	// CriticRowBudget caps environment rows per critic dry-run and
-	// CriticTimeout bounds one dry-run (0 = critic defaults).
+	// CriticTimeout bounds one dry-run for onboarded tenants (0 =
+	// critic defaults).
 	CriticRowBudget int
 	CriticTimeout   time.Duration
 	// MinAccuracy is the onboarding eval gate: a candidate model
@@ -132,9 +132,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Server fronts a tenant registry with the robustness stack. Create it
-// with New (single tenant) or NewMulti, mount Handler (or
-// Start/Shutdown for a managed listener), and it is safe for any
-// number of concurrent requests.
+// with NewMulti, mount Handler (or Start/Shutdown for a managed
+// listener), and it is safe for any number of concurrent requests.
 type Server struct {
 	reg  *registry.Registry
 	cfg  Config
@@ -185,17 +184,9 @@ func (h criticHook) Record(err error) { h.b.Record(err) }
 
 var _ runtime.CriticHook = criticHook{}
 
-// New wires the stack around a single pre-built translator — the
-// original single-tenant constructor, kept as the boot-time path for
-// callers that assembled their own runtime.Translator. The tenant is
-// named after the translator's schema.
-func New(tr *runtime.Translator, cfg Config) *Server {
-	u := &boot.Unit{Schema: tr.DB.Schema, DB: tr.DB, Model: tr.Model, Translator: tr}
-	return NewMulti([]*boot.Unit{u}, cfg)
-}
-
-// NewMulti wires the stack around any number of pre-built tenants; the
-// first is the default tenant for the legacy un-prefixed routes. More
+// NewMulti wires the stack around any number of pre-built tenants,
+// each named after its schema. The first keeps the configured retry
+// seed; every later one jitters on a seed derived from its name. More
 // tenants onboard live through POST /schemas.
 func NewMulti(units []*boot.Unit, cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -219,12 +210,6 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 	for _, u := range units {
 		s.reg.Install(u.Schema.Name, u)
 	}
-	s.mux.HandleFunc("/ask", func(w http.ResponseWriter, r *http.Request) {
-		s.answer(w, r, r.URL.Query().Get("schema"), true)
-	})
-	s.mux.HandleFunc("/translate", func(w http.ResponseWriter, r *http.Request) {
-		s.answer(w, r, r.URL.Query().Get("schema"), false)
-	})
 	s.mux.HandleFunc("/v1/", s.handleV1)
 	s.mux.HandleFunc("/schemas", s.handleSchemas)
 	s.mux.HandleFunc("/schemas/", s.handleSchema)
@@ -238,7 +223,8 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 // Registry exposes the tenant registry (admin tooling, tests).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// equip attaches per-version breakers and the critic before the
+// equip attaches per-version breakers — around the tiers, and around
+// the critic when the unit was assembled with one — before the
 // registry makes the version visible.
 func (s *Server) equip(_ string, v *registry.Version) {
 	eq := &equipment{}
@@ -246,28 +232,12 @@ func (s *Server) equip(_ string, v *registry.Version) {
 	if !s.cfg.DisableBreakers {
 		eq.breakers = NewTierBreakers(s.cfg.Breaker)
 		tr.Hook = eq.breakers
-	}
-	if s.cfg.Critic && tr.Critic == nil {
-		tr.Critic = critic.New(v.Unit.DB, critic.Config{
-			RowBudget: s.cfg.CriticRowBudget,
-			Timeout:   s.cfg.CriticTimeout,
-			Seed:      v.Unit.Spec.Seed,
-		})
-	}
-	if tr.Critic != nil && !s.cfg.DisableBreakers {
-		eq.criticBreaker = NewBreaker(s.cfg.Breaker)
-		tr.CriticHook = criticHook{b: eq.criticBreaker}
+		if tr.Critic != nil {
+			eq.criticBreaker = NewBreaker(s.cfg.Breaker)
+			tr.CriticHook = criticHook{b: eq.criticBreaker}
+		}
 	}
 	v.Equipment = eq
-}
-
-// defaultVersion returns the default tenant's serving version, or nil
-// for an empty registry (single-tenant helpers and tests).
-func (s *Server) defaultVersion() *registry.Version {
-	if t := s.reg.Default(); t != nil {
-		return t.Current()
-	}
-	return nil
 }
 
 // versionEquipment unwraps what equip attached (nil-safe).
@@ -280,9 +250,9 @@ func versionEquipment(v *registry.Version) *equipment {
 }
 
 // state returns the serving-side state for a tenant, creating it on
-// first use. The default tenant keeps the configured retry seed (the
-// single-tenant behavior); every other tenant mixes its name in so the
-// jitter streams are disjoint.
+// first use. The default (first-installed) tenant keeps the configured
+// retry seed; every other tenant mixes its name in so the jitter
+// streams are disjoint.
 func (s *Server) state(t *registry.Tenant) *tenantState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -386,16 +356,11 @@ func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 	s.answer(w, r, name, op == "ask")
 }
 
-// resolveTenant maps a request's schema name ("" = default tenant) to
-// the tenant and its serving version, writing the typed error itself
-// when resolution fails.
+// resolveTenant maps a request's schema name to the tenant and its
+// serving version, writing the typed error itself when resolution
+// fails.
 func (s *Server) resolveTenant(w http.ResponseWriter, name string) (*tenantState, *registry.Version, bool) {
-	var t *registry.Tenant
-	if name == "" {
-		t = s.reg.Default()
-	} else {
-		t = s.reg.Lookup(name)
-	}
+	t := s.reg.Lookup(name)
 	if t == nil {
 		writeError(w, KindNotFound, 0, "unknown schema %q; GET /schemas lists tenants", name)
 		return nil, nil, false
@@ -413,8 +378,7 @@ func (s *Server) resolveTenant(w http.ResponseWriter, name string) (*tenantState
 	return s.state(t), v, true
 }
 
-// answer is the shared ask (execute=true) and translate handler for
-// both the /v1/{schema}/ and legacy routes.
+// answer is the shared ask (execute=true) and translate handler.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName string, execute bool) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
@@ -529,7 +493,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 
 // translate runs one question through the version's inference hot
 // path. With no cache configured it is exactly the translator's
-// one-shot entry point. With a cache, the pipeline splits: the
+// Translate. With a cache, the pipeline splits: the
 // deterministic pre-processing runs first, its schema-qualified
 // lemmatized output keys the version's result cache, and only a leader
 // that misses pays a decode — concurrent misses for the same key
@@ -541,7 +505,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 func (s *Server) translate(ctx context.Context, v *registry.Version, question string) (*sqlast.Query, *runtime.Trace, error) {
 	tr := v.Unit.Translator
 	if v.Cache == nil {
-		return tr.TranslateTraceContext(ctx, question)
+		return tr.Translate(ctx, question)
 	}
 	trace := &runtime.Trace{Question: question}
 	anon, nl, err := tr.Preprocess(question)
@@ -557,7 +521,7 @@ func (s *Server) translate(ctx context.Context, v *registry.Version, question st
 	// the cache, which only stores the binding-independent decode.
 	var leaderQ *sqlast.Query
 	dec, outcome, err := v.Cache.Do(ctx, tr.CacheKey(nl), func(lctx context.Context) (*runtime.DecodeResult, error) {
-		q, d, lerr := tr.TranslatePrepared(lctx, nl, anon.Bindings, nil, trace)
+		q, d, lerr := tr.TranslatePrepared(lctx, nl, anon.Bindings, trace)
 		leaderQ = q
 		return d, lerr
 	})
@@ -568,12 +532,11 @@ func (s *Server) translate(ctx context.Context, v *registry.Version, question st
 	if outcome == cache.Miss && leaderQ != nil {
 		return leaderQ, trace, nil
 	}
-	q, _, ferr := tr.TranslatePrepared(ctx, nl, anon.Bindings, dec, trace)
-	if ferr == nil {
+	if q, ferr := tr.Finalize(ctx, dec, anon.Bindings, trace); ferr == nil {
 		return q, trace, nil
 	}
 	// Stale for these bindings: re-decode at full strength.
-	q, _, err = tr.TranslatePrepared(ctx, nl, anon.Bindings, nil, trace)
+	q, _, err := tr.TranslatePrepared(ctx, nl, anon.Bindings, trace)
 	return q, trace, err
 }
 

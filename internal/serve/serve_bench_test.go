@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/critic"
 	"repro/internal/models"
 	"repro/internal/patients"
 	"repro/internal/runtime"
@@ -85,22 +86,32 @@ type hotMetrics struct {
 	Failed int     `json:"-"`
 }
 
-// measureServe issues total /translate requests from `clients`
-// concurrent goroutines against a fresh server over the fixture DB
-// and returns the latency/throughput summary. Each variant gets its
-// own runtime.Translator because New wires hooks into it.
-func measureServe(tb testing.TB, model models.Translator, cfg Config, questions []string, total, clients int) hotMetrics {
+// benchHandler wires a fresh single-tenant server over the fixture DB,
+// finalizing through a default-config critic when withCritic is set
+// (as dbpal-serve ships). Each server gets its own runtime.Translator
+// because NewMulti wires hooks into it.
+func benchHandler(tb testing.TB, model models.Translator, cfg Config, withCritic bool) http.Handler {
 	tb.Helper()
 	db, err := patients.Database()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tr := runtime.NewTranslator(db, model)
-	s := New(tr, cfg)
-	h := s.Handler()
+	if withCritic {
+		tr.Critic = critic.New(db, critic.Config{})
+	}
+	return newServer(tr, cfg).Handler()
+}
+
+// measureServe issues total /translate requests from `clients`
+// concurrent goroutines against a fresh server over the fixture DB
+// and returns the latency/throughput summary.
+func measureServe(tb testing.TB, model models.Translator, cfg Config, withCritic bool, questions []string, total, clients int) hotMetrics {
+	tb.Helper()
+	h := benchHandler(tb, model, cfg, withCritic)
 
 	do := func(q string) (time.Duration, int) {
-		req := httptest.NewRequest(http.MethodGet, "/translate?q="+urlQuery(q), nil)
+		req := httptest.NewRequest(http.MethodGet, "/v1/patients/translate?q="+urlQuery(q), nil)
 		w := httptest.NewRecorder()
 		t0 := time.Now()
 		h.ServeHTTP(w, req)
@@ -159,14 +170,10 @@ func measureServe(tb testing.TB, model models.Translator, cfg Config, questions 
 // not depend on the machine.
 func coldAskAllocKiB(tb testing.TB, model models.Translator, questions []string, n int) float64 {
 	tb.Helper()
-	db, err := patients.Database()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	h := New(runtime.NewTranslator(db, model), Config{Workers: 8, Queue: 1 << 16, Critic: true}).Handler()
+	h := benchHandler(tb, model, Config{Workers: 8, Queue: 1 << 16}, true)
 	ask := func(q string) {
 		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ask?q="+urlQuery(q), nil))
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/patients/ask?q="+urlQuery(q), nil))
 		if w.Code != http.StatusOK {
 			tb.Fatalf("ask(%q) = %d", q, w.Code)
 		}
@@ -186,20 +193,22 @@ func coldAskAllocKiB(tb testing.TB, model models.Translator, questions []string,
 // benchVariants is the cache × critic sweep shared by the benchmark
 // and the regression gate.
 func benchVariants() []struct {
-	Name string
-	Cfg  Config
+	Name   string
+	Cfg    Config
+	Critic bool
 } {
-	base := func() Config { return Config{Workers: 8, Queue: 1 << 16} }
-	withCache := func(c Config) Config { c.CacheSize = 1024; return c }
-	withCritic := func(c Config) Config { c.Critic = true; return c }
+	base := Config{Workers: 8, Queue: 1 << 16}
+	cached := base
+	cached.CacheSize = 1024
 	return []struct {
-		Name string
-		Cfg  Config
+		Name   string
+		Cfg    Config
+		Critic bool
 	}{
-		{"cache=off", base()},
-		{"cache=on", withCache(base())},
-		{"cache=off/critic=on", withCritic(base())},
-		{"cache=on/critic=on", withCritic(withCache(base()))},
+		{"cache=off", base, false},
+		{"cache=on", cached, false},
+		{"cache=off/critic=on", base, true},
+		{"cache=on/critic=on", cached, true},
 	}
 }
 
@@ -214,7 +223,7 @@ func BenchmarkServe(b *testing.B) {
 	for _, v := range benchVariants() {
 		for _, clients := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/clients=%d", v.Name, clients), func(b *testing.B) {
-				m := measureServe(b, model, v.Cfg, questions, b.N, clients)
+				m := measureServe(b, model, v.Cfg, v.Critic, questions, b.N, clients)
 				if m.Failed > 0 {
 					b.Fatalf("%d/%d requests failed", m.Failed, b.N)
 				}
@@ -274,9 +283,9 @@ func TestServeBenchGate(t *testing.T) {
 	questions := benchWorkload()
 
 	// Cold decode p50: no cache, serial clients.
-	cold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, questions, 120, 1)
+	cold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, false, questions, 120, 1)
 	// Warm hit p50: cache on (measureServe pre-warms every key).
-	warm := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, CacheSize: 1024}, questions, 2000, 1)
+	warm := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, CacheSize: 1024}, false, questions, 2000, 1)
 	if cold.Failed+warm.Failed > 0 {
 		t.Fatalf("failed requests: cold=%d warm=%d", cold.Failed, warm.Failed)
 	}
@@ -290,7 +299,7 @@ func TestServeBenchGate(t *testing.T) {
 	// checks and a sandboxed dry-run. The ratio over the critic-off
 	// cold p50 is gated so the validation layer cannot quietly eat
 	// the hot path.
-	criticCold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, Critic: true}, questions, 120, 1)
+	criticCold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, true, questions, 120, 1)
 	if criticCold.Failed > 0 {
 		t.Fatalf("failed requests with critic on: %d", criticCold.Failed)
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/boot"
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/patients"
@@ -91,11 +92,17 @@ const goodQuestion = "show the names of all patients with age 80"
 // urlQuery escapes a question for the ?q= form.
 func urlQuery(q string) string { return url.QueryEscape(q) }
 
+// newServer wires a single-tenant Server around a pre-built
+// translator; the tenant is named after its schema.
+func newServer(tr *runtime.Translator, cfg Config) *Server {
+	return NewMulti([]*boot.Unit{{Schema: tr.DB.Schema, DB: tr.DB, Model: tr.Model, Translator: tr}}, cfg)
+}
+
 // newTestServer wires a Server over the patients fixture database.
 func newTestServer(t *testing.T, model models.Translator, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	tr := runtime.NewTranslator(testDB(t), model)
-	s := New(tr, cfg)
+	s := newServer(tr, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -124,7 +131,7 @@ func getJSON(t *testing.T, url string, out any) int {
 func TestAskEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, oracleModel{}, Config{Workers: 2})
 	var resp askResponse
-	status := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), &resp)
+	status := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, want 200", status)
 	}
@@ -145,7 +152,7 @@ func TestAskEndToEnd(t *testing.T) {
 func TestTranslateDoesNotExecute(t *testing.T) {
 	_, ts := newTestServer(t, oracleModel{}, Config{Workers: 2})
 	var resp askResponse
-	status := getJSON(t, ts.URL+"/translate?q="+urlQuery(goodQuestion), &resp)
+	status := getJSON(t, ts.URL+"/v1/patients/translate?q="+urlQuery(goodQuestion), &resp)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d, want 200", status)
 	}
@@ -160,7 +167,7 @@ func TestTranslateDoesNotExecute(t *testing.T) {
 func TestPostAsk(t *testing.T) {
 	_, ts := newTestServer(t, oracleModel{}, Config{Workers: 2})
 	body := strings.NewReader(fmt.Sprintf(`{"question": %q}`, goodQuestion))
-	resp, err := http.Post(ts.URL+"/ask", "application/json", body)
+	resp, err := http.Post(ts.URL+"/v1/patients/ask", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +192,18 @@ func TestValidationErrorsAreTyped(t *testing.T) {
 	}{
 		{"empty question", func() (int, errorEnvelope) {
 			var env errorEnvelope
-			return getJSON(t, ts.URL+"/ask?q=", &env), env
+			return getJSON(t, ts.URL+"/v1/patients/ask?q=", &env), env
 		}},
 		{"bad timeout_ms", func() (int, errorEnvelope) {
 			var env errorEnvelope
-			return getJSON(t, ts.URL+"/ask?q=hi&timeout_ms=nope", &env), env
+			return getJSON(t, ts.URL+"/v1/patients/ask?q=hi&timeout_ms=nope", &env), env
 		}},
 		{"invalid utf-8", func() (int, errorEnvelope) {
 			var env errorEnvelope
-			return getJSON(t, ts.URL+"/ask?q=%ff%fe", &env), env
+			return getJSON(t, ts.URL+"/v1/patients/ask?q=%ff%fe", &env), env
 		}},
 		{"malformed json body", func() (int, errorEnvelope) {
-			resp, err := http.Post(ts.URL+"/ask", "application/json", strings.NewReader("{"))
+			resp, err := http.Post(ts.URL+"/v1/patients/ask", "application/json", strings.NewReader("{"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +231,7 @@ func TestValidationErrorsAreTyped(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, oracleModel{}, Config{Workers: 1})
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/ask", nil)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/patients/ask", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +255,7 @@ func TestClientTimeoutMapsToTimeoutKind(t *testing.T) {
 	t.Cleanup(block.release)
 	s, ts := newTestServer(t, block, Config{Workers: 2, DisableBreakers: true})
 	var env errorEnvelope
-	status := getJSON(t, ts.URL+"/ask?timeout_ms=50&q="+urlQuery(goodQuestion), &env)
+	status := getJSON(t, ts.URL+"/v1/patients/ask?timeout_ms=50&q="+urlQuery(goodQuestion), &env)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", status)
 	}
@@ -273,7 +280,7 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/readyz", &ready); status != http.StatusOK || ready["status"] != "ready" {
 		t.Fatalf("readyz = %d %v", status, ready)
 	}
-	if status := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), nil); status != http.StatusOK {
+	if status := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), nil); status != http.StatusOK {
 		t.Fatalf("ask status = %d", status)
 	}
 	var stats Stats
@@ -288,12 +295,6 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	}
 	if stats.Tiers["oracle"] != 1 {
 		t.Fatalf("tiers = %v, want oracle:1", stats.Tiers)
-	}
-	if stats.Breakers["oracle"] != "closed" {
-		t.Fatalf("breakers = %v, want oracle closed", stats.Breakers)
-	}
-	if stats.Cache != nil {
-		t.Fatalf("cache section must be absent when the cache is off: %+v", stats.Cache)
 	}
 	if s.Draining() {
 		t.Fatal("fresh server must not be draining")
@@ -310,12 +311,26 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if row.Breakers["oracle"] != "closed" {
 		t.Fatalf("tenant breakers = %v, want oracle closed", row.Breakers)
 	}
+	if row.Cache != nil {
+		t.Fatalf("cache section must be absent when the cache is off: %+v", row.Cache)
+	}
+	// Equipment lives only in the tenant rows; the top level carries
+	// the cross-tenant sums alone.
+	var top map[string]any
+	if status := getJSON(t, ts.URL+"/statsz", &top); status != http.StatusOK {
+		t.Fatalf("statsz status = %d", status)
+	}
+	for _, key := range []string{"breakers", "cache", "critic", "critic_breaker"} {
+		if _, ok := top[key]; ok {
+			t.Fatalf("top-level /statsz carries a per-tenant %q section", key)
+		}
+	}
 
 	// With the cache on, /statsz grows a cache section of the
 	// documented shape.
 	_, ts2 := newTestServer(t, oracleModel{}, Config{CacheSize: 32})
 	for _, q := range []string{goodQuestion, goodQuestion} {
-		if status := getJSON(t, ts2.URL+"/ask?q="+urlQuery(q), nil); status != http.StatusOK {
+		if status := getJSON(t, ts2.URL+"/v1/patients/ask?q="+urlQuery(q), nil); status != http.StatusOK {
 			t.Fatalf("ask status = %d", status)
 		}
 	}
@@ -323,14 +338,12 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if status := getJSON(t, ts2.URL+"/statsz", &hot); status != http.StatusOK {
 		t.Fatalf("statsz status = %d", status)
 	}
-	if hot.Cache == nil {
+	hotCache := hot.Tenants["patients"].Cache
+	if hotCache == nil {
 		t.Fatal("cache section missing")
 	}
-	if hot.Cache.Capacity != 32 || hot.Cache.Misses != 1 || hot.Cache.Hits != 1 || hot.Cache.Entries != 1 {
-		t.Fatalf("cache section = %+v, want capacity 32 with 1 miss + 1 hit", hot.Cache)
-	}
-	if hotRow := hot.Tenants["patients"]; hotRow.Cache == nil || hotRow.Cache.Hits != 1 {
-		t.Fatalf("tenant cache stats = %+v, want the hit mirrored per tenant", hot.Tenants["patients"])
+	if hotCache.Capacity != 32 || hotCache.Misses != 1 || hotCache.Hits != 1 || hotCache.Entries != 1 {
+		t.Fatalf("cache section = %+v, want capacity 32 with 1 miss + 1 hit", hotCache)
 	}
 }
 
@@ -342,7 +355,7 @@ func TestServerRetriesTransientFailure(t *testing.T) {
 	var slept []time.Duration
 	flaky := &flakyModel{failFirst: 1}
 	tr := runtime.NewTranslator(testDB(t), flaky)
-	s := New(tr, Config{Workers: 1, Retry: RetryPolicy{
+	s := newServer(tr, Config{Workers: 1, Retry: RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   10 * time.Millisecond,
 		Seed:        42,
@@ -356,7 +369,7 @@ func TestServerRetriesTransientFailure(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	var resp askResponse
-	if status := getJSON(t, ts.URL+"/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
+	if status := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
 		t.Fatalf("status = %d, want 200 after retry", status)
 	}
 	if resp.Retries != 1 {

@@ -11,13 +11,10 @@ import (
 )
 
 // Stats is the /statsz snapshot: queue and concurrency occupancy,
-// admission outcomes, retry volume, per-tier answer counts, and the
-// state of every tier breaker. The shape is part of the serving
-// contract (DESIGN.md, "Serving layer"). The top-level occupancy and
-// counter fields aggregate across tenants (single-tenant servers see
-// the original shape unchanged); Breakers/Cache describe the
-// default tenant's serving version, and Tenants breaks everything out
-// per tenant.
+// admission outcomes, retry volume, and per-tier answer counts summed
+// across tenants, with Tenants breaking everything out per tenant —
+// including each tenant's breakers, cache and critic. The shape is
+// part of the serving contract (DESIGN.md, "Serving layer").
 type Stats struct {
 	Draining bool `json:"draining"`
 	// Capacity is the per-tenant concurrency limit, QueueCap the
@@ -36,16 +33,8 @@ type Stats struct {
 	Validation int64 `json:"validation"`
 	Retries    int64 `json:"retries"`
 	// Tiers counts answered questions by the tier that answered
-	// (Trace.Tier); Breakers names each tier breaker's state.
-	Tiers    map[string]int64  `json:"tiers"`
-	Breakers map[string]string `json:"breakers"`
-	// Cache describes the result cache; absent when it is off.
-	Cache *cache.Stats `json:"cache,omitempty"`
-	// Critic aggregates the default tenant's critic counters and
-	// CriticBreaker names its sandbox breaker's state; absent when the
-	// critic is off.
-	Critic        *critic.Stats `json:"critic,omitempty"`
-	CriticBreaker string        `json:"critic_breaker,omitempty"`
+	// (Trace.Tier).
+	Tiers map[string]int64 `json:"tiers"`
 	// Tenants is the per-tenant breakdown, keyed by tenant name.
 	Tenants map[string]TenantStats `json:"tenants"`
 }
@@ -53,6 +42,9 @@ type Stats struct {
 // TenantStats is one tenant's slice of the snapshot: registry
 // lifecycle (state, serving version, onboarding progress) plus the
 // serving-side occupancy, counters, and per-version equipment.
+// Breakers names each tier breaker's state; Cache describes the result
+// cache and Critic the critic's counters, with CriticBreaker naming
+// its sandbox breaker's state (each absent when off).
 type TenantStats struct {
 	State string `json:"state"`
 	// Version is the serving model slot's sequence number (0 = none
@@ -82,19 +74,15 @@ type TenantStats struct {
 }
 
 // Snapshot assembles the Stats for /statsz: a row per tenant, with the
-// legacy top-level fields aggregated across them and the default
-// tenant's equipment surfaced top-level for single-tenant
-// compatibility.
+// top-level counters summed across them.
 func (s *Server) Snapshot() Stats {
 	st := Stats{
 		Draining: s.draining.Load(),
 		Capacity: s.cfg.Workers,
 		QueueCap: s.cfg.Queue,
 		Tiers:    map[string]int64{},
-		Breakers: map[string]string{},
 		Tenants:  map[string]TenantStats{},
 	}
-	def := s.reg.Default()
 	for _, name := range s.reg.Names() {
 		t := s.reg.Lookup(name)
 		if t == nil {
@@ -113,14 +101,6 @@ func (s *Server) Snapshot() Stats {
 		st.Retries += row.Retries
 		for tier, n := range row.Tiers {
 			st.Tiers[tier] += n
-		}
-		if def != nil && name == def.Name {
-			if row.Breakers != nil {
-				st.Breakers = row.Breakers
-			}
-			st.Cache = row.Cache
-			st.Critic = row.Critic
-			st.CriticBreaker = row.CriticBreaker
 		}
 	}
 	return st
