@@ -86,10 +86,13 @@ func main() {
 				fmt.Printf("  error: %v\n", err)
 				continue
 			}
-			res, execErr := nli.DB.ExecuteContext(ctx, q)
-			if execErr != nil {
-				fmt.Printf("  error: %v\n", execErr)
-				continue
+			res := trace.Result // the critic's dry-run already ran q
+			if res == nil {
+				var execErr error
+				if res, execErr = nli.DB.ExecuteContext(ctx, q); execErr != nil {
+					fmt.Printf("  error: %v\n", execErr)
+					continue
+				}
 			}
 			fmt.Println(indent(res.String(), "  "))
 			continue

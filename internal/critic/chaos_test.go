@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/sqlast"
 )
@@ -31,19 +32,19 @@ func newChaosExec(seed int64, oneIn int, kind fault.Kind) *chaosExec {
 	}
 }
 
-func (ce *chaosExec) exec(q *sqlast.Query, budget int) error {
+func (ce *chaosExec) exec(q *sqlast.Query, budget int) (*engine.Result, error) {
 	i := int(ce.calls.Add(1)) - 1
 	if !ce.inj.Fires(i) {
-		return nil
+		return nil, nil
 	}
 	switch ce.kind {
 	case fault.Panic:
 		panic(fmt.Sprintf("injected engine panic at call %d", i))
 	case fault.Delay:
 		<-ce.release // hang until the test releases it
-		return nil
+		return nil, nil
 	default:
-		return fmt.Errorf("injected engine error at call %d", i)
+		return nil, fmt.Errorf("injected engine error at call %d", i)
 	}
 }
 
@@ -105,7 +106,7 @@ func TestChaosHangAbandonedNoLeak(t *testing.T) {
 // beyond the critic's oracle: the candidate passes and the answer still
 // flows — the sandbox guards crashes and hangs, not semantics.
 func TestChaosWrongResultStillAnswers(t *testing.T) {
-	wrong := func(q *sqlast.Query, budget int) error { return nil }
+	wrong := func(q *sqlast.Query, budget int) (*engine.Result, error) { return nil, nil }
 	c := newCritic(t, Config{Exec: wrong})
 	q := sqlast.MustParse("SELECT name FROM people_that_do_not_exist")
 	// Statically invalid -> repair can't save it; but a statically sound

@@ -142,7 +142,10 @@ type Config struct {
 	// the chaos suite drives hostile engines through (nil = the
 	// tenant engine's budgeted execution). Everything the sandbox
 	// promises (panic recovery, deadline, abandonment) wraps this.
-	Exec func(q *sqlast.Query, budget int) error
+	// A non-nil result it returns with a nil error becomes
+	// Outcome.Result, which callers may answer with instead of
+	// executing the query again.
+	Exec func(q *sqlast.Query, budget int) (*engine.Result, error)
 }
 
 // Defaults for zero Config fields.
@@ -174,7 +177,7 @@ type Critic struct {
 	cfg Config
 
 	tables []string // physical table names, declaration order
-	exec   func(q *sqlast.Query, budget int) error
+	exec   func(q *sqlast.Query, budget int) (*engine.Result, error)
 
 	reviewed atomic.Uint64
 	valid    atomic.Uint64
@@ -203,10 +206,7 @@ func New(db *engine.Database, cfg Config) *Critic {
 	}
 	c.exec = cfg.Exec
 	if c.exec == nil {
-		c.exec = func(q *sqlast.Query, budget int) error {
-			_, err := db.ExecuteBudget(q, budget)
-			return err
-		}
+		c.exec = db.ExecuteBudget
 	}
 	for _, t := range db.Schema.Tables {
 		c.tables = append(c.tables, t.Name)
@@ -238,6 +238,13 @@ type Outcome struct {
 	// DryRunNS is the total sandbox time this review spent, summed
 	// over every dry-run it ran (telemetry only).
 	DryRunNS int64
+	// Result is what the dry-run of the returned query produced, when
+	// that dry-run ran to completion inside the row budget: the same
+	// rows an unbudgeted execute of the query gives, so a caller can
+	// answer with them instead of executing again. It is nil when the
+	// verdict is not usable, when the query passed unverified on the
+	// row budget, and when the executor returned no result.
+	Result *engine.Result
 
 	// repairedQ carries the repaired query from review to Review.
 	repairedQ *sqlast.Query
@@ -364,7 +371,8 @@ func (c *Critic) DryRun(ctx context.Context, q *sqlast.Query) error {
 
 // dryRun is the sandbox: budgeted execution, bounded by the critic
 // deadline through par.Await, with panics recovered into ExecError.
-// It accumulates its latency into out.DryRunNS.
+// It accumulates its latency into out.DryRunNS and, on success, sets
+// out.Result to q's result.
 func (c *Critic) dryRun(ctx context.Context, q *sqlast.Query, out *Outcome) (xe *ExecError) {
 	start := c.now()
 	defer func() {
@@ -378,13 +386,17 @@ func (c *Critic) dryRun(ctx context.Context, q *sqlast.Query, out *Outcome) (xe 
 	}
 	tctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
-	var eerr error
-	if derr := par.Await(tctx, func() { eerr = c.exec(q, c.cfg.RowBudget) }); derr != nil {
+	var (
+		res  *engine.Result
+		eerr error
+	)
+	if derr := par.Await(tctx, func() { res, eerr = c.exec(q, c.cfg.RowBudget) }); derr != nil {
 		return &ExecError{TimedOut: true}
 	}
 	if eerr != nil {
 		return &ExecError{Err: eerr}
 	}
+	out.Result = res
 	return nil
 }
 

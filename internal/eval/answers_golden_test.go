@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lemma"
 	"repro/internal/models"
+	"repro/internal/neural"
 	"repro/internal/patients"
 	"repro/internal/runtime"
 	"repro/internal/spider"
@@ -37,11 +38,31 @@ const answersGolden = "testdata/answers_golden.txt"
 // lines: a verdict may legitimately change when the dry-run's row
 // budget stops tripping, and the diff then shows which.
 //
+// It runs on both of the neural package's dispatches ("avx2" and
+// "generic"): the AVX2 kernels must give the scalar loops' answers.
+//
 // Regenerate with: go test ./internal/eval -run TestAnswersGolden -update
 func TestAnswersGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains four small models")
 	}
+	for _, d := range []struct {
+		name string
+		avx2 bool
+	}{{"avx2", true}, {"generic", false}} {
+		t.Run(d.name, func(t *testing.T) {
+			restore, ok := neural.SetAVX2ForTesting(d.avx2)
+			if !ok {
+				t.Skip("CPU lacks AVX2")
+			}
+			defer restore()
+			checkAnswersGolden(t, answersText(t))
+		})
+	}
+}
+
+// answersText renders every answer TestAnswersGolden pins.
+func answersText(t *testing.T) string {
 	var b strings.Builder
 	for _, name := range []string{"patients", "flights"} {
 		s, db, err := boot.ResolveSchema(name, 40, 1)
@@ -112,7 +133,12 @@ func TestAnswersGolden(t *testing.T) {
 			}
 		}
 	}
-	got := b.String()
+	return b.String()
+}
+
+// checkAnswersGolden compares got with the golden file line by line,
+// or rewrites the file under -update.
+func checkAnswersGolden(t *testing.T, got string) {
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

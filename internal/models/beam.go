@@ -149,7 +149,7 @@ func (m *Sketch) TranslateK(nl, schemaToks []string, k int) [][]string {
 	if m.vocab == nil || len(m.sketches) == 0 {
 		return nil
 	}
-	ss := newSchemaSet(schemaToks)
+	ss := m.sets.get(schemaToks)
 	enc := m.encodeInfer(nl)
 	nlc := newNLContext(nl)
 
@@ -184,22 +184,22 @@ func (m *Sketch) fillSketch(sk sketch, ss *schemaSet, enc []float64, nlc *nlCont
 		kIdx := scorerIndex(cl, kind, rolePos[role])
 		rolePos[role]++
 		cands := ss.byKind[kind]
-		if len(cands) == 0 {
-			cands = ss.toks
+		if len(cands.toks) == 0 {
+			cands = ss.all
 		}
-		if len(cands) == 0 {
+		if len(cands.toks) == 0 {
 			out = append(out, "<unk>")
 			continue
 		}
 		scores, _, _, _ := m.slotScores(kIdx, enc, cands, nlc)
 		if cl == clauseSelect {
-			for i, c := range cands {
+			for i, c := range cands.toks {
 				if usedInSelect[c] {
 					scores[i] -= 1.0
 				}
 			}
 		}
-		best := cands[argmaxIdx(scores)]
+		best := cands.toks[argmaxIdx(scores)]
 		if cl == clauseSelect {
 			usedInSelect[best] = true
 		}

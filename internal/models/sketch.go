@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/lemma"
 	"repro/internal/neural"
@@ -157,11 +159,12 @@ type Sketch struct {
 	slotW    []*neural.Mat  // per-slot bilinear (EmbDim x HidDim)
 	slotF    *neural.Mat    // per-slot feature weights (MaxSlots x numSlotFeatures)
 	rng      *rand.Rand
+	sets     *schemaSets // shared with worker clones
 }
 
 // NewSketch returns an untrained sketch model.
 func NewSketch(cfg SketchConfig) *Sketch {
-	return &Sketch{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), byKey: map[string]int{}}
+	return &Sketch{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), byKey: map[string]int{}, sets: &schemaSets{}}
 }
 
 // Name implements Translator.
@@ -173,15 +176,31 @@ func (m *Sketch) NumSketches() int { return len(m.sketches) }
 // schemaSet indexes the schema tokens and derives each bare token's
 // kind: a bare token is a table iff some qualified token has it as the
 // table part, a column iff some qualified token has it as the column
-// part.
+// part. Each candidate list carries its tokens' candSubtokens, so a
+// slot scores its candidates without re-lemmatizing them.
 type schemaSet struct {
-	toks   []string
+	all    candList // every schema token: fillSketch's fallback
 	kind   map[string]slotKind
-	byKind map[slotKind][]string
+	byKind [numKinds]candList
+}
+
+// candList is a list of slot candidates with each one's candSubtokens.
+type candList struct {
+	toks []string
+	subs [][]string
+}
+
+// add appends a candidate.
+func (l *candList) add(t string) {
+	l.toks = append(l.toks, t)
+	l.subs = append(l.subs, candSubtokens(t))
 }
 
 func newSchemaSet(schemaToks []string) *schemaSet {
-	s := &schemaSet{toks: schemaToks, kind: map[string]slotKind{}, byKind: map[slotKind][]string{}}
+	s := &schemaSet{kind: map[string]slotKind{}}
+	for _, t := range schemaToks {
+		s.all.add(t)
+	}
 	tableNames := map[string]bool{}
 	columnNames := map[string]bool{}
 	for _, t := range schemaToks {
@@ -215,9 +234,47 @@ func newSchemaSet(schemaToks []string) *schemaSet {
 			continue
 		}
 		s.kind[t] = k
-		s.byKind[k] = append(s.byKind[k], t)
+		s.byKind[k].add(t)
 	}
 	return s
+}
+
+// schemaSets memoizes newSchemaSet by schema token list: every
+// training step and every decode of a schema shares one schemaSet,
+// which is read-only once built. Safe for concurrent use.
+type schemaSets struct {
+	mu   sync.Mutex
+	sets map[uint64][]*schemaSet // by tokensHash, then slices.Equal
+}
+
+// get returns the schemaSet of schemaToks, building it on first use.
+func (c *schemaSets) get(schemaToks []string) *schemaSet {
+	h := tokensHash(schemaToks)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.sets[h] {
+		if slices.Equal(s.all.toks, schemaToks) {
+			return s
+		}
+	}
+	s := newSchemaSet(slices.Clone(schemaToks))
+	if c.sets == nil {
+		c.sets = map[uint64][]*schemaSet{}
+	}
+	c.sets[h] = append(c.sets[h], s)
+	return s
+}
+
+// tokensHash is FNV-1a over the tokens, each followed by a 0 byte.
+func tokensHash(toks []string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, t := range toks {
+		for i := 0; i < len(t); i++ {
+			h = (h ^ uint64(t[i])) * 1099511628211
+		}
+		h *= 1099511628211 // the separator byte, 0
+	}
+	return h
 }
 
 // sketchOf extracts the sketch of a SQL token sequence given the
@@ -287,7 +344,7 @@ func (m *Sketch) TrainContext(ctx context.Context, examples []Example, opts Trai
 	m.sketches = nil
 	m.byKey = map[string]int{}
 	for _, ex := range examples {
-		ss := newSchemaSet(ex.Schema)
+		ss := m.sets.get(ex.Schema)
 		sk, _ := sketchOf(ex.SQL, ss)
 		if _, ok := m.byKey[sk.key]; !ok {
 			m.byKey[sk.key] = len(m.sketches)
@@ -367,6 +424,7 @@ func (m *Sketch) workerClone() *Sketch {
 		sketches: m.sketches,
 		byKey:    m.byKey,
 		ps:       &neural.ParamSet{},
+		sets:     m.sets,
 	}
 	c.emb = m.emb.Shadow(c.ps, "emb")
 	c.enc = m.enc.Shadow(c.ps, "enc")
@@ -447,10 +505,9 @@ func (m *Sketch) encBackward(ec *encCache, dFinal []float64) {
 }
 
 // candEmb returns the candidate's embedding: the mean of its own
-// vocabulary embedding and its subtoken embeddings.
-func (m *Sketch) candEmb(c string) []float64 {
+// vocabulary embedding and the embeddings of its subtokens parts.
+func (m *Sketch) candEmb(c string, parts []string) []float64 {
 	out := neural.NewVec(m.cfg.EmbDim)
-	parts := candSubtokens(c)
 	n := float64(len(parts)) + 1
 	neural.Axpy(1/n, m.emb.Lookup(m.vocab.ID(c)), out)
 	for _, p := range parts {
@@ -459,10 +516,9 @@ func (m *Sketch) candEmb(c string) []float64 {
 	return out
 }
 
-// candEmbGrad backpropagates a gradient into the candidate's
-// constituent embeddings.
-func (m *Sketch) candEmbGrad(c string, g []float64) {
-	parts := candSubtokens(c)
+// candEmbGrad backpropagates a gradient into the constituent
+// embeddings of the candidate with subtokens parts.
+func (m *Sketch) candEmbGrad(c string, parts []string, g []float64) {
 	n := float64(len(parts)) + 1
 	scaled := neural.NewVec(len(g))
 	for i := range g {
@@ -519,9 +575,9 @@ func newNLContext(nl []string) *nlContext {
 	return c
 }
 
-// features computes the schema-linking feature vector for a candidate.
-func (c *nlContext) features(cand string) [numSlotFeatures]float64 {
-	parts := candSubtokens(cand)
+// features computes the schema-linking feature vector for a candidate
+// with subtokens parts.
+func (c *nlContext) features(parts []string) [numSlotFeatures]float64 {
 	if len(parts) == 0 {
 		return [numSlotFeatures]float64{}
 	}
@@ -548,16 +604,16 @@ func (c *nlContext) features(cand string) [numSlotFeatures]float64 {
 }
 
 // slotScores scores every candidate for the (clause, kind) scorer k.
-func (m *Sketch) slotScores(k int, enc []float64, cands []string, nlc *nlContext) (scores []float64, embs [][]float64, proj []float64, feats [][numSlotFeatures]float64) {
+func (m *Sketch) slotScores(k int, enc []float64, cands candList, nlc *nlContext) (scores []float64, embs [][]float64, proj []float64, feats [][numSlotFeatures]float64) {
 	proj = neural.NewVec(m.cfg.EmbDim)
 	m.slotW[k].MulVec(enc, proj)
-	scores = neural.NewVec(len(cands))
-	embs = make([][]float64, len(cands))
-	feats = make([][numSlotFeatures]float64, len(cands))
+	scores = neural.NewVec(len(cands.toks))
+	embs = make([][]float64, len(cands.toks))
+	feats = make([][numSlotFeatures]float64, len(cands.toks))
 	fr := m.slotF.Row(k)
-	for i, c := range cands {
-		embs[i] = m.candEmb(c)
-		feats[i] = nlc.features(c)
+	for i, c := range cands.toks {
+		embs[i] = m.candEmb(c, cands.subs[i])
+		feats[i] = nlc.features(cands.subs[i])
 		s := neural.Dot(embs[i], proj)
 		for j := 0; j < numSlotFeatures; j++ {
 			s += fr[j] * feats[i][j]
@@ -569,7 +625,7 @@ func (m *Sketch) slotScores(k int, enc []float64, cands []string, nlc *nlContext
 
 // step trains on one example: sketch classification + slot filling.
 func (m *Sketch) step(ex Example) {
-	ss := newSchemaSet(ex.Schema)
+	ss := m.sets.get(ex.Schema)
 	sk, gold := sketchOf(ex.SQL, ss)
 	skID, ok := m.byKey[sk.key]
 	if !ok {
@@ -596,18 +652,18 @@ func (m *Sketch) step(ex Example) {
 	rolePos := map[int]int{}
 	for si, kind := range sk.kinds {
 		cands := ss.byKind[kind]
-		goldIdx := indexOf(cands, gold[si])
+		goldIdx := indexOf(cands.toks, gold[si])
 		role := int(sk.clauses[si])*int(numKinds) + int(kind)
 		k := scorerIndex(sk.clauses[si], kind, rolePos[role])
 		rolePos[role]++
-		if goldIdx < 0 || len(cands) < 2 {
+		if goldIdx < 0 || len(cands.toks) < 2 {
 			continue
 		}
 		scores, embs, proj, feats := m.slotScores(k, enc, cands, nlc)
 		sp := neural.Softmax(scores, neural.NewVec(len(scores)))
 		dProj := neural.NewVec(m.cfg.EmbDim)
 		frG := m.slotF.GradRow(k)
-		for i, c := range cands {
+		for i, c := range cands.toks {
 			ds := sp[i]
 			if i == goldIdx {
 				ds -= 1
@@ -618,7 +674,7 @@ func (m *Sketch) step(ex Example) {
 			neural.Axpy(ds, embs[i], dProj)
 			gEmb := neural.NewVec(m.cfg.EmbDim)
 			neural.Axpy(ds, proj, gEmb)
-			m.candEmbGrad(c, gEmb)
+			m.candEmbGrad(c, cands.subs[i], gEmb)
 			for j := 0; j < numSlotFeatures; j++ {
 				frG[j] += ds * feats[i][j]
 			}
@@ -653,7 +709,7 @@ func (m *Sketch) Translate(nl, schemaToks []string) []string {
 // Loss returns the example's combined loss without updating gradients
 // (used by tests and gradient checks).
 func (m *Sketch) Loss(ex Example) float64 {
-	ss := newSchemaSet(ex.Schema)
+	ss := m.sets.get(ex.Schema)
 	sk, gold := sketchOf(ex.SQL, ss)
 	skID, ok := m.byKey[sk.key]
 	if !ok {
@@ -668,11 +724,11 @@ func (m *Sketch) Loss(ex Example) float64 {
 	rolePos := map[int]int{}
 	for si, kind := range sk.kinds {
 		cands := ss.byKind[kind]
-		goldIdx := indexOf(cands, gold[si])
+		goldIdx := indexOf(cands.toks, gold[si])
 		role := int(sk.clauses[si])*int(numKinds) + int(kind)
 		k := scorerIndex(sk.clauses[si], kind, rolePos[role])
 		rolePos[role]++
-		if goldIdx < 0 || len(cands) < 2 {
+		if goldIdx < 0 || len(cands.toks) < 2 {
 			continue
 		}
 		scores, _, _, _ := m.slotScores(k, enc, cands, nlc)

@@ -1,8 +1,12 @@
 package models
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,4 +63,49 @@ func TestSketchOverfitAndGrad(t *testing.T) {
 		}
 	}
 	t.Logf("sketch grad check on %d params ok", checked)
+}
+
+// TestSketchConcurrentDecodesShareSchemaSet: decodes of one model run
+// concurrently, as the server runs them, and the first ones race to
+// build the memoized schema set of a schema the model never saw. Every
+// decode must equal a sequential decode by a fresh copy of the model,
+// and the model must keep exactly one schema set for that schema.
+func TestSketchConcurrentDecodesShareSchemaSet(t *testing.T) {
+	m := trainedSketch(t)
+	var buf bytes.Buffer
+	if err := m.SaveFull(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := LoadSketch(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := []string{"ships", "label", "tonnage", "ships.label", "ships.tonnage", "@SHIPS.TONNAGE", "@JOIN"}
+	nls := append(decodeQuestions(), strings.Fields("show the label of ship with tonnage @SHIPS.TONNAGE"))
+	want := make([][]string, len(nls))
+	for i, nl := range nls {
+		want[i] = ref.Translate(nl, st)
+	}
+	const workers = 8
+	errs := make(chan string, workers*len(nls))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, nl := range nls {
+				if got := m.Translate(nl, st); !reflect.DeepEqual(got, want[i]) {
+					errs <- fmt.Sprintf("%v: concurrent %v, sequential %v", nl, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := len(m.sets.sets[tokensHash(st)]); n != 1 {
+		t.Fatalf("%d schema sets memoized for one schema, want 1", n)
+	}
 }

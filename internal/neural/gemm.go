@@ -42,11 +42,39 @@ func (m *Mat) MulBatchAdd(x, y *Batch) { m.mulBatch(x, y, true) }
 // mulBatch sweeps four weight rows at a time across the batch. Their
 // four accumulators are independent, so the CPU overlaps their adds
 // instead of waiting on one dependency chain; each accumulator still
-// sees its own row's products in MulVec's order.
+// sees its own row's products in MulVec's order. With AVX2 the
+// four-row blocks run through mulBatch4AVX2 instead (mulBatchAVX2);
+// rows past the last whole block always take the one-row loop.
 func (m *Mat) mulBatch(x, y *Batch, add bool) {
 	c := m.C
-	i := 0
-	for ; i+4 <= m.R; i += 4 {
+	rows := m.R &^ 3
+	if hasAVX2 && c >= 4 {
+		m.mulBatchAVX2(x, y, rows, add)
+	} else {
+		m.mulBatch4(x, y, rows, add)
+	}
+	for i := rows; i < m.R; i++ {
+		row := m.W[i*c : (i+1)*c]
+		for b := 0; b < x.K; b++ {
+			xr := x.W[b*x.N : b*x.N+c]
+			s := 0.0
+			for j, rv := range row {
+				s += rv * xr[j]
+			}
+			if add {
+				y.W[b*y.N+i] += s
+			} else {
+				y.W[b*y.N+i] = s
+			}
+		}
+	}
+}
+
+// mulBatch4 is mulBatch's four-row block in scalar form, over rows
+// 0 to rows-1 (rows is a multiple of four).
+func (m *Mat) mulBatch4(x, y *Batch, rows int, add bool) {
+	c := m.C
+	for i := 0; i < rows; i += 4 {
 		r0 := m.W[i*c : (i+1)*c]
 		r1 := m.W[(i+1)*c : (i+2)*c]
 		r2 := m.W[(i+2)*c : (i+3)*c]
@@ -73,18 +101,45 @@ func (m *Mat) mulBatch(x, y *Batch, add bool) {
 			}
 		}
 	}
-	for ; i < m.R; i++ {
-		row := m.W[i*c : (i+1)*c]
-		for b := 0; b < x.K; b++ {
-			xr := x.W[b*x.N : b*x.N+c]
-			s := 0.0
-			for j, rv := range row {
-				s += rv * xr[j]
+}
+
+// mulChunk is how many rows one mulBatch4AVX2 call sums in the
+// accumulate form, whose sums wait in a stack buffer until the tail
+// columns are added.
+const mulChunk = 64
+
+// mulBatchAVX2 is mulBatch4 on the AVX2 kernel: mulBatch4AVX2 sums
+// the first C&^3 columns of every row, one lane per row, and the
+// scalar loop below adds the last C%4 columns to the same running
+// sums before they are stored or added. Each output therefore sees
+// exactly mulBatch4's operations in mulBatch4's order. The plain form
+// sums straight into y: a float64 slot holds the running sum exactly.
+func (m *Mat) mulBatchAVX2(x, y *Batch, rows int, add bool) {
+	c := m.C
+	n := c &^ 3
+	var sums [mulChunk]float64
+	for b := 0; b < x.K; b++ {
+		xr := x.W[b*x.N : b*x.N+c]
+		out := y.W[b*y.N : b*y.N+rows]
+		for i0 := 0; i0 < rows; i0 += mulChunk {
+			i1 := min(i0+mulChunk, rows)
+			s := out[i0:i1]
+			if add {
+				s = sums[:i1-i0]
+			}
+			mulBatch4AVX2(m.W[i0*c:i1*c], xr, s)
+			if n < c {
+				for k := range s {
+					row := m.W[(i0+k)*c+n : (i0+k+1)*c]
+					for j, rv := range row {
+						s[k] += rv * xr[n+j]
+					}
+				}
 			}
 			if add {
-				y.W[b*y.N+i] += s
-			} else {
-				y.W[b*y.N+i] = s
+				for k, v := range s {
+					out[i0+k] += v
+				}
 			}
 		}
 	}

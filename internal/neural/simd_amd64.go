@@ -43,3 +43,12 @@ func adamAVX2(w, m, v, g []float64, k *adamConsts) (live bool)
 //
 //go:noescape
 func backward4AVX2(d *[4]float64, w, g, x, dx []float64)
+
+// mulBatch4AVX2 is mulBatch's four-row block over the first
+// len(x)&^3 columns: for each row r < len(s) of w (row stride len(x);
+// len(s) a multiple of four) it sets s[r] to the sum of w[r][j]*x[j]
+// from +0 in ascending j, as the scalar block sums it. A 4×4 register
+// transpose makes each lane one row's running sum.
+//
+//go:noescape
+func mulBatch4AVX2(w, x, s []float64)

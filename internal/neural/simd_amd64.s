@@ -170,3 +170,127 @@ backLoop:
 backDone:
 	VZEROUPPER
 	RET
+
+// MULTILE accumulates one four-column group of the four rows at ptr
+// into acc: a register transpose of the 4×4 tile (two 128-bit halves
+// per register, then unpack) gives one column per register, lanes =
+// rows, and each column is multiplied by its broadcast x (Y2..Y5) and
+// added to acc in ascending column order. DX is the row stride in
+// bytes, R10 three times it.
+#define MULTILE(ptr, acc) \
+	VMOVUPD     (ptr), X6; \
+	VINSERTF128 $1, (ptr)(DX*2), Y6, Y6; \
+	VMOVUPD     (ptr)(DX*1), X7; \
+	VINSERTF128 $1, (ptr)(R10*1), Y7, Y7; \
+	VUNPCKLPD   Y7, Y6, Y8; \
+	VUNPCKHPD   Y7, Y6, Y9; \
+	VMOVUPD     16(ptr), X6; \
+	VINSERTF128 $1, 16(ptr)(DX*2), Y6, Y6; \
+	VMOVUPD     16(ptr)(DX*1), X7; \
+	VINSERTF128 $1, 16(ptr)(R10*1), Y7, Y7; \
+	VUNPCKLPD   Y7, Y6, Y10; \
+	VUNPCKHPD   Y7, Y6, Y11; \
+	VMULPD      Y2, Y8, Y8; \
+	VADDPD      Y8, acc, acc; \
+	VMULPD      Y3, Y9, Y9; \
+	VADDPD      Y9, acc, acc; \
+	VMULPD      Y4, Y10, Y10; \
+	VADDPD      Y10, acc, acc; \
+	VMULPD      Y5, Y11, Y11; \
+	VADDPD      Y11, acc, acc
+
+// XBCAST loads x[j..j+3] at R9 into Y2..Y5, one value per register.
+#define XBCAST \
+	VBROADCASTSD (R9), Y2; \
+	VBROADCASTSD 8(R9), Y3; \
+	VBROADCASTSD 16(R9), Y4; \
+	VBROADCASTSD 24(R9), Y5
+
+// func mulBatch4AVX2(w, x, s []float64)
+//
+// For each row r < len(s) of w (row stride len(x); len(s) a multiple
+// of four), as in mulBatch's four-row block:
+//   s[r] = (((+0 + w[r][0]*x[0]) + w[r][1]*x[1]) + ...) + w[r][n-1]*x[n-1]
+// over the first n = len(x)&^3 columns. Each lane of an accumulator is
+// one row's running sum. Four row blocks (sixteen rows) run
+// interleaved, so four independent add chains hide the add latency;
+// the last blocks run one at a time.
+TEXT ·mulBatch4AVX2(SB), NOSPLIT, $0-72
+	MOVQ w_base+0(FP), SI
+	MOVQ x_base+24(FP), R8
+	MOVQ x_len+32(FP), CX
+	MOVQ s_base+48(FP), DI
+	MOVQ s_len+56(FP), BX
+	MOVQ CX, DX
+	SHLQ $3, DX                // row stride in bytes
+	LEAQ (DX)(DX*2), R10       // three rows
+	MOVQ DX, R11
+	SHLQ $2, R11               // four rows
+	SHRQ $2, CX                // four-column groups
+	SHRQ $2, BX                // four-row blocks
+
+mulQuad:
+	CMPQ BX, $4
+	JB   mulSingle
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	MOVQ SI, R12
+	MOVQ R8, R9
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   mulQuadStore
+
+mulQuadCol:
+	XBCAST
+	LEAQ (R12)(R11*1), R13
+	MULTILE(R12, Y0)
+	MULTILE(R13, Y1)
+	ADDQ R11, R13
+	MULTILE(R13, Y12)
+	ADDQ R11, R13
+	MULTILE(R13, Y13)
+	ADDQ $32, R12
+	ADDQ $32, R9
+	DECQ AX
+	JNZ  mulQuadCol
+
+mulQuadStore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y12, 64(DI)
+	VMOVUPD Y13, 96(DI)
+	ADDQ $128, DI
+	LEAQ (SI)(R11*4), SI
+	SUBQ $4, BX
+	JMP  mulQuad
+
+mulSingle:
+	TESTQ BX, BX
+	JZ    mulDone
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R12
+	MOVQ R8, R9
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   mulSingleStore
+
+mulSingleCol:
+	XBCAST
+	MULTILE(R12, Y0)
+	ADDQ $32, R12
+	ADDQ $32, R9
+	DECQ AX
+	JNZ  mulSingleCol
+
+mulSingleStore:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ R11, SI
+	DECQ BX
+	JMP  mulSingle
+
+mulDone:
+	VZEROUPPER
+	RET

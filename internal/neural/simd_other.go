@@ -13,3 +13,7 @@ func adamAVX2(w, m, v, g []float64, k *adamConsts) bool {
 func backward4AVX2(d *[4]float64, w, g, x, dx []float64) {
 	panic("neural: backward4AVX2 called without AVX2")
 }
+
+func mulBatch4AVX2(w, x, s []float64) {
+	panic("neural: mulBatch4AVX2 called without AVX2")
+}

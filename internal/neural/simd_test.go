@@ -1,6 +1,7 @@
 package neural
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -200,6 +201,75 @@ func FuzzBackwardVecKernel(f *testing.F) {
 		sm, sdx := run(false)
 		if !sameFloats(km.G, sm.G) || !sameFloats(kdx, sdx) {
 			t.Fatalf("%dx%d: kernel G %v dx %v, scalar G %v dx %v", nr, nc, km.G, kdx, sm.G, sdx)
+		}
+	})
+}
+
+// FuzzMulBatchKernel runs MulBatch and MulBatchAdd on both dispatches
+// from the same weights, inputs and outputs and requires identical
+// outputs. Rows run 1–72 and columns 1–14, so the seed corpus covers
+// every R%4 and C%4, the kernel's four-block and one-block loops, and
+// a row count past one mulChunk; K runs 1–3.
+func FuzzMulBatchKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(13))
+	for rm := 0; rm < 4; rm++ {
+		for cm := 0; cm < 4; cm++ {
+			for mode := 0; mode < 6; mode++ {
+				data := make([]byte, 16+rng.Intn(400))
+				rng.Read(data)
+				rows := uint8(rm + []int{0, 16, 64}[(rm+cm+mode)%3])
+				cols := uint8(cm + 4*((rm+mode)%4))
+				f.Add(data, rows, cols, uint8(mode))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rows, cols, mode uint8) {
+		if !cpuHasAVX2() {
+			t.Skip("CPU lacks AVX2")
+		}
+		nr, nc := 1+int(rows)%72, 1+int(cols)%14
+		k, add := 1+int(mode)%3, mode/3%2 == 1
+		r := &fuzzBytes{data: data}
+		m := NewMat(nr, nc)
+		x, y := NewBatch(k, nc), NewBatch(k, nr)
+		for _, v := range [][]float64{m.W, x.W, y.W} {
+			for i := range v {
+				v[i] = r.float()
+			}
+		}
+		run := func(avx2 bool) []float64 {
+			restore, _ := SetAVX2ForTesting(avx2)
+			defer restore()
+			out := &Batch{K: k, N: nr, W: append([]float64(nil), y.W...)}
+			if add {
+				m.MulBatchAdd(x, out)
+			} else {
+				m.MulBatch(x, out)
+			}
+			return out.W
+		}
+		if got, want := run(true), run(false); !sameFloats(got, want) {
+			t.Fatalf("%dx%d k=%d add=%v: kernel %v, scalar %v", nr, nc, k, add, got, want)
+		}
+	})
+}
+
+// BenchmarkMulBatch times one K=1 matrix-vector product at the
+// decoders' and the GRU's shapes (rows x columns) on both dispatches:
+//
+//	go test -run '^$' -bench BenchmarkMulBatch ./internal/neural/
+func BenchmarkMulBatch(b *testing.B) {
+	forEachDispatch(b, func(b *testing.B) {
+		for _, sh := range []struct{ r, c int }{{80, 40}, {80, 80}, {102, 80}} {
+			b.Run(fmt.Sprintf("%dx%d", sh.r, sh.c), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				m := NewMatRand(sh.r, sh.c, rng)
+				x, y := randBatch(1, sh.c, rng), NewBatch(1, sh.r)
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					m.MulBatch(x, y)
+				}
+			})
 		}
 	})
 }

@@ -103,7 +103,11 @@ func TestSplitSeedDeterministicAndDistinct(t *testing.T) {
 func TestMapCtxCancelledPrefix(t *testing.T) {
 	// Cancel partway through: the executed indices must form a prefix
 	// [0, k) at every worker count — cancellation can shorten the
-	// stream but never punch holes in it.
+	// stream but never punch holes in it. Calls past index 40 wait for
+	// the cancel, so at most one per worker is in flight when it comes
+	// and the run cannot finish all n calls first (if the worker of
+	// index 40 were descheduled while the others ran to the end, a nil
+	// return would be correct and the test would fail by timing).
 	for _, workers := range []int{1, 4, 16} {
 		const n = 200
 		ctx, cancel := context.WithCancel(context.Background())
@@ -111,6 +115,9 @@ func TestMapCtxCancelledPrefix(t *testing.T) {
 		err := MapCtx(ctx, workers, n, func(i int) {
 			if i == 40 {
 				cancel()
+			}
+			if i > 40 {
+				<-ctx.Done()
 			}
 			ran[i].Store(true)
 		})

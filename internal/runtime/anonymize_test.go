@@ -4,10 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/models"
+	"repro/internal/patients"
+	"repro/internal/spider"
 )
 
 // TestAnonymizeAdversarialInputs drives the Parameter Handler with the
@@ -17,30 +23,7 @@ import (
 // input must anonymize without panicking, whatever it looks like.
 func TestAnonymizeAdversarialInputs(t *testing.T) {
 	ph := NewParameterHandler(benchDB(t))
-	cases := []struct {
-		name     string
-		question string
-		invalid  bool   // want a *ValidationError
-		reason   string // substring of the validation reason
-	}{
-		{name: "empty", question: "", invalid: true, reason: "empty"},
-		{name: "whitespace only", question: " \t\n ", invalid: true, reason: "empty"},
-		{name: "invalid utf8", question: "show patients \xff\xfe aged 80", invalid: true, reason: "UTF-8"},
-		{name: "nul byte", question: "show\x00patients", invalid: true, reason: "control"},
-		{name: "escape byte", question: "patients \x1b[31m aged 80", invalid: true, reason: "control"},
-		{name: "over token cap", question: strings.Repeat("age ", DefaultMaxQuestionTokens+1), invalid: true, reason: "limit"},
-		{name: "multi-byte unicode", question: "пациенты mit Grippe 患者 show patients"},
-		{name: "combining marks", question: "show pat́ients with äge 80"},
-		{name: "emoji", question: "show patients 🏥 with age 80"},
-		{name: "embedded single quotes", question: "show patients named 'alice johnson'"},
-		{name: "embedded double quotes", question: `show patients with diagnosis "influenza"`},
-		{name: "sql injection shape", question: "'; DROP TABLE patients; --"},
-		{name: "placeholder soup", question: "@@@ @PATIENTS.AGE @ @. @X.Y.Z"},
-		{name: "at cap", question: strings.TrimSpace(strings.Repeat("age ", DefaultMaxQuestionTokens))},
-		{name: "long words", question: strings.Repeat("a", 10000) + " " + strings.Repeat("ü", 10000)},
-		{name: "newlines and tabs", question: "show\tthe names\nof all patients"},
-	}
-	for _, tc := range cases {
+	for _, tc := range adversarialCases {
 		t.Run(tc.name, func(t *testing.T) {
 			anon, err := ph.Anonymize(tc.question)
 			if tc.invalid {
@@ -179,5 +162,135 @@ func TestTierHookRecordsFailures(t *testing.T) {
 	}
 	if got := strings.Join(hook.records, ","); got != "nil:false,oracle:true" {
 		t.Fatalf("Record calls = %q", got)
+	}
+}
+
+// adversarialCases are the input shapes a public endpoint sees:
+// multi-byte unicode, embedded quotes, control bytes, invalid UTF-8,
+// and pathological lengths.
+var adversarialCases = []struct {
+	name     string
+	question string
+	invalid  bool   // want a *ValidationError
+	reason   string // substring of the validation reason
+}{
+	{name: "empty", question: "", invalid: true, reason: "empty"},
+	{name: "whitespace only", question: " \t\n ", invalid: true, reason: "empty"},
+	{name: "invalid utf8", question: "show patients \xff\xfe aged 80", invalid: true, reason: "UTF-8"},
+	{name: "nul byte", question: "show\x00patients", invalid: true, reason: "control"},
+	{name: "escape byte", question: "patients \x1b[31m aged 80", invalid: true, reason: "control"},
+	{name: "over token cap", question: strings.Repeat("age ", DefaultMaxQuestionTokens+1), invalid: true, reason: "limit"},
+	{name: "multi-byte unicode", question: "пациенты mit Grippe 患者 show patients"},
+	{name: "combining marks", question: "show pat́ients with äge 80"},
+	{name: "emoji", question: "show patients 🏥 with age 80"},
+	{name: "embedded single quotes", question: "show patients named 'alice johnson'"},
+	{name: "embedded double quotes", question: `show patients with diagnosis "influenza"`},
+	{name: "sql injection shape", question: "'; DROP TABLE patients; --"},
+	{name: "placeholder soup", question: "@@@ @PATIENTS.AGE @ @. @X.Y.Z"},
+	{name: "at cap", question: strings.TrimSpace(strings.Repeat("age ", DefaultMaxQuestionTokens))},
+	{name: "long words", question: strings.Repeat("a", 10000) + " " + strings.Repeat("ü", 10000)},
+	{name: "newlines and tabs", question: "show\tthe names\nof all patients"},
+}
+
+// boundWorkload returns n spider.Workload questions over db's schema
+// with every placeholder replaced by a value drawn from its column,
+// as a client types them.
+func boundWorkload(db *engine.Database, n int, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	var out []string
+	for _, q := range spider.Workload(db.Schema, n, seed) {
+		toks := strings.Fields(q.NL)
+		for i, tok := range toks {
+			table, col, ok := strings.Cut(strings.TrimPrefix(tok, "@"), ".")
+			if !ok || !strings.HasPrefix(tok, "@") {
+				continue
+			}
+			if vals := db.DistinctValues(strings.ToLower(table), strings.ToLower(col)); len(vals) > 0 {
+				toks[i] = vals[rng.Intn(len(vals))].String()
+			}
+		}
+		out = append(out, strings.Join(toks, " "))
+	}
+	return out
+}
+
+// referenceDBs are the databases FuzzAnonymizeMatchesReference
+// compares on: the served Patients database and a generated spider
+// schema at the served 40 rows.
+var referenceDBs = sync.OnceValues(func() ([]*engine.Database, error) {
+	pdb, err := patients.Database()
+	if err != nil {
+		return nil, err
+	}
+	fdb, err := engine.GenerateData(spider.SchemaByName("flights"), 40, 1)
+	if err != nil {
+		return nil, err
+	}
+	return []*engine.Database{pdb, fdb}, nil
+})
+
+// FuzzAnonymizeMatchesReference holds Anonymize to the span scan it
+// replaced (refAnonymize): the same tokens, bindings and errors for
+// every question. The seed corpus is bound spider.Workload questions
+// over both handlers' schemas, the 399 Patients-benchmark questions
+// and the adversarial inputs.
+func FuzzAnonymizeMatchesReference(f *testing.F) {
+	dbs, err := referenceDBs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var phs []*ParameterHandler
+	for _, db := range dbs {
+		phs = append(phs, NewParameterHandler(db))
+		for _, q := range boundWorkload(db, 150, 7) {
+			f.Add(q)
+		}
+	}
+	for _, c := range patients.Cases() {
+		f.Add(c.NL)
+	}
+	for _, tc := range adversarialCases {
+		f.Add(tc.question)
+	}
+	// Every spelling strconv.ParseFloat accepts, next to words that
+	// merely start like one.
+	for _, q := range []string{
+		"patients aged inf", "age +Inf or -infinity", "age NaN please", "nancy and ingrid",
+		"age .5 or -3 or +7", "age 1e3 and 1E-2", "age 0x1p3 or 0x_1p0", "age 1_000 or 08",
+		"show the top 3 patients", "first 80", "- + . e",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, question string) {
+		for _, ph := range phs {
+			got, gerr := ph.Anonymize(question)
+			want, werr := refAnonymize(ph, question)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("%q: err = %v, reference %v", question, gerr, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q:\n  got       %+v\n  reference %+v", question, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkAnonymize times the Parameter Handler on bound spider
+// questions over the served Patients database, one question per op:
+//
+//	go test -run '^$' -bench BenchmarkAnonymize ./internal/runtime/
+func BenchmarkAnonymize(b *testing.B) {
+	db, err := patients.Database()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ph := NewParameterHandler(db)
+	qs := boundWorkload(db, 200, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ph.Anonymize(qs[i%len(qs)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,10 +3,12 @@ package runtime
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/critic"
+	"repro/internal/engine"
 	"repro/internal/sqlast"
 )
 
@@ -152,7 +154,7 @@ func TestFinalizeCriticHookRecordsInfraOnly(t *testing.T) {
 	tr := NewTranslator(db, oracleModel{})
 	tr.Critic = critic.New(db, critic.Config{
 		Seed: 1,
-		Exec: func(q *sqlast.Query, budget int) error { panic("injected engine panic") },
+		Exec: func(q *sqlast.Query, budget int) (*engine.Result, error) { panic("injected engine panic") },
 	})
 	hook := &criticRecHook{}
 	tr.CriticHook = hook
@@ -181,12 +183,11 @@ func TestFinalizeCriticValidBeatsDegraded(t *testing.T) {
 	tr := NewTranslator(db, oracleModel{})
 	tr.Critic = critic.New(db, critic.Config{
 		Seed: 1,
-		Exec: func(q *sqlast.Query, budget int) error {
+		Exec: func(q *sqlast.Query, budget int) (*engine.Result, error) {
 			if strings.Contains(q.String(), "diagnosis") {
 				panic("injected engine panic")
 			}
-			_, err := db.ExecuteBudget(q, budget)
-			return err
+			return db.ExecuteBudget(q, budget)
 		},
 	})
 	anon := mustAnon(t, tr.PH, "show the names of all patients with age 80")
@@ -199,5 +200,88 @@ func TestFinalizeCriticValidBeatsDegraded(t *testing.T) {
 	}
 	if !strings.Contains(q.String(), "name") {
 		t.Fatalf("valid candidate must beat the sandbox-degraded one, got %s", q)
+	}
+}
+
+// recordingExec is the real budgeted engine behind a critic, keeping
+// every result it hands back.
+type recordingExec struct {
+	db      *engine.Database
+	results []*engine.Result
+}
+
+func (r *recordingExec) exec(q *sqlast.Query, budget int) (*engine.Result, error) {
+	res, err := r.db.ExecuteBudget(q, budget)
+	if err == nil {
+		r.results = append(r.results, res)
+	}
+	return res, err
+}
+
+// A dry-run that finishes inside the row budget is the answer's
+// execution: Translate carries its result on the trace, it equals a
+// fresh ExecuteContext of the answer, and Ask returns that very result
+// instead of executing again.
+func TestAskReusesDryRunResult(t *testing.T) {
+	db := benchDB(t)
+	rec := &recordingExec{db: db}
+	tr := NewTranslator(db, oracleModel{})
+	tr.Critic = critic.New(db, critic.Config{Seed: 1, Exec: rec.exec})
+	ctx := context.Background()
+	for _, v := range db.DistinctValues("patients", "age") {
+		question := "show the names of all patients with age " + v.String()
+		q, trace, err := tr.Translate(ctx, question)
+		if err != nil {
+			t.Fatalf("%q: %v", question, err)
+		}
+		if trace.Result == nil {
+			t.Fatalf("%q: no dry-run result on the trace (verdicts %v)", question, trace.CriticVerdicts)
+		}
+		fresh, err := db.ExecuteContext(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(trace.Result, fresh) {
+			t.Fatalf("%q: dry-run result %v, fresh execute %v", question, trace.Result, fresh)
+		}
+		res, _, err := tr.Ask(ctx, question)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last := rec.results[len(rec.results)-1]; res != last {
+			t.Fatalf("%q: Ask executed again instead of answering with the dry-run's result", question)
+		}
+	}
+}
+
+// A dry-run the row budget cut short proves nothing about the rows:
+// the trace carries no result and Ask executes the answer itself.
+func TestAskExecutesTruncatedDryRun(t *testing.T) {
+	db := benchDB(t)
+	rec := &recordingExec{db: db}
+	tr := NewTranslator(db, oracleModel{})
+	tr.Critic = critic.New(db, critic.Config{Seed: 1, RowBudget: 5, Exec: rec.exec})
+	ctx := context.Background()
+	const question = "show the names of all patients with age 80"
+	q, trace, err := tr.Translate(ctx, question)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.Result != nil || len(trace.CriticVerdicts) != 1 || !strings.Contains(trace.CriticVerdicts[0], "row budget") {
+		t.Fatalf("Result %v, verdicts %v; want no result from a truncated dry-run", trace.Result, trace.CriticVerdicts)
+	}
+	res, _, err := tr.Ask(ctx, question)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := db.ExecuteContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Rows) == 0 || !reflect.DeepEqual(res, fresh) {
+		t.Fatalf("Ask = %v, fresh execute %v", res, fresh)
+	}
+	if len(rec.results) != 0 {
+		t.Fatalf("a dry-run finished inside a 5-row budget: %v", rec.results)
 	}
 }

@@ -9,6 +9,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,11 +172,13 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 	// see DESIGN.md, "Inference hot path").
 	schemaTok := make([]bool, len(toks))
 	numOrPh := make([]bool, len(toks))
+	isNum := make([]bool, len(toks))
+	nums := make([]float64, len(toks))
 	for k, t := range toks {
 		schemaTok[k] = ph.schemaWords[lemma.Lemmatize(t)]
 		if tokens.IsPlaceholder(t) {
 			numOrPh[k] = true
-		} else if _, err := strconv.ParseFloat(t, 64); err == nil {
+		} else if nums[k], isNum[k] = parseNumber(t); isNum[k] {
 			numOrPh[k] = true
 		}
 	}
@@ -193,7 +196,7 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 	}
 
 	out := &Anonymized{}
-	var counts []int32 // bestTextMatch scratch, shared by every span
+	var spans *spanIndex // built on the first text span scored
 	i := 0
 	for i < len(toks) {
 		tok := toks[i]
@@ -206,7 +209,8 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 		// Numbers: bind to a column holding the exact value — except
 		// in top-k contexts ("top 3", "first 5"), where the number is
 		// a result count, not a data constant.
-		if n, err := strconv.ParseFloat(tok, 64); err == nil {
+		if isNum[i] {
+			n := nums[i]
 			topK := i > 0 && isTopKWord(toks[i-1])
 			if cols, ok := ph.numValues[n]; ok && len(cols) > 0 && !topK {
 				ref := cols[0]
@@ -229,11 +233,10 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 			if !spanEligible(i, n) {
 				continue
 			}
-			phrase := strings.Join(toks[i:i+n], " ")
-			if counts == nil {
-				counts = make([]int32, len(ph.textValues))
+			if spans == nil {
+				spans = ph.newSpanIndex(toks)
 			}
-			ref, dbValue, sim := ph.bestTextMatch(phrase, counts)
+			ref, dbValue, sim := ph.bestTextMatch(spans, i, n)
 			if sim < ph.MinSimilarity {
 				continue
 			}
@@ -249,6 +252,21 @@ func (ph *ParameterHandler) Anonymize(question string) (*Anonymized, error) {
 		}
 	}
 	return out, nil
+}
+
+// parseNumber is strconv.ParseFloat(t, 64) for a token, without the
+// error value a word would allocate: every string ParseFloat accepts
+// starts with a sign, a digit, a '.', or the "inf"/"nan" spellings.
+func parseNumber(t string) (float64, bool) {
+	if t == "" {
+		return 0, false
+	}
+	switch c := t[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.', c|0x20 == 'i', c|0x20 == 'n':
+		n, err := strconv.ParseFloat(t, 64)
+		return n, err == nil
+	}
+	return 0, false
 }
 
 // maxTokens resolves the question-length cap.
@@ -287,42 +305,123 @@ func isTopKWord(tok string) bool {
 	return false
 }
 
+// spanIndex is one question's bigram work, done once for all the
+// candidate spans bestTextMatch scores. A span's phrase is its tokens
+// lower-cased and joined by single spaces, so its bigrams are a
+// contiguous run of the question's: the question is lower-cased and
+// rune-converted once, every adjacent rune pair gets the id of its
+// packed key among the question's distinct keys, and each distinct
+// key is looked up in the inverted index once.
+type spanIndex struct {
+	runes []rune    // the lower-cased tokens joined by ' '
+	start []int     // token k's runes are runes[start[k]:start[k+1]-1]
+	ids   []int32   // ids[p]: the id of the pair (runes[p], runes[p+1])
+	post  [][]int32 // post[id]: the textValues entries with that bigram
+	// seen[id] == span marks a bigram already counted for the span
+	// being scored; span numbers them from 1.
+	seen   []int32
+	span   int32
+	counts []int32 // len(textValues), all zero between spans
+}
+
+// newSpanIndex builds the span index of a tokenized question.
+func (ph *ParameterHandler) newSpanIndex(toks []string) *spanIndex {
+	x := &spanIndex{start: make([]int, len(toks)+1), counts: make([]int32, len(ph.textValues))}
+	for k, t := range toks {
+		x.start[k] = len(x.runes)
+		// Per-rune unicode.ToLower is strings.ToLower on valid UTF-8,
+		// which validate guarantees.
+		for _, r := range t {
+			x.runes = append(x.runes, unicode.ToLower(r))
+		}
+		x.runes = append(x.runes, ' ')
+	}
+	x.start[len(toks)] = len(x.runes)
+	if len(x.runes) < 2 {
+		return x
+	}
+	keys := make([]uint64, len(x.runes)-1)
+	for p := range keys {
+		keys[p] = pairKey(x.runes[p], x.runes[p+1])
+	}
+	distinct := slices.Clone(keys)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	x.ids = make([]int32, len(keys))
+	for p, g := range keys {
+		id, _ := slices.BinarySearch(distinct, g)
+		x.ids[p] = int32(id)
+	}
+	x.seen = make([]int32, len(distinct))
+	x.post = make([][]int32, len(distinct))
+	for id, g := range distinct {
+		x.post[id] = ph.gramIndex[g]
+	}
+	return x
+}
+
+// pairKey packs a character bigram into a uint64 key (hi rune << 32 |
+// lo rune).
+func pairKey(a, b rune) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
 // bestTextMatch finds the indexed text value most similar to the
-// phrase (character-bigram Jaccard). It walks the inverted bigram
-// index, so only candidates sharing at least one bigram with the
-// phrase are scored — a candidate sharing none has similarity 0 and
-// could never win anyway. Candidate order (and therefore tie-breaking
-// on equal similarity) matches a linear scan of textValues.
-//
-// counts is scratch of len(ph.textValues), all zero; bestTextMatch
-// leaves it zero again, so one Anonymize call reuses it for every span.
-func (ph *ParameterHandler) bestTextMatch(phrase string, counts []int32) (sqlast.ColumnRef, string, float64) {
-	var bestRef sqlast.ColumnRef
-	bestVal := ""
-	bestSim := 0.0
-	pb := bigramKeys(strings.ToLower(phrase))
-	for _, g := range pb {
-		for _, id := range ph.gramIndex[g] {
-			counts[id]++
+// phrase of the n tokens from token i (character-bigram Jaccard). It
+// walks the inverted bigram index, so only candidates sharing at
+// least one bigram with the phrase are scored — a candidate sharing
+// none has similarity 0 and could never win anyway. Candidate order
+// (and therefore tie-breaking on equal similarity) matches a linear
+// scan of textValues.
+func (ph *ParameterHandler) bestTextMatch(x *spanIndex, i, n int) (sqlast.ColumnRef, string, float64) {
+	lo, hi := x.start[i], x.start[i+n]-1 // the phrase is runes[lo:hi]
+	distinct := 0
+	switch {
+	case hi-lo == 1:
+		// A one-rune phrase's only "bigram" is the bare rune, which
+		// cannot collide with a pair key's non-zero high half.
+		distinct = 1
+		for _, id := range ph.gramIndex[uint64(uint32(x.runes[lo]))] {
+			x.counts[id]++
+		}
+	case hi-lo > 1:
+		x.span++
+		for _, g := range x.ids[lo : hi-1] {
+			if x.seen[g] == x.span {
+				continue
+			}
+			x.seen[g] = x.span
+			distinct++
+			for _, id := range x.post[g] {
+				x.counts[id]++
+			}
 		}
 	}
-	for id, inter := range counts {
+	// The best is the first candidate whose similarity beats every
+	// earlier one's. Rounding is monotone, so a quotient can only beat
+	// bestSim when its fraction beats bestInter/bestUnion: the exact
+	// integer cross-multiplication skips the division for the rest.
+	best, bestInter, bestUnion, bestSim := -1, int64(0), int64(1), 0.0
+	for id, inter := range x.counts {
 		if inter == 0 {
 			continue
 		}
-		iv := &ph.textValues[id]
+		union := int64(distinct + ph.textValues[id].ngrams - int(inter))
+		if int64(inter)*bestUnion <= bestInter*union {
+			continue
+		}
 		sim := 1.0
-		if union := len(pb) + iv.ngrams - int(inter); union != int(inter) {
+		if union != int64(inter) {
 			sim = float64(inter) / float64(union)
 		}
 		if sim > bestSim {
-			bestSim = sim
-			bestVal = iv.value
-			bestRef = iv.cols[0]
+			best, bestInter, bestUnion, bestSim = id, int64(inter), union, sim
 		}
 	}
-	clear(counts)
-	return bestRef, bestVal, bestSim
+	clear(x.counts)
+	if best < 0 {
+		return sqlast.ColumnRef{}, "", 0
+	}
+	iv := &ph.textValues[best]
+	return iv.cols[0], iv.value, bestSim
 }
 
 // Jaccard computes the Jaccard index of the character-bigram sets of a
@@ -371,17 +470,10 @@ func bigramKeys(s string) []uint64 {
 	}
 	out := make([]uint64, 0, len(r))
 	for i := 0; i+1 < len(r); i++ {
-		out = append(out, uint64(uint32(r[i]))<<32|uint64(uint32(r[i+1])))
+		out = append(out, pairKey(r[i], r[i+1]))
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // bigrams returns the sorted distinct character bigrams of s (the
@@ -537,6 +629,12 @@ type Trace struct {
 	// CriticNS is the total dry-run sandbox time the critic spent on
 	// this request, in nanoseconds.
 	CriticNS int64
+	// Result is Final's result from the critic's dry-run, set only
+	// when that dry-run ran Final to completion inside its row budget
+	// (critic.Outcome.Result). Ask and the serving layer answer with it
+	// instead of executing Final again; nil means Final still has to
+	// be executed.
+	Result *engine.Result
 }
 
 // String renders the trace as an indented lifecycle report.
@@ -590,10 +688,15 @@ func (tr *Translator) Translate(ctx context.Context, question string) (*sqlast.Q
 }
 
 // Ask translates and executes under ctx, returning the tabular result.
+// When the critic's dry-run already ran the answer to completion, its
+// result is the answer's result and nothing executes twice.
 func (tr *Translator) Ask(ctx context.Context, question string) (*engine.Result, *sqlast.Query, error) {
-	q, _, err := tr.Translate(ctx, question)
+	q, trace, err := tr.Translate(ctx, question)
 	if err != nil {
 		return nil, nil, err
+	}
+	if trace.Result != nil {
+		return trace.Result, q, nil
 	}
 	res, err := tr.DB.ExecuteContext(ctx, q)
 	if err != nil {
@@ -811,6 +914,7 @@ func (tr *Translator) finalize(ctx context.Context, candidates [][]string, bindi
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("runtime: no candidates to finalize")
 	}
+	trace.Result = nil
 	crit := tr.Critic
 	if crit != nil && tr.CriticHook != nil {
 		if herr := tr.CriticHook.Allow(); herr != nil {
@@ -863,6 +967,7 @@ func (tr *Translator) parseFinalize(sqlToks []string, bindings []Binding, firstE
 // meltdown degrades service instead of rejecting requests.
 func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, candidates [][]string, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
 	var repairedQ, degradedQ *sqlast.Query
+	var repairedRes *engine.Result
 	var firstErr error
 	verdicts := make([]string, 0, len(candidates))
 	for _, sqlToks := range candidates {
@@ -884,11 +989,11 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 		switch outcome.Verdict {
 		case critic.VerdictValid:
 			trace.CriticVerdicts = append(trace.CriticVerdicts, verdicts...)
-			trace.Final = out
+			trace.Final, trace.Result = out, outcome.Result
 			return out, nil
 		case critic.VerdictRepaired:
 			if repairedQ == nil {
-				repairedQ = out
+				repairedQ, repairedRes = out, outcome.Result
 			}
 		case critic.VerdictError:
 			// The sandbox failed, not the candidate: it already passed
@@ -902,7 +1007,7 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 	}
 	trace.CriticVerdicts = append(trace.CriticVerdicts, verdicts...)
 	if repairedQ != nil {
-		trace.Final = repairedQ
+		trace.Final, trace.Result = repairedQ, repairedRes
 		trace.Repaired = true
 		return repairedQ, nil
 	}

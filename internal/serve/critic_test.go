@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/critic"
+	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/runtime"
 	"repro/internal/sqlast"
@@ -24,7 +28,7 @@ func newHTTPServer(t *testing.T, s *Server) string {
 
 // criticServer wires a test server whose translator finalizes through
 // a critic with the given sandbox executor (nil = the real engine).
-func criticServer(t *testing.T, model models.Translator, cfg Config, exec func(*sqlast.Query, int) error) (*Server, string) {
+func criticServer(t *testing.T, model models.Translator, cfg Config, exec func(*sqlast.Query, int) (*engine.Result, error)) (*Server, string) {
 	t.Helper()
 	db := testDB(t)
 	tr := runtime.NewTranslator(db, model)
@@ -51,8 +55,8 @@ func (m *countingModel) Translate(nl, st []string) []string {
 // tier_exhausted 502 carrying the verdicts — not a generic 500 — and
 // candidate rejections must not move the critic breaker.
 func TestCriticRejectionIsTierExhausted(t *testing.T) {
-	execFail := func(q *sqlast.Query, budget int) error {
-		return errors.New("synthetic execution failure")
+	execFail := func(q *sqlast.Query, budget int) (*engine.Result, error) {
+		return nil, errors.New("synthetic execution failure")
 	}
 	s, ts := criticServer(t, oracleModel{}, Config{Workers: 2}, execFail)
 
@@ -77,7 +81,7 @@ func TestCriticRejectionIsTierExhausted(t *testing.T) {
 // accumulate, and once MinSamples failures fill the window the critic
 // breaker opens so later requests skip the sandbox entirely.
 func TestCriticBreakerMeltdownDegrades(t *testing.T) {
-	execPanic := func(q *sqlast.Query, budget int) error {
+	execPanic := func(q *sqlast.Query, budget int) (*engine.Result, error) {
 		panic("injected engine meltdown")
 	}
 	s, ts := criticServer(t, oracleModel{}, Config{Workers: 1}, execPanic)
@@ -117,13 +121,12 @@ func TestCriticCacheStaleFallsBackToFreshDecode(t *testing.T) {
 	var failedOnce atomic.Bool
 	tr.Critic = critic.New(db, critic.Config{
 		Seed: 1,
-		Exec: func(q *sqlast.Query, budget int) error {
+		Exec: func(q *sqlast.Query, budget int) (*engine.Result, error) {
 			// The replayed candidates bind 45; reject them exactly once.
 			if strings.Contains(q.String(), "= 45") && failedOnce.CompareAndSwap(false, true) {
-				return errors.New("re-bound constants fail validation")
+				return nil, errors.New("re-bound constants fail validation")
 			}
-			_, err := db.ExecuteBudget(q, budget)
-			return err
+			return db.ExecuteBudget(q, budget)
 		},
 	})
 	s := newServer(tr, Config{Workers: 2, CacheSize: 32})
@@ -154,5 +157,58 @@ func TestCriticCacheStaleFallsBackToFreshDecode(t *testing.T) {
 	}
 	if !failedOnce.Load() {
 		t.Fatal("the injected validation failure never fired; test proved nothing")
+	}
+}
+
+// /ask answers with the critic's dry-run result when the dry-run ran
+// the query to completion; its rows must be exactly what a fresh
+// execute of the answered SQL renders, with and without the cache.
+func TestAskReusedRowsMatchFreshExecute(t *testing.T) {
+	db := testDB(t)
+	for _, cacheSize := range []int{0, 32} {
+		tr := runtime.NewTranslator(db, oracleModel{})
+		tr.Critic = critic.New(db, critic.Config{Seed: 1})
+		ts := newHTTPServer(t, newServer(tr, Config{Workers: 2, CacheSize: cacheSize}))
+		for _, v := range db.DistinctValues("patients", "age") {
+			var resp askResponse
+			if status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery("show the names of all patients with age "+v.String()), &resp); status != http.StatusOK {
+				t.Fatalf("age %s: status %d", v, status)
+			}
+			fresh, err := db.ExecuteContext(context.Background(), sqlast.MustParse(resp.SQL))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := [][]string(nil)
+			for _, row := range fresh.Rows {
+				var cells []string
+				for _, c := range row {
+					cells = append(cells, c.String())
+				}
+				want = append(want, cells)
+			}
+			if !reflect.DeepEqual(resp.Columns, fresh.Columns) || !reflect.DeepEqual(resp.Rows, want) {
+				t.Fatalf("cache %d, age %s: /ask gave %v %v, fresh execute %v %v", cacheSize, v, resp.Columns, resp.Rows, fresh.Columns, want)
+			}
+		}
+	}
+}
+
+// A query whose dry-run the row budget truncated has no reusable
+// result: /ask executes it itself, under the request deadline, and
+// answers with the full rows. (TestAskRunawayExecuteTimesOut is the
+// same path meeting a query that outlives the deadline.)
+func TestAskTruncatedDryRunExecutesUnderDeadline(t *testing.T) {
+	db := crossJoinDB(t, 20) // 8000 rows in the cross product
+	tr := runtime.NewTranslator(db, crossJoinModel{})
+	tr.Critic = critic.New(db, critic.Config{RowBudget: 1000})
+	h := newServer(tr, Config{Workers: 1, DisableBreakers: true}).Handler()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/wide/ask?timeout_ms=10000&q=how+many+rows", nil))
+	var resp askResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("status %d body %q: %v", w.Code, w.Body.String(), err)
+	}
+	if len(resp.Rows) != 1 || len(resp.Rows[0]) != 1 || resp.Rows[0][0] != "8000" {
+		t.Fatalf("rows = %v, want the full count 8000", resp.Rows)
 	}
 }

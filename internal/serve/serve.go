@@ -463,18 +463,24 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 	}
 	resp.TierErrors = append(resp.TierErrors, trace.TierErrors...)
 	if execute {
-		// The request deadline bounds the execute too: a runaway query
-		// (one the critic passed unverified on its row budget) ends
-		// with the typed timeout and frees its slot.
-		res, xerr := v.Unit.DB.ExecuteContext(ctx, q)
-		if xerr != nil {
-			kind := KindInternal
-			if ctx.Err() != nil {
-				kind = KindTimeout
+		// The critic's dry-run result answers when it ran the query to
+		// completion. Otherwise — no critic, or a dry-run the row
+		// budget truncated — the query executes here, and the request
+		// deadline bounds it: a runaway query (one the critic passed
+		// unverified on its row budget) ends with the typed timeout and
+		// frees its slot.
+		res := trace.Result
+		if res == nil {
+			var xerr error
+			if res, xerr = v.Unit.DB.ExecuteContext(ctx, q); xerr != nil {
+				kind := KindInternal
+				if ctx.Err() != nil {
+					kind = KindTimeout
+				}
+				ts.recordFailure(kind)
+				writeError(w, kind, 0, "executing %q: %v", q.String(), xerr)
+				return
 			}
-			ts.recordFailure(kind)
-			writeError(w, kind, 0, "executing %q: %v", q.String(), xerr)
-			return
 		}
 		resp.Columns = res.Columns
 		for _, row := range res.Rows {
