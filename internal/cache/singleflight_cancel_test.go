@@ -39,7 +39,9 @@ func TestSingleflightLeaderCancelled(t *testing.T) {
 	c := New[string](Config{Capacity: 8, Shards: 1})
 
 	var cancelledLoads, goodLoads atomic.Int64
-	inLoad := make(chan struct{}) // leader entered the loader
+	// Leader entered the loader. Buffered, so the leader's signal is
+	// kept even if it reaches the loader before the test waits for it.
+	inLoad := make(chan struct{}, 1)
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	loader := func(ctx context.Context) (string, error) {
 		select {
@@ -117,7 +119,7 @@ func TestSingleflightAllCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	c := New[string](Config{Capacity: 8, Shards: 1})
 	ctx, cancel := context.WithCancel(context.Background())
-	inLoad := make(chan struct{})
+	inLoad := make(chan struct{}, 1) // buffered, as in TestSingleflightLeaderCancelled
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

@@ -153,21 +153,18 @@ func (m *Sketch) TranslateK(nl, schemaToks []string, k int) [][]string {
 	enc := m.encodeInfer(nl)
 	nlc := newNLContext(nl)
 
-	logits := m.clsW.Forward(enc)
-	order := argsortDesc(logits)
-	if k > len(order) {
-		k = len(order)
-	}
-	var out [][]string
-	for _, skID := range order[:k] {
-		out = append(out, m.fillSketch(m.sketches[skID], ss, enc, nlc))
+	top := topK(m.clsW.Forward(enc), k)
+	out := make([][]string, 0, len(top))
+	var sc slotScratch
+	for _, skID := range top {
+		out = append(out, m.fillSketch(m.sketches[skID], ss, enc, nlc, &sc))
 	}
 	return out
 }
 
 // fillSketch fills one sketch's slots (shared by Translate and
 // TranslateK).
-func (m *Sketch) fillSketch(sk sketch, ss *schemaSet, enc []float64, nlc *nlContext) []string {
+func (m *Sketch) fillSketch(sk sketch, ss *schemaSet, enc []float64, nlc *nlContext, sc *slotScratch) []string {
 	out := make([]string, 0, len(sk.tokens))
 	si := 0
 	usedInSelect := map[string]bool{}
@@ -191,7 +188,7 @@ func (m *Sketch) fillSketch(sk sketch, ss *schemaSet, enc []float64, nlc *nlCont
 			out = append(out, "<unk>")
 			continue
 		}
-		scores, _, _, _ := m.slotScores(kIdx, enc, cands, nlc)
+		scores := m.scoreSlot(kIdx, enc, cands, nlc, sc)
 		if cl == clauseSelect {
 			for i, c := range cands.toks {
 				if usedInSelect[c] {
@@ -208,12 +205,26 @@ func (m *Sketch) fillSketch(sk sketch, ss *schemaSet, enc []float64, nlc *nlCont
 	return out
 }
 
-func argsortDesc(v []float64) []int {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
+// topK returns the indices of the k largest values of v, largest
+// first, ties to the lower index: the first k indices of a stable
+// descending sort, found without sorting the rest. NaNs have no rank.
+func topK(v []float64, k int) []int {
+	k = max(0, min(k, len(v)))
+	idx := make([]int, 0, k)
+	for i, x := range v {
+		p := len(idx)
+		for p > 0 && x > v[idx[p-1]] {
+			p--
+		}
+		if p == k {
+			continue
+		}
+		if len(idx) < k {
+			idx = append(idx, 0)
+		}
+		copy(idx[p+1:], idx[p:])
+		idx[p] = i
 	}
-	sort.SliceStable(idx, func(i, j int) bool { return v[idx[i]] > v[idx[j]] })
 	return idx
 }
 

@@ -38,7 +38,8 @@ func (m *Seq2Seq) SaveFull(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(out)
 }
 
-// LoadSeq2Seq restores a model saved with SaveFull.
+// LoadSeq2Seq restores a model saved with SaveFull, for serving: its
+// gradient buffers are dropped (training rebuilds the parameters).
 func LoadSeq2Seq(r io.Reader) (*Seq2Seq, error) {
 	var in savedSeq2Seq
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
@@ -50,6 +51,7 @@ func LoadSeq2Seq(r io.Reader) (*Seq2Seq, error) {
 	if err := restoreParams(m.ps.Mats(), m.ps.Names(), in.Mats); err != nil {
 		return nil, err
 	}
+	m.ps.DropGrads()
 	return m, nil
 }
 
@@ -91,7 +93,9 @@ func (m *Sketch) SaveFull(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(out)
 }
 
-// LoadSketch restores a model saved with SaveFull.
+// LoadSketch restores a model saved with SaveFull, for serving: its
+// gradient buffers are dropped (training rebuilds the parameters) and
+// its decode plan is built.
 func LoadSketch(r io.Reader) (*Sketch, error) {
 	var in savedSketch
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
@@ -116,6 +120,8 @@ func LoadSketch(r io.Reader) (*Sketch, error) {
 	if err := restoreParams(m.ps.Mats(), m.ps.Names(), in.Mats); err != nil {
 		return nil, err
 	}
+	m.ps.DropGrads()
+	m.buildPlan()
 	return m, nil
 }
 

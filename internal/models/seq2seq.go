@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync"
@@ -571,11 +570,3 @@ func (m *Seq2Seq) pickToken(pv []float64, pgen float64, alpha []float64, inputTo
 	}
 	return bestTok
 }
-
-// Save writes the model weights (vocabulary must be rebuilt by
-// retraining or supplied externally; cmd/dbpal-train persists both).
-func (m *Seq2Seq) Save(w io.Writer) error { return m.ps.Save(w) }
-
-// LoadInto restores weights into a model already built with the same
-// vocabulary and configuration.
-func (m *Seq2Seq) LoadInto(r io.Reader) error { return m.ps.Load(r) }

@@ -160,6 +160,11 @@ type Sketch struct {
 	slotF    *neural.Mat    // per-slot feature weights (MaxSlots x numSlotFeatures)
 	rng      *rand.Rand
 	sets     *schemaSets // shared with worker clones
+	// plan is the encoder's decode plan, derived from emb and enc. Only
+	// TrainContext and LoadSketch write weights; TrainContext drops the
+	// plan when it starts and both build it once the weights are final,
+	// so a non-nil plan always matches the weights.
+	plan *neural.GRUPlan
 }
 
 // NewSketch returns an untrained sketch model.
@@ -337,6 +342,8 @@ func (m *Sketch) TrainContext(ctx context.Context, examples []Example, opts Trai
 	if len(examples) == 0 {
 		return nil
 	}
+	m.plan = nil
+	defer m.buildPlan()
 	m.vocab = BuildVocabs(examples, m.cfg.MinCount)
 
 	// Pass 1: build the sketch inventory. Deterministic in the example
@@ -455,6 +462,9 @@ func (m *Sketch) buildParams() {
 	}
 }
 
+// buildPlan derives the decode plan from the current weights.
+func (m *Sketch) buildPlan() { m.plan = neural.NewGRUPlan(m.enc, m.emb) }
+
 // encCache holds the GRU pass for backprop.
 type encCache struct {
 	ids    []int
@@ -476,16 +486,24 @@ func (m *Sketch) encodeNL(nl []string) *encCache {
 }
 
 // encodeInfer is the inference-only encoder: the same GRU pass as
-// encodeNL, stepped through the arena kernels at k=1, which build no
-// backprop cache and recycle their scratch every token. The result is
-// bit-identical to encodeNL(nl).final (GRU.StepBatch replays Forward's
-// operation order).
+// encodeNL, stepped through the decode plan, or through the arena
+// kernels at k=1 while there is none; neither builds a backprop cache.
+// The result is bit-identical to encodeNL(nl).final (GRUPlan.Step and
+// GRU.StepBatch replay Forward's operation order).
 func (m *Sketch) encodeInfer(nl []string) []float64 {
+	ids := m.vocab.Encode(nl)
 	a := getArena()
 	defer putArena(a)
+	if p := m.plan; p != nil {
+		h, scratch := neural.NewVec(m.cfg.HidDim), a.Vec(p.ScratchLen())
+		for _, id := range ids {
+			p.Step(id, h, h, scratch)
+		}
+		return h
+	}
 	h := neural.NewBatch(1, m.cfg.HidDim)
 	id := make([]int, 1)
-	for _, tok := range m.vocab.Encode(nl) {
+	for _, tok := range ids {
 		id[0] = tok
 		copy(h.W, m.enc.StepBatch(m.emb.LookupBatch(id, a), h, a).W)
 		a.Reset()
@@ -504,10 +522,10 @@ func (m *Sketch) encBackward(ec *encCache, dFinal []float64) {
 	}
 }
 
-// candEmb returns the candidate's embedding: the mean of its own
-// vocabulary embedding and the embeddings of its subtokens parts.
-func (m *Sketch) candEmb(c string, parts []string) []float64 {
-	out := neural.NewVec(m.cfg.EmbDim)
+// candEmb sets out, which must be zero, to the candidate's embedding:
+// the mean of its own vocabulary embedding and the embeddings of its
+// subtokens parts.
+func (m *Sketch) candEmb(c string, parts []string, out []float64) []float64 {
 	n := float64(len(parts)) + 1
 	neural.Axpy(1/n, m.emb.Lookup(m.vocab.ID(c)), out)
 	for _, p := range parts {
@@ -603,7 +621,8 @@ func (c *nlContext) features(parts []string) [numSlotFeatures]float64 {
 	return f
 }
 
-// slotScores scores every candidate for the (clause, kind) scorer k.
+// slotScores scores every candidate for the (clause, kind) scorer k,
+// keeping each candidate's embedding and features for backprop.
 func (m *Sketch) slotScores(k int, enc []float64, cands candList, nlc *nlContext) (scores []float64, embs [][]float64, proj []float64, feats [][numSlotFeatures]float64) {
 	proj = neural.NewVec(m.cfg.EmbDim)
 	m.slotW[k].MulVec(enc, proj)
@@ -612,15 +631,44 @@ func (m *Sketch) slotScores(k int, enc []float64, cands candList, nlc *nlContext
 	feats = make([][numSlotFeatures]float64, len(cands.toks))
 	fr := m.slotF.Row(k)
 	for i, c := range cands.toks {
-		embs[i] = m.candEmb(c, cands.subs[i])
+		embs[i] = m.candEmb(c, cands.subs[i], neural.NewVec(m.cfg.EmbDim))
 		feats[i] = nlc.features(cands.subs[i])
-		s := neural.Dot(embs[i], proj)
-		for j := 0; j < numSlotFeatures; j++ {
-			s += fr[j] * feats[i][j]
-		}
-		scores[i] = s
+		scores[i] = candScore(embs[i], proj, fr, &feats[i])
 	}
 	return scores, embs, proj, feats
+}
+
+// candScore is a candidate's slot score: its embedding against the
+// projected encoding plus the weighted linking features.
+func candScore(emb, proj, fr []float64, f *[numSlotFeatures]float64) float64 {
+	s := neural.Dot(emb, proj)
+	for j := 0; j < numSlotFeatures; j++ {
+		s += fr[j] * f[j]
+	}
+	return s
+}
+
+// slotScratch is one decode's scratch for scoring slot candidates.
+type slotScratch struct {
+	proj, emb, scores []float64
+}
+
+// scoreSlot is slotScores for decoding: the same scores, written to
+// the scratch, with no embedding or features kept per candidate. The
+// returned slice is valid until the next call.
+func (m *Sketch) scoreSlot(k int, enc []float64, cands candList, nlc *nlContext, sc *slotScratch) []float64 {
+	if sc.proj == nil {
+		sc.proj, sc.emb = make([]float64, m.cfg.EmbDim), make([]float64, m.cfg.EmbDim)
+	}
+	m.slotW[k].MulVec(enc, sc.proj)
+	sc.scores = sc.scores[:0]
+	fr := m.slotF.Row(k)
+	for i, c := range cands.toks {
+		clear(sc.emb)
+		f := nlc.features(cands.subs[i])
+		sc.scores = append(sc.scores, candScore(m.candEmb(c, cands.subs[i], sc.emb), sc.proj, fr, &f))
+	}
+	return sc.scores
 }
 
 // step trains on one example: sketch classification + slot filling.

@@ -95,6 +95,17 @@ func (p *ParamSet) ClipGrad(maxNorm float64) {
 	}
 }
 
+// DropGrads releases every matrix's gradient buffer, for a parameter
+// set that from now on only runs inference. A loaded model never reads
+// its gradients, but as live heap they would still raise the garbage
+// collector's heap goal, and so the process's resident set. The
+// matrices are left clean; a gradient writer on one of them panics.
+func (p *ParamSet) DropGrads() {
+	for _, m := range p.mats {
+		m.G, m.dirty = nil, false
+	}
+}
+
 // NumParams returns the total number of scalar parameters.
 func (p *ParamSet) NumParams() int {
 	n := 0

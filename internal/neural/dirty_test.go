@@ -385,3 +385,31 @@ func BenchmarkAdamStep(b *testing.B) {
 		}
 	})
 }
+
+// TestDropGrads: a parameter set without gradient buffers is clean, so
+// the gradient passes that skip clean matrices run on it as no-ops,
+// and its weights and forward pass are untouched.
+func TestDropGrads(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ps := &ParamSet{}
+	g := NewGRU(ps, "g", 4, 6, rng)
+	x, h := NewVec(4), NewVec(6)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	want, _ := g.Forward(x, h)
+	ps.DropGrads()
+	for i, m := range ps.Mats() {
+		if m.G != nil || m.dirty {
+			t.Fatalf("%s: G %v dirty %v after DropGrads", ps.Names()[i], m.G != nil, m.dirty)
+		}
+	}
+	ps.ZeroGrad()
+	ps.ClipGrad(1)
+	if n := ps.GradNorm(); n != 0 {
+		t.Fatalf("GradNorm = %v, want 0", n)
+	}
+	if got, _ := g.Forward(x, h); !sameFloats(got, want) {
+		t.Fatalf("forward after DropGrads %v, before %v", got, want)
+	}
+}

@@ -227,17 +227,46 @@ func (m *Mat) backwardRow(i int, d float64, x, dx []float64) {
 // NewVec allocates a zero vector.
 func NewVec(n int) []float64 { return make([]float64, n) }
 
-// Sigmoid applies the logistic function elementwise into dst.
+// Sigmoid applies the logistic function elementwise into dst. With
+// AVX2, sigmoidAVX2 runs the whole four-element groups, replaying
+// math.Exp's own operations, and the scalar expression below runs any
+// group it stops at and the tail, so every element gets the bits the
+// scalar loop gives it.
 func Sigmoid(src, dst []float64) {
-	for i, v := range src {
-		dst[i] = 1.0 / (1.0 + math.Exp(-v))
+	dst = dst[:len(src)]
+	i := 0
+	if hasAVX2 {
+		for n := len(src) &^ 3; i < n; {
+			if i += sigmoidAVX2(src[i:n], dst[i:n], expFused); i < n {
+				for _, v := range src[i : i+4] {
+					dst[i] = 1.0 / (1.0 + math.Exp(-v))
+					i++
+				}
+			}
+		}
+	}
+	for ; i < len(src); i++ {
+		dst[i] = 1.0 / (1.0 + math.Exp(-src[i]))
 	}
 }
 
-// Tanh applies tanh elementwise into dst.
+// Tanh applies tanh elementwise into dst, on tanhAVX2 where it can as
+// Sigmoid runs on sigmoidAVX2.
 func Tanh(src, dst []float64) {
-	for i, v := range src {
-		dst[i] = math.Tanh(v)
+	dst = dst[:len(src)]
+	i := 0
+	if hasAVX2 {
+		for n := len(src) &^ 3; i < n; {
+			if i += tanhAVX2(src[i:n], dst[i:n], expFused); i < n {
+				for _, v := range src[i : i+4] {
+					dst[i] = math.Tanh(v)
+					i++
+				}
+			}
+		}
+	}
+	for ; i < len(src); i++ {
+		dst[i] = math.Tanh(src[i])
 	}
 }
 

@@ -18,6 +18,17 @@ func cpuHasAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
+// cpuHasFMA reports what makes math.Exp take its fused path on amd64:
+// the CPU has AVX and FMA and the OS saves the YMM registers (package
+// math's useFMA, from internal/cpu).
+func cpuHasFMA() bool {
+	const osxsave, avx, fma = 1 << 27, 1 << 28, 1 << 12
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx|fma) != osxsave|avx|fma {
+		return false
+	}
+	return xgetbv()&6 == 6
+}
+
 // cpuid executes CPUID for a leaf and subleaf.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -52,3 +63,25 @@ func backward4AVX2(d *[4]float64, w, g, x, dx []float64)
 //
 //go:noescape
 func mulBatch4AVX2(w, x, s []float64)
+
+// panelMulAddAVX2 adds to each y[r] the product of row r and x, for
+// the len(y)/4 whole panels of p (see Panels): each row's sum runs
+// from +0 over ascending columns, as mulBatch sums it, and is then
+// added to y[r]. len(y) must be a multiple of four.
+//
+//go:noescape
+func panelMulAddAVX2(p, x, y []float64)
+
+// sigmoidAVX2 is Sigmoid over the leading whole four-element groups of
+// src, with math.Exp's fused path when fused is set and its plain path
+// otherwise. It stops before the first group it cannot reproduce (a
+// NaN or a value beyond ±700) and returns how many elements it wrote.
+//
+//go:noescape
+func sigmoidAVX2(src, dst []float64, fused bool) (n int)
+
+// tanhAVX2 is Tanh as sigmoidAVX2 is Sigmoid; it stops before the
+// first group holding a NaN or a value beyond math.Tanh's ±1 cutoff.
+//
+//go:noescape
+func tanhAVX2(src, dst []float64, fused bool) (n int)

@@ -254,6 +254,45 @@ func FuzzMulBatchKernel(f *testing.F) {
 	})
 }
 
+// FuzzPanelKernel runs Panels.MulAdd on the AVX2 kernel against
+// MulVecAdd on the scalar loops from the same weights, input and
+// output, and requires identical outputs. Rows run 1–40 and columns
+// 1–14, so the seed corpus covers every R%4, the kernel's four-panel
+// and one-panel loops and every column count.
+func FuzzPanelKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(16))
+	for rm := 0; rm < 4; rm++ {
+		for c := 0; c < 14; c++ {
+			data := make([]byte, 16+rng.Intn(400))
+			rng.Read(data)
+			f.Add(data, uint8(rm+[]int{0, 4, 16, 36}[(rm+c)%4]), uint8(c))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rows, cols uint8) {
+		if !cpuHasAVX2() {
+			t.Skip("CPU lacks AVX2")
+		}
+		nr, nc := 1+int(rows)%40, 1+int(cols)%14
+		r := &fuzzBytes{data: data}
+		m := NewMat(nr, nc)
+		x, y := NewVec(nc), NewVec(nr)
+		for _, v := range [][]float64{m.W, x, y} {
+			for i := range v {
+				v[i] = r.float()
+			}
+		}
+		p := NewPanels(m)
+		got, want := append([]float64(nil), y...), append([]float64(nil), y...)
+		p.MulAdd(x, got)
+		restore, _ := SetAVX2ForTesting(false)
+		m.MulVecAdd(x, want)
+		restore()
+		if !sameFloats(got, want) {
+			t.Fatalf("%dx%d: panels %v, scalar %v", nr, nc, got, want)
+		}
+	})
+}
+
 // BenchmarkMulBatch times one K=1 matrix-vector product at the
 // decoders' and the GRU's shapes (rows x columns) on both dispatches:
 //
