@@ -1,9 +1,10 @@
 // Command dbpal-serve exposes bootstrapped DBPal models over HTTP
 // behind the hardened multi-tenant serving layer (internal/serve):
 // per-tenant admission control with bounded queueing, per-request
-// deadlines, per-tier circuit breakers, seeded retry backoff, graceful
-// drain, and an anonymization-keyed result cache (-cache-size) in
-// front of the decoder. A cache miss decodes at once, with no
+// deadlines, circuit breakers around each tier and the critic that
+// trip only on infrastructure failures, graceful drain, and an
+// anonymization-keyed result cache (-cache-size) in front of the
+// decoder. A cache miss decodes at once, with no
 // cross-request batching (DESIGN.md, "Why there is no batcher").
 //
 //	dbpal-serve -schema patients,flights -model nn -addr :8080
@@ -52,7 +53,7 @@ func main() {
 		schemas   = flag.String("schema", "patients", "comma-separated schemas to boot: patients | flights | ... | synth:<seed>")
 		modelKind = flag.String("model", "sketch", "translator: sketch | seq2seq | nn")
 		loadPath  = flag.String("load", "", "load model weights saved by dbpal-train instead of training (single-schema only)")
-		seed      = flag.Int64("seed", 1, "pipeline, training, and retry-jitter seed")
+		seed      = flag.Int64("seed", 1, "pipeline and training seed")
 		rows      = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
 		deadline  = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = none)")
 		fallback  = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
@@ -61,8 +62,7 @@ func main() {
 		queue    = flag.Int("queue", 0, "waiting-room size before shedding (0 = 2x workers)")
 		timeout  = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		drain    = flag.Duration("drain", 15*time.Second, "max wait for in-flight requests on shutdown")
-		retries  = flag.Int("retries", 1, "retry attempts after a transient translation failure")
-		breakers = flag.Bool("breakers", true, "run a circuit breaker per translator tier")
+		breakers = flag.Bool("breakers", true, "run a circuit breaker per translator tier and around the critic")
 		cooldown = flag.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before the half-open probe")
 
 		criticOn  = flag.Bool("critic", true, "validate and repair every candidate through the execution-guided critic before answering")
@@ -82,7 +82,7 @@ func main() {
 		addr: *addr, schemas: strings.Split(*schemas, ","), modelKind: *modelKind, loadPath: *loadPath,
 		seed: *seed, rows: *rows, deadline: *deadline, fallback: *fallback,
 		workers: *workers, queue: *queue, timeout: *timeout, drain: *drain,
-		retries: *retries, breakers: *breakers, cooldown: *cooldown,
+		breakers: *breakers, cooldown: *cooldown,
 		critic: *criticOn, criticBudget: *rowBudget, criticTimeout: *criticTO,
 		cacheSize:   *cacheSize,
 		minAccuracy: *minAcc, evalQuestions: *evalQs,
@@ -103,7 +103,6 @@ type config struct {
 	fallback            bool
 	workers, queue      int
 	timeout, drain      time.Duration
-	retries             int
 	breakers            bool
 	cooldown            time.Duration
 	critic              bool
@@ -154,13 +153,9 @@ func run(cfg config) error {
 	}
 
 	srv := serve.NewMulti(units, serve.Config{
-		Workers: cfg.workers,
-		Queue:   cfg.queue,
-		Timeout: cfg.timeout,
-		Retry: serve.RetryPolicy{
-			MaxAttempts: cfg.retries + 1,
-			Seed:        cfg.seed,
-		},
+		Workers:         cfg.workers,
+		Queue:           cfg.queue,
+		Timeout:         cfg.timeout,
 		Breaker:         serve.BreakerConfig{Cooldown: cfg.cooldown},
 		DisableBreakers: !cfg.breakers,
 		Critic:          cfg.critic,

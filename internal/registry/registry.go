@@ -19,9 +19,9 @@
 //     CheckpointDir/<tenant>.ckpt; a killed onboarding re-run with the
 //     same spec resumes from the checkpoint bit-identically.
 //
-// Per-tenant equipment above this package (circuit breakers,
-// microbatchers) attaches to each version through Config.Equip, so the
-// registry stays independent of the HTTP serving layer.
+// Per-tenant equipment above this package (the circuit breakers)
+// attaches to each version through Config.Equip, so the registry stays
+// independent of the HTTP serving layer.
 package registry
 
 import (
@@ -81,7 +81,7 @@ type Version struct {
 	Cache    *cache.Cache[*runtime.DecodeResult]
 	Accuracy float64
 	// Equipment is whatever Config.Equip attached (the serving layer's
-	// per-version breakers and batcher); opaque to the registry.
+	// per-version breakers); opaque to the registry.
 	Equipment any
 }
 
@@ -207,7 +207,7 @@ type Config struct {
 	// PipelineWorkers bounds the generation stage pool (0 = NumCPU).
 	PipelineWorkers int
 	// Equip, when non-nil, attaches per-version equipment before the
-	// version becomes visible (the serving layer's breakers/batcher).
+	// version becomes visible (the serving layer's breakers).
 	Equip func(tenant string, v *Version)
 	// Logf, when non-nil, receives onboarding progress lines.
 	Logf func(format string, args ...any)
@@ -230,7 +230,7 @@ type Registry struct {
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
-	order   []string // insertion order; order[0] is the default tenant
+	order   []string // insertion order
 
 	wg sync.WaitGroup
 }
@@ -245,17 +245,6 @@ func (r *Registry) Lookup(name string) *Tenant {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.tenants[name]
-}
-
-// Default returns the first-installed tenant (the legacy single-tenant
-// routes' target), or nil for an empty registry.
-func (r *Registry) Default() *Tenant {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.order) == 0 {
-		return nil
-	}
-	return r.tenants[r.order[0]]
 }
 
 // Names lists tenants in insertion order.

@@ -9,7 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/critic"
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/patients"
@@ -71,7 +73,7 @@ func TestAnonymizeMaxTokensConfigurable(t *testing.T) {
 
 // TestTranslateValidationErrorIsTyped checks that malformed questions
 // surface the typed error through the whole Translate path, so the
-// serving layer can map them to 400s and never retry them.
+// serving layer can map them to 400s.
 func TestTranslateValidationErrorIsTyped(t *testing.T) {
 	tr := NewTranslator(benchDB(t), oracleModel{})
 	for _, q := range []string{"", "   ", "bad \xff utf8", "nul\x00byte"} {
@@ -83,24 +85,25 @@ func TestTranslateValidationErrorIsTyped(t *testing.T) {
 	}
 }
 
-// recordingHook is a TierHook that vetoes configured tiers and records
-// every Allow/Record call.
+// recordingHook is a Hook that vetoes configured stages and records
+// every Allow/Record call; a record reads "name:true" when the stage
+// was not charged (infra == nil).
 type recordingHook struct {
 	veto    map[string]bool
 	allows  []string
 	records []string
 }
 
-func (h *recordingHook) Allow(tier string) error {
-	h.allows = append(h.allows, tier)
-	if h.veto[tier] {
+func (h *recordingHook) Allow(name string) error {
+	h.allows = append(h.allows, name)
+	if h.veto[name] {
 		return fmt.Errorf("circuit open")
 	}
 	return nil
 }
 
-func (h *recordingHook) Record(tier string, err error) {
-	h.records = append(h.records, fmt.Sprintf("%s:%v", tier, err == nil))
+func (h *recordingHook) Record(name string, infra error) {
+	h.records = append(h.records, fmt.Sprintf("%s:%v", name, infra == nil))
 }
 
 // TestTierHookGatesAndObserves: a vetoed primary is skipped without
@@ -150,19 +153,108 @@ func TestTierHookAllVetoedErrors(t *testing.T) {
 	}
 }
 
-// TestTierHookRecordsFailures: a failing tier that ran is recorded as
-// a failure, feeding the breaker's failure-rate window.
+// TestTierHookRecordsFailures: a tier that ran and failed the
+// question — no output, unparsable output — is recorded without an
+// infrastructure error: it is a verdict on the question, and must not
+// feed the breaker's failure-rate window.
 func TestTierHookRecordsFailures(t *testing.T) {
 	tr := NewTranslator(benchDB(t), nilModel{})
-	tr.Fallbacks = []models.Translator{oracleModel{}}
+	tr.Fallbacks = []models.Translator{gibberishModel{}, oracleModel{}}
 	hook := &recordingHook{}
 	tr.Hook = hook
 	if _, _, err := tr.Translate(context.Background(), "show the names of all patients with age 80"); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(hook.records, ","); got != "nil:false,oracle:true" {
+	if got := strings.Join(hook.records, ","); got != "nil:true,gibberish:true,oracle:true" {
 		t.Fatalf("Record calls = %q", got)
 	}
+}
+
+// TestHookChargesOnlyInfraFailures: a tier is charged exactly when its
+// model call panicked or overran Translator.Deadline while the
+// request was still live. A request cancelled or expired mid-decode
+// charges nothing — the request ended, the tier did not fail — and
+// neither does a beam the critic rejects (its review is recorded
+// first, from inside the tier).
+func TestHookChargesOnlyInfraFailures(t *testing.T) {
+	const q = "show the names of all patients with age 80"
+	gate := func() *gateModel {
+		m := &gateModel{started: make(chan struct{}, 1), gate: make(chan struct{})}
+		t.Cleanup(func() { close(m.gate) })
+		return m
+	}
+	overrun, cancelled, expired := gate(), gate(), gate()
+	cases := []struct {
+		name     string
+		model    models.Translator
+		deadline time.Duration
+		ctx      func() (context.Context, context.CancelFunc)
+		critic   bool
+		want     string
+	}{
+		{name: "panic", model: panicModel{}, want: "panic:false"},
+		{name: "overran Deadline", model: overrun, deadline: 10 * time.Millisecond, want: "gate:false"},
+		{name: "request cancelled mid-decode", model: cancelled, deadline: time.Hour, ctx: func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() { <-cancelled.started; cancel() }()
+			return ctx, cancel
+		}, want: "gate:true"},
+		{name: "request expired mid-decode", model: expired, deadline: time.Hour, ctx: func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 10*time.Millisecond)
+		}, want: "gate:true"},
+		{name: "critic rejected", model: junkModel{}, critic: true, want: "critic:true,junk:true"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := benchDB(t)
+			tr := NewTranslator(db, tc.model)
+			tr.Deadline = tc.deadline
+			if tc.critic {
+				tr.Critic = critic.New(db, critic.Config{Seed: 1})
+			}
+			hook := &recordingHook{}
+			tr.Hook = hook
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if tc.ctx != nil {
+				ctx, cancel = tc.ctx()
+			}
+			defer cancel()
+			if _, _, err := tr.Translate(ctx, q); err == nil {
+				t.Fatal("the tier must fail the question")
+			}
+			if got := strings.Join(hook.records, ","); got != tc.want {
+				t.Fatalf("Record calls = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// junkModel emits SQL that parses but names no column of the schema,
+// so the critic rejects it.
+type junkModel struct{}
+
+func (junkModel) Name() string           { return "junk" }
+func (junkModel) Train([]models.Example) {}
+func (junkModel) Translate(nl, st []string) []string {
+	return strings.Fields("SELECT xqzw FROM patients")
+}
+
+// gateModel reports each decode's start on started and then blocks
+// until gate closes.
+type gateModel struct {
+	started chan struct{}
+	gate    chan struct{}
+}
+
+func (*gateModel) Name() string           { return "gate" }
+func (*gateModel) Train([]models.Example) {}
+func (m *gateModel) Translate(nl, st []string) []string {
+	select {
+	case m.started <- struct{}{}:
+	default:
+	}
+	<-m.gate
+	return nil
 }
 
 // adversarialCases are the input shapes a public endpoint sees:

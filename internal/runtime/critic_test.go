@@ -28,18 +28,6 @@ func finalizeBeam(tr *Translator, beam [][]string, bindings []Binding, trace *Tr
 	return tr.Finalize(context.Background(), &DecodeResult{Candidates: beam}, bindings, trace)
 }
 
-// criticRecHook captures every critic-breaker consultation.
-type criticRecHook struct {
-	allowErr error
-	allowed  int
-	recorded []error
-}
-
-func (h *criticRecHook) Allow() error { h.allowed++; return h.allowErr }
-func (h *criticRecHook) Record(err error) {
-	h.recorded = append(h.recorded, err)
-}
-
 // A valid later candidate beats an invalid top-1: the critic reranks
 // the beam validity-first instead of answering with the first parse.
 func TestFinalizeCriticRerank(t *testing.T) {
@@ -127,8 +115,8 @@ func TestFinalizeCriticRejectedError(t *testing.T) {
 // flowing through an engine meltdown.
 func TestFinalizeCriticHookDegrades(t *testing.T) {
 	tr := criticTranslator(t, critic.Config{Seed: 1})
-	hook := &criticRecHook{allowErr: errors.New("critic breaker open")}
-	tr.CriticHook = hook
+	hook := &recordingHook{veto: map[string]bool{CriticStage: true}}
+	tr.Hook = hook
 	anon := mustAnon(t, tr.PH, "show the names of all patients with age 80")
 
 	good := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
@@ -137,8 +125,8 @@ func TestFinalizeCriticHookDegrades(t *testing.T) {
 	if err != nil || q == nil {
 		t.Fatalf("degraded finalize = (%v, %v)", q, err)
 	}
-	if hook.allowed != 1 || len(hook.recorded) != 0 {
-		t.Fatalf("hook = %+v, want one Allow and no Record", hook)
+	if got := strings.Join(hook.allows, ","); got != CriticStage || len(hook.records) != 0 {
+		t.Fatalf("hook = %+v, want one critic Allow and no Record", hook)
 	}
 	if len(trace.CriticVerdicts) != 1 || !strings.HasPrefix(trace.CriticVerdicts[0], "skipped:") {
 		t.Fatalf("CriticVerdicts = %v, want the skip note", trace.CriticVerdicts)
@@ -156,19 +144,19 @@ func TestFinalizeCriticHookRecordsInfraOnly(t *testing.T) {
 		Seed: 1,
 		Exec: func(q *sqlast.Query, budget int) (*engine.Result, error) { panic("injected engine panic") },
 	})
-	hook := &criticRecHook{}
-	tr.CriticHook = hook
+	hook := &recordingHook{}
+	tr.Hook = hook
 	anon := mustAnon(t, tr.PH, "show the names of all patients with age 80")
 
-	junk := strings.Fields("SELECT xqzw FROM patients")                            // rejected statically: Record(nil)
-	sound := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE") // hits the panicking engine: Record(infra)
+	junk := strings.Fields("SELECT xqzw FROM patients")                            // rejected statically: infra nil
+	sound := strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE") // hits the panicking engine: infra set
 	trace := &Trace{}
 	q, err := finalizeBeam(tr, [][]string{junk, sound}, anon.Bindings, trace)
 	if err != nil || q == nil || !strings.Contains(q.String(), "name") {
 		t.Fatalf("sandbox failure must degrade, not reject: (%v, %v)", q, err)
 	}
-	if len(hook.recorded) != 2 || hook.recorded[0] != nil || hook.recorded[1] == nil {
-		t.Fatalf("recorded = %v, want [nil, infra]", hook.recorded)
+	if got := strings.Join(hook.records, ","); got != "critic:true,critic:false" {
+		t.Fatalf("Record calls = %q, want a nil then an infra error", got)
 	}
 	if len(trace.CriticVerdicts) != 2 || !strings.HasPrefix(trace.CriticVerdicts[1], "sandbox_error") {
 		t.Fatalf("CriticVerdicts = %v, want the sandbox failure on record", trace.CriticVerdicts)

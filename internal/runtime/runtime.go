@@ -29,9 +29,9 @@ import (
 
 // ValidationError is the typed rejection for malformed questions:
 // empty input, invalid UTF-8, embedded control bytes, or a question
-// past the token cap. It is the one failure class the serving layer
-// must never retry — resubmitting the same malformed input cannot
-// succeed — so callers distinguish it with errors.As.
+// past the token cap. Resubmitting the same malformed input cannot
+// succeed, so callers distinguish it with errors.As (the serving
+// layer answers it with a 400).
 type ValidationError struct {
 	Reason string
 }
@@ -538,12 +538,15 @@ type Translator struct {
 	// chain is neural primary → sketch → models.NearestNeighbor. The
 	// tier that answered is recorded in Trace.Tier.
 	Fallbacks []models.Translator
-	// Hook, when non-nil, observes and gates the degradation chain —
-	// the serving layer's circuit breakers plug in here. Allow is
-	// consulted before a tier runs (a non-nil error skips the tier
-	// without paying its Deadline); Record is told the outcome of
-	// every tier that did run.
-	Hook TierHook
+	// Hook, when non-nil, gates and observes the stages that can fail
+	// for reasons other than the question — the serving layer's
+	// circuit breakers plug in here. Allow is consulted before each
+	// tier runs (by the tier's Name(); a non-nil error skips the tier
+	// without paying its Deadline) and before each critic review (as
+	// CriticStage; a non-nil error skips validation). Record is told
+	// the outcome of every tier that ran and every candidate the critic
+	// reviewed.
+	Hook Hook
 	// Critic, when non-nil, is the execution-guided
 	// validation-and-repair layer: every finalized candidate passes
 	// through it before it can become the answer — including cache
@@ -553,41 +556,26 @@ type Translator struct {
 	// rejects every candidate, finalization fails with a typed
 	// *RejectedError.
 	Critic *critic.Critic
-	// CriticHook, when non-nil alongside Critic, gates and observes
-	// critic reviews — the serving layer's per-tenant critic breaker
-	// plugs in here. Allow returning a non-nil error skips validation
-	// for the finalization (degrading to unvalidated answering, the
-	// pre-critic behaviour). Record is called once per candidate
-	// reviewed; its error is non-nil only for sandbox infrastructure
-	// failures (engine panic or dry-run deadline), never for a merely
-	// invalid candidate — a storm of bad SQL must not open the
-	// breaker.
-	CriticHook CriticHook
 }
 
-// CriticHook gates and observes critic reviews per finalization. Both
-// methods may be called from concurrent questions and must be safe
-// for concurrent use.
-type CriticHook interface {
-	// Allow is consulted once per finalization; a non-nil error skips
-	// validation, recording the reason in Trace.CriticVerdicts.
-	Allow() error
-	// Record reports each candidate review; err is non-nil only when
-	// the sandbox itself failed (engine panic or timeout).
-	Record(err error)
-}
+// CriticStage is the name the critic reports under to Translator.Hook.
+const CriticStage = "critic"
 
-// TierHook gates and observes the degradation chain per tier. Both
-// methods may be called from concurrent questions and must be safe
-// for concurrent use.
-type TierHook interface {
-	// Allow is consulted before the named tier runs; returning a
-	// non-nil error skips the tier, recording the reason in
-	// Trace.TierErrors.
-	Allow(tier string) error
-	// Record reports the outcome of a tier that ran (err == nil means
-	// the tier answered).
-	Record(tier string, err error)
+// Hook gates and observes the degradation chain's tiers and the
+// critic. Both methods may be called from concurrent questions and
+// must be safe for concurrent use.
+type Hook interface {
+	// Allow is consulted before the named stage runs; returning a
+	// non-nil error skips it, recording the reason in Trace.TierErrors
+	// (a tier) or Trace.CriticVerdicts (the critic).
+	Allow(name string) error
+	// Record reports the outcome of a stage that ran. infra is nil
+	// unless the stage itself failed: a tier's model call panicked or
+	// overran Translator.Deadline, or the critic's sandbox panicked or
+	// timed out. A verdict on the question — no output, unparsable or
+	// rejected SQL, a request that ended mid-decode — records nil, so
+	// questions the model cannot translate never trip a breaker.
+	Record(name string, infra error)
 }
 
 // NewTranslator wires a trained model to a database.
@@ -777,9 +765,9 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 				continue
 			}
 		}
-		q, candidates, err := tr.tryTier(ctx, model, nl, bindings, trace)
+		q, candidates, infra, err := tr.tryTier(ctx, model, nl, bindings, trace)
 		if tr.Hook != nil {
-			tr.Hook.Record(name, err)
+			tr.Hook.Record(name, infra)
 		}
 		if err == nil {
 			trace.Tier = name
@@ -799,8 +787,9 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 // Finalize is the binding-dependent tail of a translation: it turns a
 // DecodeResult — typically one decoded for another request's
 // constants and replayed from the serving layer's result cache — into
-// this request's query, without consulting the model or the tier
-// Hook (breakers meter model decodes, and a replay performs none).
+// this request's query, without consulting the model or the Hook for
+// any tier (tier breakers meter model decodes, and a replay performs
+// none); the critic still reports to the Hook under CriticStage.
 // On success trace records dec's tier and top candidate. Errors are
 // finalize's own, so errors.As still finds a *RejectedError; the
 // caller decides whether to fall back to a fresh decode.
@@ -847,11 +836,14 @@ func (tr *Translator) chain() []models.Translator {
 // the runtime survives a misbehaving Translator, and a serving layer
 // must be able to bound a whole request with one context. The decoded
 // candidates are returned even when finalization fails, so the caller
-// controls what is worth caching.
-func (tr *Translator) tryTier(ctx context.Context, model models.Translator, nl []string, bindings []Binding, trace *Trace) (q *sqlast.Query, candidates [][]string, err error) {
+// controls what is worth caching. infra is err when the model call
+// itself failed — it panicked, or overran tr.Deadline while ctx was
+// still live — and nil otherwise (Hook.Record).
+func (tr *Translator) tryTier(ctx context.Context, model models.Translator, nl []string, bindings []Binding, trace *Trace) (q *sqlast.Query, candidates [][]string, infra, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			q, err = nil, fmt.Errorf("runtime: tier %q panicked: %v", model.Name(), r)
+			infra = err
 		}
 	}()
 	tctx := ctx
@@ -865,17 +857,22 @@ func (tr *Translator) tryTier(ctx context.Context, model models.Translator, nl [
 	// its results.
 	var decoded [][]string
 	if derr := par.Await(tctx, func() { decoded = tr.tierCandidates(model, nl) }); derr != nil {
-		return nil, nil, fmt.Errorf("runtime: tier %q exceeded its deadline: %w", model.Name(), derr)
+		err = fmt.Errorf("runtime: tier %q exceeded its deadline: %w", model.Name(), derr)
+		if ctx.Err() == nil {
+			// tr.Deadline ran out, not the request.
+			infra = err
+		}
+		return nil, nil, infra, err
 	}
 	candidates = decoded
 	if len(candidates) == 0 {
-		return nil, nil, fmt.Errorf("runtime: model %q produced no output", model.Name())
+		return nil, nil, nil, fmt.Errorf("runtime: model %q produced no output", model.Name())
 	}
 	if trace.ModelOut == nil {
 		trace.ModelOut = candidates[0]
 	}
 	q, err = tr.finalize(tctx, candidates, bindings, trace)
-	return q, candidates, err
+	return q, candidates, nil, err
 }
 
 // RejectedError reports that the critic reviewed every candidate in
@@ -894,7 +891,7 @@ func (e *RejectedError) Error() string {
 
 // finalize walks the ranked candidates and returns the first that
 // parses and post-processes against this request's bindings. When a
-// Critic is configured (and its hook, if any, allows) every candidate
+// Critic is configured (and the Hook, if any, allows it) every candidate
 // is instead reviewed by the critic and the beam is reranked
 // validity-first: the first valid candidate wins immediately,
 // otherwise the first repaired-valid one, otherwise the first
@@ -916,8 +913,8 @@ func (tr *Translator) finalize(ctx context.Context, candidates [][]string, bindi
 	}
 	trace.Result = nil
 	crit := tr.Critic
-	if crit != nil && tr.CriticHook != nil {
-		if herr := tr.CriticHook.Allow(); herr != nil {
+	if crit != nil && tr.Hook != nil {
+		if herr := tr.Hook.Allow(CriticStage); herr != nil {
 			trace.CriticVerdicts = append(trace.CriticVerdicts, "skipped: "+herr.Error())
 			crit = nil
 		}
@@ -977,12 +974,12 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 			continue
 		}
 		out, outcome := crit.Review(ctx, pq)
-		if tr.CriticHook != nil {
+		if tr.Hook != nil {
 			var infra error
 			if outcome.Err != nil && outcome.Err.Infra() {
 				infra = outcome.Err
 			}
-			tr.CriticHook.Record(infra)
+			tr.Hook.Record(CriticStage, infra)
 		}
 		trace.CriticNS += outcome.DryRunNS
 		verdicts = append(verdicts, outcome.String())
@@ -997,7 +994,7 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 			}
 		case critic.VerdictError:
 			// The sandbox failed, not the candidate: it already passed
-			// the static checks, and the hook Record above is what
+			// the static checks, and the Hook.Record above is what
 			// trips the breaker. Answer with it unvalidated rather
 			// than failing the request for the engine's meltdown.
 			if degradedQ == nil {

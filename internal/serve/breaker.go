@@ -96,7 +96,6 @@ type Breaker struct {
 	next     int    // ring write position
 	filled   int    // occupied ring slots
 	openedAt time.Time
-	trips    int64
 }
 
 // NewBreaker returns a closed breaker.
@@ -168,7 +167,6 @@ func (b *Breaker) Record(err error) {
 func (b *Breaker) open() {
 	b.state = BreakerOpen
 	b.openedAt = b.cfg.Now()
-	b.trips++
 	b.clearWindow()
 }
 
@@ -192,56 +190,52 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
-}
-
 // ---------------------------------------------------------------------
-// Per-tier breaker set, pluggable as a runtime.TierHook.
+// Per-stage breaker set, pluggable as a runtime.Hook.
 // ---------------------------------------------------------------------
 
-// TierBreakers lazily maintains one Breaker per translator tier and
-// implements runtime.TierHook: a tier whose breaker is open is skipped
-// by the degradation chain without paying its deadline, and every
-// tier outcome feeds that tier's window.
-type TierBreakers struct {
+// Breakers lazily maintains one Breaker per stage the runtime reports
+// — each translator tier by name, and the critic as
+// runtime.CriticStage — and implements runtime.Hook. A tier whose
+// breaker is open is skipped by the degradation chain without paying
+// its deadline; while the critic's is open, answers skip validation.
+// Each stage's window counts only its infrastructure failures, never
+// a question the model could not translate.
+type Breakers struct {
 	cfg BreakerConfig
 
 	mu sync.Mutex
 	m  map[string]*Breaker
 }
 
-// NewTierBreakers returns an empty set; breakers are created on first
-// contact with a tier name.
-func NewTierBreakers(cfg BreakerConfig) *TierBreakers {
-	return &TierBreakers{cfg: cfg.withDefaults(), m: map[string]*Breaker{}}
+// NewBreakers returns an empty set; breakers are created on first
+// contact with a stage name.
+func NewBreakers(cfg BreakerConfig) *Breakers {
+	return &Breakers{cfg: cfg.withDefaults(), m: map[string]*Breaker{}}
 }
 
-var _ runtime.TierHook = (*TierBreakers)(nil)
+var _ runtime.Hook = (*Breakers)(nil)
 
-func (tb *TierBreakers) breaker(tier string) *Breaker {
+func (tb *Breakers) breaker(name string) *Breaker {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	b, ok := tb.m[tier]
+	b, ok := tb.m[name]
 	if !ok {
 		b = NewBreaker(tb.cfg)
-		tb.m[tier] = b
+		tb.m[name] = b
 	}
 	return b
 }
 
-// Allow implements runtime.TierHook.
-func (tb *TierBreakers) Allow(tier string) error { return tb.breaker(tier).Allow() }
+// Allow implements runtime.Hook.
+func (tb *Breakers) Allow(name string) error { return tb.breaker(name).Allow() }
 
-// Record implements runtime.TierHook.
-func (tb *TierBreakers) Record(tier string, err error) { tb.breaker(tier).Record(err) }
+// Record implements runtime.Hook.
+func (tb *Breakers) Record(name string, infra error) { tb.breaker(name).Record(infra) }
 
-// States snapshots every known tier's state name, sorted by tier for
+// States snapshots every known stage's state name, sorted by name for
 // a deterministic /statsz rendering.
-func (tb *TierBreakers) States() map[string]string {
+func (tb *Breakers) States() map[string]string {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	names := make([]string, 0, len(tb.m))

@@ -5,9 +5,9 @@ package serve
 //
 //	(a) overload sheds with 429 + Retry-After while admitted requests
 //	    complete;
-//	(b) a failing primary tier trips its breaker and later requests are
-//	    answered by the fallback tier without the primary running (and
-//	    so without paying its deadline);
+//	(b) a primary tier whose model panics trips its breaker and later
+//	    requests are answered by the fallback tier without the primary
+//	    running (and so without paying its deadline);
 //	(c) drain + shutdown finishes in-flight requests and leaks zero
 //	    goroutines;
 //	(d) a runaway final execute ends at the request deadline and frees
@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func TestOverloadShedsWhileInFlightCompletes(t *testing.T) {
 	}
 }
 
-// TestBreakerTripsAndFallbackKeepsAnswering: a fast-failing primary
+// TestBreakerTripsAndFallbackKeepsAnswering: a panicking primary
 // feeds its breaker until it opens; from then on the chain skips the
 // primary entirely — its call counter freezes — while every request
 // keeps getting answered by the fallback tier.
@@ -221,8 +222,8 @@ func TestOpenBreakerSkipsSlowTierWithoutPayingDeadline(t *testing.T) {
 
 	// Trip the primary's breaker directly (deterministic setup: no
 	// request ever has to wait out the hanging tier). Breakers live on
-	// the serving version now, so reach them through its equipment.
-	brk := versionEquipment(s.Registry().Lookup("patients").Current()).breakers
+	// the serving version, so reach them through it.
+	brk := versionBreakers(s.Registry().Lookup("patients").Current())
 	brk.Record("block", errTier)
 	brk.Record("block", errTier)
 	if st := brk.States()["block"]; st != "open" {
@@ -248,6 +249,66 @@ func TestOpenBreakerSkipsSlowTierWithoutPayingDeadline(t *testing.T) {
 	if !containsSkip(resp.TierErrors) {
 		t.Fatalf("trace lacks the skip note: %v", resp.TierErrors)
 	}
+}
+
+// TestUnanswerableQuestionTripsNoBreaker: a question every tier fails
+// on its own terms — the primary produces nothing for it, the fallback
+// produces SQL the critic rejects — is a verdict on that question, not
+// a fault in either tier. Asked three breaker windows over, it must
+// leave every breaker closed, so the next question is still answered
+// by the primary.
+func TestUnanswerableQuestionTripsNoBreaker(t *testing.T) {
+	const unanswerable = "show the zebras of all patients"
+	db := testDB(t)
+	tr := runtime.NewTranslator(db, pickyModel{name: "primary"})
+	tr.Fallbacks = []models.Translator{pickyModel{name: "fallback", junk: true}}
+	tr.Critic = critic.New(db, critic.Config{Seed: 1})
+	const window = 4
+	s := newServer(tr, Config{Workers: 1, Breaker: BreakerConfig{
+		Window: window, MinSamples: 2, FailureRate: 0.5, Cooldown: time.Hour, Now: newFakeClock().Now,
+	}})
+	ts := newHTTPServer(t, s)
+
+	for i := 0; i < 3*window; i++ {
+		var env errorEnvelope
+		if status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery(unanswerable), &env); status != http.StatusBadGateway {
+			t.Fatalf("ask %d of the unanswerable question: status %d, want 502 (%+v)", i, status, env)
+		}
+	}
+	var resp askResponse
+	if status := getJSON(t, ts+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK || resp.Tier != "primary" {
+		t.Fatalf("next question: status %d tier %q (tier errors %v), want 200 from the primary", status, resp.Tier, resp.TierErrors)
+	}
+	var st Stats
+	if status := getJSON(t, ts+"/statsz", &st); status != http.StatusOK {
+		t.Fatalf("statsz status = %d", status)
+	}
+	breakers := st.Tenants["patients"].Breakers
+	for _, name := range []string{"primary", "fallback", runtime.CriticStage} {
+		if breakers[name] != "closed" {
+			t.Fatalf("breakers = %v, want %s closed", breakers, name)
+		}
+	}
+}
+
+// pickyModel answers like the oracle except for questions about
+// zebras, where it produces nothing or, with junk, SQL naming a column
+// the schema does not have (the critic rejects it).
+type pickyModel struct {
+	name string
+	junk bool
+}
+
+func (m pickyModel) Name() string         { return m.name }
+func (pickyModel) Train([]models.Example) {}
+func (m pickyModel) Translate(nl, st []string) []string {
+	if !slices.Contains(nl, "zebra") {
+		return strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
+	}
+	if m.junk {
+		return strings.Fields("SELECT zebra FROM patients")
+	}
+	return nil
 }
 
 // TestDrainFinishesInFlightAndLeaksNothing: with a request parked

@@ -71,7 +71,7 @@ func TestCriticRejectionIsTierExhausted(t *testing.T) {
 	if !strings.Contains(env.Error.Message, "exec_failed") {
 		t.Fatalf("message = %q, want the critic verdict summary", env.Error.Message)
 	}
-	if got := s.Snapshot().Tenants["patients"].CriticBreaker; got != "closed" {
+	if got := s.Snapshot().Tenants["patients"].Breakers["critic"]; got != "closed" {
 		t.Fatalf("critic breaker = %q after candidate rejections, want closed", got)
 	}
 }
@@ -93,8 +93,8 @@ func TestCriticBreakerMeltdownDegrades(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot().Tenants["patients"]
-	if snap.CriticBreaker != "open" {
-		t.Fatalf("critic breaker = %q after sustained sandbox failure, want open", snap.CriticBreaker)
+	if got := snap.Breakers["critic"]; got != "open" {
+		t.Fatalf("critic breaker = %q after sustained sandbox failure, want open", got)
 	}
 	if snap.Critic == nil || snap.Critic.Sandbox < 4 {
 		t.Fatalf("critic stats = %+v, want >= 4 sandbox failures", snap.Critic)

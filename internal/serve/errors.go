@@ -119,20 +119,3 @@ func classify(err error) ErrorKind {
 		return KindTierExhausted
 	}
 }
-
-// retryable reports whether a failed translation is worth retrying on
-// the same server: transient tier failures are; malformed input,
-// expired deadlines, and critic rejections (the decode is
-// deterministic, so resubmission reproduces the same rejected beam)
-// are not.
-func retryable(err error) bool {
-	var rerr *runtime.RejectedError
-	if errors.As(err, &rerr) {
-		return false
-	}
-	switch classify(err) {
-	case KindValidation, KindTimeout:
-		return false
-	}
-	return true
-}

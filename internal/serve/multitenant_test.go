@@ -374,13 +374,15 @@ func TestOnboardCriticOverride(t *testing.T) {
 		}
 		return v.Unit.Translator
 	}
-	if tr := translator("synth21"); tr.Critic != nil || tr.CriticHook != nil {
+	if tr := translator("synth21"); tr.Critic != nil {
 		t.Fatal(`tenant onboarded with "critic": false got a critic anyway`)
 	}
-	if tr := translator("synth22"); tr.Critic == nil || tr.CriticHook == nil {
-		t.Fatal("tenant onboarded without an override must inherit the server's critic and its breaker")
+	if tr := translator("synth22"); tr.Critic == nil || tr.Hook == nil {
+		t.Fatal("tenant onboarded without an override must inherit the server's critic and its breakers")
 	}
-	if row := s.Snapshot().Tenants["synth22"]; row.CriticBreaker != "closed" {
-		t.Fatalf("synth22 critic breaker = %q, want closed", row.CriticBreaker)
+	// One ask consults the critic's breaker, which shows up closed.
+	getJSON(t, ts.URL+"/v1/synth22/translate?q="+urlQuery("show all of them"), nil)
+	if row := s.Snapshot().Tenants["synth22"]; row.Breakers["critic"] != "closed" {
+		t.Fatalf("synth22 breakers = %v, want the critic's closed", row.Breakers)
 	}
 }

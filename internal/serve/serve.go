@@ -14,16 +14,17 @@
 //     context deadline that propagates into the translator's
 //     Deadline/Fallbacks chain; expiry is a typed timeout response,
 //     and the abandoned tier costs at most a goroutine, never a slot.
-//   - Circuit breakers: one Breaker per translator tier per model
-//     version, plugged into the chain as a runtime.TierHook. A
-//     persistently failing or slow primary trips open and is skipped
-//     without paying its deadline; after a cooldown a half-open probe
+//   - Circuit breakers: one Breaker per translator tier, and one for
+//     the critic's sandbox, per model version, plugged in as the
+//     translator's runtime.Hook. Only infrastructure failures count: a
+//     tier whose model panics or overruns its deadline trips open and
+//     is skipped without paying that deadline, and a sandbox that
+//     keeps failing is skipped (answers go out unvalidated). A
+//     question the model cannot translate is a verdict on that
+//     question and trips nothing. After a cooldown a half-open probe
 //     decides recovery. A version swap starts the new model with
-//     fresh, closed breakers.
-//   - Retry: transient chain failures are retried with capped
-//     exponential backoff and seeded jitter (each tenant jitters on
-//     its own derived seed) — never validation errors, which cannot
-//     succeed on resubmission.
+//     fresh, closed breakers. A failed ask answers with its typed
+//     error on the first attempt; a shed one carries Retry-After.
 //   - Graceful drain: Drain flips /readyz to 503 so load balancers
 //     stop routing; Shutdown then cancels background onboarding
 //     (leaving resumable checkpoints), stops accepting, and lets
@@ -72,11 +73,7 @@ type Config struct {
 	// Timeout is the default per-request deadline (0 = 10s). Clients
 	// may lower it per request with timeout_ms, never raise it.
 	Timeout time.Duration
-	// Retry is the transient-failure retry policy (zero = no retry).
-	// The first-installed tenant jitters on Retry.Seed itself; every
-	// other tenant derives a disjoint jitter stream from its name.
-	Retry RetryPolicy
-	// Breaker parameterizes the per-tier circuit breakers; set
+	// Breaker parameterizes the tier and critic circuit breakers; set
 	// DisableBreakers to run without them.
 	Breaker         BreakerConfig
 	DisableBreakers bool
@@ -94,7 +91,7 @@ type Config struct {
 	// tenant's engine, and deterministically repaired before
 	// answering. Tenants passed to NewMulti keep whatever critic
 	// boot.Assemble gave them; the server only wires a breaker around
-	// it.
+	// it when breakers are on.
 	Critic bool
 	// CriticRowBudget caps environment rows per critic dry-run and
 	// CriticTimeout bounds one dry-run for onboarded tenants (0 =
@@ -149,45 +146,21 @@ type Server struct {
 	tenants map[string]*tenantState
 
 	draining atomic.Bool
-	reqSeq   atomic.Int64
 }
 
 // tenantState is the serving-side per-tenant state: admission
-// telemetry and the tenant's derived retry-jitter stream. The model
-// slot, cache, and breakers live on the registry's Version so they
-// swap atomically with the model.
+// telemetry. The model slot, cache, and breakers live on the
+// registry's Version so they swap atomically with the model.
 type tenantState struct {
 	name    string
 	tenant  *registry.Tenant
-	retry   RetryPolicy
 	stats   *counters
 	waiting atomic.Int64
 }
 
-// equipment is what the server attaches to every registry version:
-// breakers are per-version so a swapped-in model starts with closed
-// breakers.
-type equipment struct {
-	breakers *TierBreakers
-	// criticBreaker guards the critic's sandbox: it trips only on
-	// sandbox infrastructure failures (engine panic or dry-run
-	// deadline), and while open the tenant degrades to unvalidated
-	// answering instead of failing requests.
-	criticBreaker *Breaker
-}
-
-// criticHook adapts one Breaker to runtime.CriticHook.
-type criticHook struct{ b *Breaker }
-
-func (h criticHook) Allow() error     { return h.b.Allow() }
-func (h criticHook) Record(err error) { h.b.Record(err) }
-
-var _ runtime.CriticHook = criticHook{}
-
 // NewMulti wires the stack around any number of pre-built tenants,
-// each named after its schema. The first keeps the configured retry
-// seed; every later one jitters on a seed derived from its name. More
-// tenants onboard live through POST /schemas.
+// each named after its schema. More tenants onboard live through POST
+// /schemas.
 func NewMulti(units []*boot.Unit, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -223,58 +196,38 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 // Registry exposes the tenant registry (admin tooling, tests).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// equip attaches per-version breakers — around the tiers, and around
-// the critic when the unit was assembled with one — before the
+// equip attaches a fresh breaker set — one breaker per tier, and one
+// for the critic when the unit was assembled with one — before the
 // registry makes the version visible.
 func (s *Server) equip(_ string, v *registry.Version) {
-	eq := &equipment{}
-	tr := v.Unit.Translator
-	if !s.cfg.DisableBreakers {
-		eq.breakers = NewTierBreakers(s.cfg.Breaker)
-		tr.Hook = eq.breakers
-		if tr.Critic != nil {
-			eq.criticBreaker = NewBreaker(s.cfg.Breaker)
-			tr.CriticHook = criticHook{b: eq.criticBreaker}
-		}
+	if s.cfg.DisableBreakers {
+		return
 	}
-	v.Equipment = eq
+	b := NewBreakers(s.cfg.Breaker)
+	v.Unit.Translator.Hook = b
+	v.Equipment = b
 }
 
-// versionEquipment unwraps what equip attached (nil-safe).
-func versionEquipment(v *registry.Version) *equipment {
+// versionBreakers returns the breaker set equip attached (nil-safe).
+func versionBreakers(v *registry.Version) *Breakers {
 	if v == nil {
 		return nil
 	}
-	eq, _ := v.Equipment.(*equipment)
-	return eq
+	b, _ := v.Equipment.(*Breakers)
+	return b
 }
 
 // state returns the serving-side state for a tenant, creating it on
-// first use. The default (first-installed) tenant keeps the configured
-// retry seed; every other tenant mixes its name in so the jitter
-// streams are disjoint.
+// first use.
 func (s *Server) state(t *registry.Tenant) *tenantState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ts := s.tenants[t.Name]
 	if ts == nil {
-		ts = &tenantState{name: t.Name, tenant: t, stats: newCounters(), retry: s.cfg.Retry}
-		if def := s.reg.Default(); def != nil && def.Name != t.Name {
-			ts.retry.Seed = s.cfg.Retry.Seed ^ int64(fnv64(t.Name))
-		}
+		ts = &tenantState{name: t.Name, tenant: t, stats: newCounters()}
 		s.tenants[t.Name] = ts
 	}
 	return ts
-}
-
-// fnv64 is the FNV-1a hash used to derive per-tenant seeds.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // Handler returns the routed handler, for tests and custom listeners.
@@ -342,7 +295,6 @@ type askResponse struct {
 	// translate).
 	Columns []string   `json:"columns,omitempty"`
 	Rows    [][]string `json:"rows,omitempty"`
-	Retries int        `json:"retries,omitempty"`
 }
 
 // handleV1 routes /v1/{schema}/ask and /v1/{schema}/translate.
@@ -432,16 +384,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var (
-		q     *sqlast.Query
-		trace *runtime.Trace
-	)
-	retries, terr := ts.retry.Do(ctx, s.reqSeq.Add(1), retryable, func() error {
-		var ferr error
-		q, trace, ferr = s.translate(ctx, v, req.Question)
-		return ferr
-	})
-	ts.stats.retries.Add(int64(retries))
+	q, trace, terr := s.translate(ctx, v, req.Question)
 	if terr != nil {
 		kind := classify(terr)
 		if ctx.Err() != nil {
@@ -459,7 +402,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 		Schema:   ts.name,
 		SQL:      q.String(),
 		Tier:     trace.Tier,
-		Retries:  retries,
 	}
 	resp.TierErrors = append(resp.TierErrors, trace.TierErrors...)
 	if execute {

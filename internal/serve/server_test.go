@@ -1,19 +1,15 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/boot"
 	"repro/internal/engine"
@@ -41,15 +37,16 @@ func (oracleModel) Translate(nl, st []string) []string {
 	return strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
 }
 
-// failModel fails every question fast (no output) and counts calls,
-// so tests can prove a tripped breaker stops routing to it.
+// failModel panics on every question — an infrastructure failure,
+// which its tier breaker counts — and counts calls, so tests can prove
+// a tripped breaker stops routing to it.
 type failModel struct{ calls atomic.Int64 }
 
 func (*failModel) Name() string           { return "fail" }
 func (*failModel) Train([]models.Example) {}
 func (m *failModel) Translate(nl, st []string) []string {
 	m.calls.Add(1)
-	return nil
+	panic("failModel always panics")
 }
 
 // blockModel parks every Translate call on a gate until the test
@@ -71,21 +68,6 @@ func (m *blockModel) Translate(nl, st []string) []string {
 
 // release opens the gate exactly once.
 func (m *blockModel) release() { close(m.gate) }
-
-// flakyModel fails the first n calls, then answers like the oracle.
-type flakyModel struct {
-	failFirst int64
-	calls     atomic.Int64
-}
-
-func (*flakyModel) Name() string           { return "flaky" }
-func (*flakyModel) Train([]models.Example) {}
-func (m *flakyModel) Translate(nl, st []string) []string {
-	if m.calls.Add(1) <= m.failFirst {
-		return nil
-	}
-	return strings.Fields("SELECT name FROM patients WHERE age = @PATIENTS.AGE")
-}
 
 const goodQuestion = "show the names of all patients with age 80"
 
@@ -320,7 +302,7 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/statsz", &top); status != http.StatusOK {
 		t.Fatalf("statsz status = %d", status)
 	}
-	for _, key := range []string{"breakers", "cache", "critic", "critic_breaker"} {
+	for _, key := range []string{"breakers", "cache", "critic"} {
 		if _, ok := top[key]; ok {
 			t.Fatalf("top-level /statsz carries a per-tenant %q section", key)
 		}
@@ -344,110 +326,5 @@ func TestHealthzReadyzStatsz(t *testing.T) {
 	}
 	if hotCache.Capacity != 32 || hotCache.Misses != 1 || hotCache.Hits != 1 || hotCache.Entries != 1 {
 		t.Fatalf("cache section = %+v, want capacity 32 with 1 miss + 1 hit", hotCache)
-	}
-}
-
-// TestServerRetriesTransientFailure: the first attempt fails (no
-// output), the retry succeeds; the response and /statsz record one
-// retry, and the backoff delay came from the seeded jitter stream.
-func TestServerRetriesTransientFailure(t *testing.T) {
-	var mu sync.Mutex
-	var slept []time.Duration
-	flaky := &flakyModel{failFirst: 1}
-	tr := runtime.NewTranslator(testDB(t), flaky)
-	s := newServer(tr, Config{Workers: 1, Retry: RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   10 * time.Millisecond,
-		Seed:        42,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept = append(slept, d)
-			mu.Unlock()
-		},
-	}})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	var resp askResponse
-	if status := getJSON(t, ts.URL+"/v1/patients/ask?q="+urlQuery(goodQuestion), &resp); status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 after retry", status)
-	}
-	if resp.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", resp.Retries)
-	}
-	if flaky.calls.Load() != 2 {
-		t.Fatalf("model calls = %d, want 2", flaky.calls.Load())
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(slept) != 1 || slept[0] < 5*time.Millisecond || slept[0] >= 10*time.Millisecond {
-		t.Fatalf("backoff = %v, want one delay in [5ms, 10ms)", slept)
-	}
-	if got := s.Snapshot().Retries; got != 1 {
-		t.Fatalf("statsz retries = %d, want 1", got)
-	}
-}
-
-// ---------------------------------------------------------------------
-// RetryPolicy unit tests.
-// ---------------------------------------------------------------------
-
-func TestRetryDelayDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Seed: 7}.withDefaults()
-	for a := 0; a < 12; a++ {
-		d1, d2 := p.delay(3, a), p.delay(3, a)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: delay not deterministic (%v vs %v)", a, d1, d2)
-		}
-		// Exponential base capped at MaxDelay, jittered into [cap/2, cap).
-		want := p.BaseDelay << uint(a)
-		if want <= 0 || want > p.MaxDelay {
-			want = p.MaxDelay
-		}
-		if d1 < want/2 || d1 >= want {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", a, d1, want/2, want)
-		}
-	}
-	if p.delay(3, 0) == p.delay(4, 0) && p.delay(3, 1) == p.delay(4, 1) && p.delay(3, 2) == p.delay(4, 2) {
-		t.Fatal("different request ids share an identical jitter schedule")
-	}
-}
-
-func TestRetryDoStopsOnNonRetryable(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}}
-	calls := 0
-	permanent := errors.New("permanent")
-	retries, err := p.Do(context.Background(), 1, func(error) bool { return false }, func() error {
-		calls++
-		return permanent
-	})
-	if calls != 1 || retries != 0 || !errors.Is(err, permanent) {
-		t.Fatalf("calls=%d retries=%d err=%v, want a single attempt", calls, retries, err)
-	}
-}
-
-func TestRetryDoExhaustsAttempts(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
-	calls := 0
-	transient := errors.New("transient")
-	retries, err := p.Do(context.Background(), 1, func(error) bool { return true }, func() error {
-		calls++
-		return transient
-	})
-	if calls != 3 || retries != 2 || !errors.Is(err, transient) {
-		t.Fatalf("calls=%d retries=%d err=%v, want 3 attempts", calls, retries, err)
-	}
-}
-
-func TestRetryDoHonorsContextDuringBackoff(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) { cancel() }}
-	calls := 0
-	retries, err := p.Do(ctx, 1, func(error) bool { return true }, func() error {
-		calls++
-		return errors.New("transient")
-	})
-	if calls != 1 || retries != 0 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("calls=%d retries=%d err=%v, want cancellation mid-backoff", calls, retries, err)
 	}
 }

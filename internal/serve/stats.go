@@ -11,8 +11,8 @@ import (
 )
 
 // Stats is the /statsz snapshot: queue and concurrency occupancy,
-// admission outcomes, retry volume, and per-tier answer counts summed
-// across tenants, with Tenants breaking everything out per tenant —
+// admission outcomes, and per-tier answer counts summed across
+// tenants, with Tenants breaking everything out per tenant —
 // including each tenant's breakers, cache and critic. The shape is
 // part of the serving contract (DESIGN.md, "Serving layer").
 type Stats struct {
@@ -31,7 +31,6 @@ type Stats struct {
 	Shed       int64 `json:"shed"`
 	Timeouts   int64 `json:"timeouts"`
 	Validation int64 `json:"validation"`
-	Retries    int64 `json:"retries"`
 	// Tiers counts answered questions by the tier that answered
 	// (Trace.Tier).
 	Tiers map[string]int64 `json:"tiers"`
@@ -42,9 +41,9 @@ type Stats struct {
 // TenantStats is one tenant's slice of the snapshot: registry
 // lifecycle (state, serving version, onboarding progress) plus the
 // serving-side occupancy, counters, and per-version equipment.
-// Breakers names each tier breaker's state; Cache describes the result
-// cache and Critic the critic's counters, with CriticBreaker naming
-// its sandbox breaker's state (each absent when off).
+// Breakers names each breaker's state, keyed by tier name and
+// "critic" for the critic's sandbox; Cache describes the result cache
+// and Critic the critic's counters (each absent when off).
 type TenantStats struct {
 	State string `json:"state"`
 	// Version is the serving model slot's sequence number (0 = none
@@ -64,13 +63,11 @@ type TenantStats struct {
 	Shed       int64 `json:"shed"`
 	Timeouts   int64 `json:"timeouts"`
 	Validation int64 `json:"validation"`
-	Retries    int64 `json:"retries"`
 
-	Tiers         map[string]int64  `json:"tiers,omitempty"`
-	Breakers      map[string]string `json:"breakers,omitempty"`
-	Cache         *cache.Stats      `json:"cache,omitempty"`
-	Critic        *critic.Stats     `json:"critic,omitempty"`
-	CriticBreaker string            `json:"critic_breaker,omitempty"`
+	Tiers    map[string]int64  `json:"tiers,omitempty"`
+	Breakers map[string]string `json:"breakers,omitempty"`
+	Cache    *cache.Stats      `json:"cache,omitempty"`
+	Critic   *critic.Stats     `json:"critic,omitempty"`
 }
 
 // Snapshot assembles the Stats for /statsz: a row per tenant, with the
@@ -98,7 +95,6 @@ func (s *Server) Snapshot() Stats {
 		st.Shed += row.Shed
 		st.Timeouts += row.Timeouts
 		st.Validation += row.Validation
-		st.Retries += row.Retries
 		for tier, n := range row.Tiers {
 			st.Tiers[tier] += n
 		}
@@ -130,18 +126,12 @@ func (s *Server) tenantStats(t *registry.Tenant) TenantStats {
 		row.Shed = ts.stats.shed.Load()
 		row.Timeouts = ts.stats.timeouts.Load()
 		row.Validation = ts.stats.validation.Load()
-		row.Retries = ts.stats.retries.Load()
 		row.Tiers = ts.stats.tierCounts()
 	}
-	if eq := versionEquipment(t.Current()); eq != nil {
-		if eq.breakers != nil {
-			row.Breakers = eq.breakers.States()
-		}
-		if eq.criticBreaker != nil {
-			row.CriticBreaker = eq.criticBreaker.State().String()
-		}
-	}
 	if v := t.Current(); v != nil {
+		if b := versionBreakers(v); b != nil {
+			row.Breakers = b.States()
+		}
 		if v.Cache != nil {
 			cs := v.Cache.Snapshot()
 			row.Cache = &cs
@@ -163,7 +153,6 @@ type counters struct {
 	shed       atomic.Int64
 	timeouts   atomic.Int64
 	validation atomic.Int64
-	retries    atomic.Int64
 
 	mu    sync.Mutex
 	tiers map[string]int64
