@@ -131,7 +131,12 @@ func BenchmarkPipeline(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := core.New(s, params, 1)
-				g := pipeline.New(0, pipeline.FromSlice("src", in), stage(p))
+				src := pipeline.Source("src", func(emit func(pipeline.Pair)) {
+					for _, q := range in {
+						emit(q)
+					}
+				})
+				g := pipeline.New(0, src, stage(p))
 				if out := g.Collect(); len(out) == 0 {
 					b.Fatal("no pairs")
 				}

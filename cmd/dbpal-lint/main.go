@@ -10,7 +10,9 @@
 // (lockheld), no mixed atomic/plain field access (atomicfield),
 // provable goroutine exit paths (goexit), sender-side-only channel
 // closes (chanclose), and contexts that actually reach the blocking
-// work (ctxdrop).
+// work (ctxdrop). A module-wide reachability check (deadcode) reports
+// every function that no main, init, package-level initializer, facade
+// export or _perfbench reference reaches — test-only helpers included.
 //
 //	dbpal-lint ./...            lint the whole module (text output)
 //	dbpal-lint -json ./cmd/...  machine-readable findings
@@ -75,7 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags, staleDiags := analysis.RunStale(mod, pkgs, suite)
+	diags, staleDiags := analysis.Run(mod, pkgs, suite)
 	if *stale {
 		diags = append(diags, staleDiags...)
 		analysis.SortDiagnostics(diags)

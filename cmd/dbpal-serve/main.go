@@ -15,9 +15,10 @@
 // before the listener opens. More schemas onboard at runtime through
 // POST /schemas — generate→train→eval→swap in the background, with
 // progress at GET /schemas/{name} — gated by -min-accuracy and
-// restartable from -checkpoint-dir. -critic, -critic-budget and
-// -critic-timeout configure the critic of boot-time and onboarded
-// tenants alike (an onboarding request's "critic" field overrides).
+// restartable from -checkpoint-dir. Onboarded tenants are built with
+// the same -model, -seed, -rows, -deadline, -fallback and -critic*
+// settings as the boot-time ones; an onboarding request's fields
+// override them.
 //
 // Endpoints: /v1/{schema}/ask (translate + execute), /v1/{schema}/
 // translate, /schemas (GET list, POST onboard), /schemas/{name} (GET
@@ -78,12 +79,25 @@ func main() {
 	)
 	flag.Parse()
 
+	// One build template serves the boot-time tenants and the ones
+	// onboarded later through POST /schemas.
+	spec := boot.Spec{
+		Model:           *modelKind,
+		Seed:            *seed,
+		Rows:            *rows,
+		Deadline:        *deadline,
+		Fallback:        *fallback,
+		Critic:          *criticOn,
+		CriticRowBudget: *rowBudget,
+		CriticTimeout:   *criticTO,
+		Logf: func(format string, args ...any) {
+			fmt.Printf(format+"\n", args...)
+		},
+	}
 	if err := run(config{
-		addr: *addr, schemas: strings.Split(*schemas, ","), modelKind: *modelKind, loadPath: *loadPath,
-		seed: *seed, rows: *rows, deadline: *deadline, fallback: *fallback,
+		addr: *addr, schemas: strings.Split(*schemas, ","), spec: spec, loadPath: *loadPath,
 		workers: *workers, queue: *queue, timeout: *timeout, drain: *drain,
 		breakers: *breakers, cooldown: *cooldown,
-		critic: *criticOn, criticBudget: *rowBudget, criticTimeout: *criticTO,
 		cacheSize:   *cacheSize,
 		minAccuracy: *minAcc, evalQuestions: *evalQs,
 		checkpointDir: *ckptDir, checkpointEvery: *ckptEvery,
@@ -94,25 +108,19 @@ func main() {
 }
 
 type config struct {
-	addr                string
-	schemas             []string
-	modelKind, loadPath string
-	seed                int64
-	rows                int
-	deadline            time.Duration
-	fallback            bool
-	workers, queue      int
-	timeout, drain      time.Duration
-	breakers            bool
-	cooldown            time.Duration
-	critic              bool
-	criticBudget        int
-	criticTimeout       time.Duration
-	cacheSize           int
-	minAccuracy         float64
-	evalQuestions       int
-	checkpointDir       string
-	checkpointEvery     int
+	addr            string
+	schemas         []string
+	spec            boot.Spec
+	loadPath        string
+	workers, queue  int
+	timeout, drain  time.Duration
+	breakers        bool
+	cooldown        time.Duration
+	cacheSize       int
+	minAccuracy     float64
+	evalQuestions   int
+	checkpointDir   string
+	checkpointEvery int
 }
 
 func run(cfg config) error {
@@ -128,21 +136,9 @@ func run(cfg config) error {
 		if name == "" {
 			continue
 		}
-		u, err := boot.Build(context.Background(), boot.Spec{
-			Schema:          name,
-			Model:           cfg.modelKind,
-			LoadPath:        cfg.loadPath,
-			Seed:            cfg.seed,
-			Rows:            cfg.rows,
-			Deadline:        cfg.deadline,
-			Fallback:        cfg.fallback,
-			Critic:          cfg.critic,
-			CriticRowBudget: cfg.criticBudget,
-			CriticTimeout:   cfg.criticTimeout,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-		})
+		spec := cfg.spec
+		spec.Schema, spec.LoadPath = name, cfg.loadPath
+		u, err := boot.Build(context.Background(), spec)
 		if err != nil {
 			return fmt.Errorf("booting %s: %w", name, err)
 		}
@@ -158,10 +154,8 @@ func run(cfg config) error {
 		Timeout:         cfg.timeout,
 		Breaker:         serve.BreakerConfig{Cooldown: cfg.cooldown},
 		DisableBreakers: !cfg.breakers,
-		Critic:          cfg.critic,
-		CriticRowBudget: cfg.criticBudget,
-		CriticTimeout:   cfg.criticTimeout,
 		CacheSize:       cfg.cacheSize,
+		Spec:            cfg.spec,
 		MinAccuracy:     cfg.minAccuracy,
 		EvalQuestions:   cfg.evalQuestions,
 		CheckpointDir:   cfg.checkpointDir,

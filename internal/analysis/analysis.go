@@ -2,12 +2,13 @@
 // framework: a small Analyzer interface over go/ast + go/types, a
 // module loader (load.go), a //lint:allow suppression directive, and
 // deterministic diagnostic reporting. cmd/dbpal-lint drives it over
-// the whole module; the shipped analyzers (determinism, maporder,
-// rawgo, errdrop, seedsplit, ctxfirst) machine-check the invariants
-// DESIGN.md only prose-checks: explicit seeds, sorted map iteration,
-// all concurrency through internal/par / internal/pipeline, no
-// silently dropped errors, SplitSeed-derived RNGs inside parallel
-// callbacks, and context.Context first in exported signatures.
+// the whole module; the shipped analyzers (Suite) machine-check the
+// invariants DESIGN.md only prose-checks: explicit seeds, sorted map
+// iteration, all concurrency through internal/par / internal/pipeline,
+// no silently dropped errors, SplitSeed-derived RNGs inside parallel
+// callbacks, context.Context first in exported signatures, the serving
+// stack's concurrency contracts, and no function that no binary
+// reaches (deadcode).
 //
 // Suppression: a comment of the form
 //
@@ -154,6 +155,12 @@ type allowIndex struct {
 	all    []*allowDirective
 }
 
+// covers reports whether a directive for check covers file:line,
+// without counting it as used.
+func (a *allowIndex) covers(check, file string, line int) bool {
+	return a.byLine[fmt.Sprintf("%s:%d", file, line)][check] != nil
+}
+
 func (a *allowIndex) allowed(check, file string, line int) bool {
 	d := a.byLine[fmt.Sprintf("%s:%d", file, line)][check]
 	if d == nil {
@@ -217,17 +224,13 @@ func buildAllowIndex(moduleDir string, pkg *Package) *allowIndex {
 // findings sorted by (path, line, col, check) — a deterministic order
 // regardless of package iteration or analyzer registration. Loader
 // problems (parse failures) are included as unsuppressible findings.
-func Run(m *Module, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunStale(m, pkgs, analyzers)
-	return diags
-}
-
-// RunStale is Run plus a staleness audit: the second slice reports
-// every //lint:allow directive in pkgs that suppressed no finding
-// during this run, as unsuppressible "stale-allow" diagnostics. A
-// directive for a check that did not run (wrong package, analyzer not
-// selected) counts as stale — it is dead weight either way.
-func RunStale(m *Module, pkgs []*Package, analyzers []*Analyzer) (diags, stale []Diagnostic) {
+//
+// The second slice is a staleness audit: every //lint:allow directive
+// in pkgs that suppressed no finding during this run, as
+// unsuppressible "stale-allow" diagnostics. A directive for a check
+// that did not run (wrong package, analyzer not selected) counts as
+// stale — it is dead weight either way.
+func Run(m *Module, pkgs []*Package, analyzers []*Analyzer) (diags, stale []Diagnostic) {
 	var indices []*allowIndex
 	for _, pkg := range pkgs {
 		idx := buildAllowIndex(m.Dir, pkg)
@@ -331,12 +334,13 @@ func FormatJSON(w io.Writer, diags []Diagnostic) error {
 
 // Suite returns the shipped analyzers in their canonical order. The
 // first six are the per-file invariant checks from the original
-// suite; the last five ride the interprocedural call graph
-// (callgraph.go) and the statement-flow walker (flow.go).
+// suite; the next five ride the interprocedural call graph
+// (callgraph.go) and the statement-flow walker (flow.go); deadcode
+// is the module-wide reachability check (deadcode.go).
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		Determinism, MapOrder, RawGo, ErrDrop, SeedSplit, CtxFirst,
-		LockHeld, AtomicField, GoExit, ChanClose, CtxDrop,
+		LockHeld, AtomicField, GoExit, ChanClose, CtxDrop, DeadCode,
 	}
 }
 

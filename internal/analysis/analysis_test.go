@@ -98,9 +98,14 @@ func runFixture(t *testing.T, a *Analyzer, name, importPath string) {
 		t.Fatalf("analyzer %s does not apply to fixture path %s", a.Name, importPath)
 	}
 
-	diags := Run(m, []*Package{pkg}, []*Analyzer{a})
-	wants := parseWants(t, dir)
+	diags, _ := Run(m, []*Package{pkg}, []*Analyzer{a})
+	matchWants(t, diags, parseWants(t, dir))
+}
 
+// matchWants asserts diags are exactly the want comments: no missing
+// diagnostic, no extra one.
+func matchWants(t *testing.T, diags []Diagnostic, wants []*want) {
+	t.Helper()
 	for _, d := range diags {
 		base := filepath.Base(d.Path)
 		matched := false
@@ -172,6 +177,31 @@ func TestCtxDropFixture(t *testing.T) {
 	runFixture(t, CtxDrop, "ctxdrop", "repro/fixtures/ctxdrop")
 }
 
+// TestDeadCodeFixture runs deadcode over a module of its own, laid out
+// like this one: a facade at the root, a command, a library with a
+// test file, and a _perfbench harness that is a module of its own.
+func TestDeadCodeFixture(t *testing.T) {
+	m, err := LoadModule(filepath.Join("testdata", "src", "deadcode"))
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var wants []*want
+	for _, p := range m.Pkgs {
+		for _, terr := range p.TypeErrors {
+			t.Errorf("fixture %s has type error: %v", p.Path, terr)
+		}
+		wants = append(wants, parseWants(t, p.Dir)...)
+	}
+	if len(m.Pkgs) != 3 {
+		t.Fatalf("fixture module has %d packages, want facade, command and library", len(m.Pkgs))
+	}
+	diags, stale := Run(m, m.Pkgs, []*Analyzer{DeadCode})
+	matchWants(t, diags, wants)
+	for _, d := range stale {
+		t.Errorf("stale allow at %s:%d: %s", d.Path, d.Line, d.Message)
+	}
+}
+
 // TestAnalyzerConfiguration pins the package-specific configuration:
 // which packages each analyzer covers and which it exempts.
 func TestAnalyzerConfiguration(t *testing.T) {
@@ -207,13 +237,13 @@ func TestAnalyzerConfiguration(t *testing.T) {
 			t.Errorf("%s.AppliesTo(%q) = %v, want %v", c.analyzer.Name, c.path, got, c.applies)
 		}
 	}
-	for _, a := range []*Analyzer{Determinism, ErrDrop, SeedSplit, CtxFirst, AtomicField, ChanClose, CtxDrop} {
+	for _, a := range []*Analyzer{Determinism, ErrDrop, SeedSplit, CtxFirst, AtomicField, ChanClose, CtxDrop, DeadCode} {
 		if a.AppliesTo != nil {
 			t.Errorf("%s should apply to every package", a.Name)
 		}
 	}
-	if len(Suite()) != 11 {
-		t.Errorf("Suite() has %d analyzers, want 11", len(Suite()))
+	if len(Suite()) != 12 {
+		t.Errorf("Suite() has %d analyzers, want 12", len(Suite()))
 	}
 }
 
@@ -340,7 +370,7 @@ func TestModuleClean(t *testing.T) {
 		t.Skip("full-module lint is not a -short test")
 	}
 	m := loadRepo(t)
-	diags, stale := RunStale(m, m.Pkgs, Suite())
+	diags, stale := Run(m, m.Pkgs, Suite())
 	for _, d := range diags {
 		t.Errorf("%s:%d:%d: [%s] %s", d.Path, d.Line, d.Col, d.Check, d.Message)
 	}

@@ -350,12 +350,6 @@ func (g *CallGraph) classifyCall(pkg *Package, call *ast.CallExpr) (BlockKind, s
 	return KindNone, "", false
 }
 
-// AcceptsContext reports whether the call's callee signature includes
-// a context.Context parameter.
-func AcceptsContext(info *types.Info, call *ast.CallExpr) bool {
-	return sigAcceptsContext(info.TypeOf(call.Fun))
-}
-
 // ---------------------------------------------------------------------
 // Resolution helpers (shared with the analyzers).
 // ---------------------------------------------------------------------

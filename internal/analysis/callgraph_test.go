@@ -48,7 +48,7 @@ func TestBlockingFacts(t *testing.T) {
 		kind     BlockKind // KindNone means "do not check the kind"
 	}{
 		// Direct intrinsic sources.
-		{"repro/internal/registry", "Registry.Wait", true, KindSyncWait},
+		{"repro/internal/fault", "Translator.Translate", true, KindSyncWait},
 		{"repro/internal/par", "MapCtx", true, KindChan},
 		// A model call through the Translator interface.
 		{"repro/internal/runtime", "Translator.tierCandidates", true, KindModel},
@@ -183,7 +183,7 @@ func (a *Acc) Add(src *[4]float64) {
 			t.Errorf("%s: blocking (%s), but add4 is a leaf", name, n.BlockReason)
 		}
 	}
-	if diags := Run(m, m.Pkgs, Suite()); len(diags) != 0 {
+	if diags, _ := Run(m, m.Pkgs, Suite()); len(diags) != 0 {
 		t.Errorf("findings on an assembly-backed function: %v", diags)
 	}
 }

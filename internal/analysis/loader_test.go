@@ -63,7 +63,7 @@ func TestParseErrorSurfacesAsFinding(t *testing.T) {
 
 	// Run folds the loader problem into the findings, so dbpal-lint
 	// and TestModuleClean both fail on a broken file.
-	diags := Run(m, m.Pkgs, Suite())
+	diags, _ := Run(m, m.Pkgs, Suite())
 	found := false
 	for _, d := range diags {
 		if d.Check == "parse" && d.Path == "bad.go" {
@@ -116,7 +116,7 @@ func TestLoaderFileSelection(t *testing.T) {
 	// The excluded files must also be invisible to analyzers: skip.go
 	// holds a raw go statement that would otherwise be a rawgo
 	// finding, and so does the testdata package.
-	diags := Run(m, m.Pkgs, Suite())
+	diags, _ := Run(m, m.Pkgs, Suite())
 	if len(diags) != 0 {
 		t.Errorf("excluded files leaked findings: %v", diags)
 	}
@@ -129,21 +129,21 @@ func TestStaleAllowDetection(t *testing.T) {
 		"go.mod": "module stale\n\ngo 1.22\n",
 		"x.go": `package x
 
-func launch() {
+func Launch() {
 	go run() //lint:allow rawgo exercised by the stale-allow test
 }
 
 func run() {}
 
 //lint:allow errdrop this directive suppresses nothing
-func idle() {}
+func Idle() {}
 `,
 	})
 	m, err := LoadModule(dir)
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	diags, stale := RunStale(m, m.Pkgs, Suite())
+	diags, stale := Run(m, m.Pkgs, Suite())
 	if len(diags) != 0 {
 		t.Errorf("live allow failed to suppress: %v", diags)
 	}

@@ -1,17 +1,13 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // SeedSplit enforces the RNG-splitting discipline inside parallel
-// callbacks. A function literal handed to par.Map or to a parallel
-// pipeline stage runs concurrently per item; any rand.NewSource it
-// performs must derive its seed from par.SplitSeed(base, i) (or, for
-// pipeline.SeededMap, from the stage-provided split-seed parameter).
-// Ad-hoc arithmetic like seed+i produces correlated child streams and,
-// worse, invites accidentally sharing one *rand.Rand across workers.
+// callbacks. A function literal handed to par.Map or to the parallel
+// pipeline.Map stage runs concurrently per item; any rand.NewSource it
+// performs must derive its seed from par.SplitSeed(base, i). Ad-hoc
+// arithmetic like seed+i produces correlated child streams and, worse,
+// invites accidentally sharing one *rand.Rand across workers.
 var SeedSplit = &Analyzer{
 	Name: "seedsplit",
 	Doc:  "flags rand.NewSource inside parallel callbacks not derived from par.SplitSeed",
@@ -29,12 +25,8 @@ var SeedSplit = &Analyzer{
 				switch {
 				case pass.IsPkgFunc(call.Fun, parPath, "Map") && len(call.Args) == 3:
 					fnArg, host = call.Args[2], "par.Map"
-				case pass.IsPkgFunc(call.Fun, pipePath, "SeededMap") && len(call.Args) == 3:
-					fnArg, host = call.Args[2], "pipeline.SeededMap"
 				case pass.IsPkgFunc(call.Fun, pipePath, "Map") && len(call.Args) == 2:
 					fnArg, host = call.Args[1], "pipeline.Map"
-				case pass.IsPkgFunc(call.Fun, pipePath, "Filter") && len(call.Args) == 2:
-					fnArg, host = call.Args[1], "pipeline.Filter"
 				default:
 					return true
 				}
@@ -52,23 +44,6 @@ var SeedSplit = &Analyzer{
 // checkSeedDiscipline inspects one parallel callback body for
 // rand.NewSource calls with undisciplined seeds.
 func checkSeedDiscipline(pass *Pass, lit *ast.FuncLit, host, parPath string) {
-	// The int64 parameters of the callback are sanctioned seed
-	// sources: pipeline.SeededMap hands the callback a split seed as
-	// its int64 argument.
-	seedParams := map[types.Object]bool{}
-	if lit.Type.Params != nil {
-		for _, field := range lit.Type.Params.List {
-			for _, name := range field.Names {
-				obj := pass.Pkg.Info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if b, ok := obj.Type().(*types.Basic); ok && b.Kind() == types.Int64 {
-					seedParams[obj] = true
-				}
-			}
-		}
-	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -79,10 +54,10 @@ func checkSeedDiscipline(pass *Pass, lit *ast.FuncLit, host, parPath string) {
 			return true
 		}
 		seed := call.Args[0]
-		if exprContainsPkgFunc(pass, seed, parPath, "SplitSeed") || exprUsesObject(pass, seed, seedParams) {
+		if exprContainsPkgFunc(pass, seed, parPath, "SplitSeed") {
 			return true
 		}
-		pass.Reportf(call.Pos(), "rand.NewSource inside a %s callback must derive its seed from par.SplitSeed (or the stage's split-seed parameter)", host)
+		pass.Reportf(call.Pos(), "rand.NewSource inside a %s callback must derive its seed from par.SplitSeed", host)
 		return true
 	})
 }
@@ -96,25 +71,6 @@ func exprContainsPkgFunc(pass *Pass, e ast.Expr, pkgPath, name string) bool {
 			return false
 		}
 		if expr, ok := n.(ast.Expr); ok && pass.IsPkgFunc(expr, pkgPath, name) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// exprUsesObject reports whether e references any of the given
-// objects.
-func exprUsesObject(pass *Pass, e ast.Expr, objs map[types.Object]bool) bool {
-	if len(objs) == 0 {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && objs[pass.Pkg.Info.Uses[id]] {
 			found = true
 		}
 		return true

@@ -1,6 +1,5 @@
 // Package fixture exercises the seedsplit analyzer: RNG construction
-// inside parallel callbacks must derive its seed from par.SplitSeed
-// (or the split-seed parameter a SeededMap stage provides).
+// inside parallel callbacks must derive its seed from par.SplitSeed.
 package fixture
 
 import (
@@ -26,16 +25,6 @@ func splitSeed(base int64, out []float64) {
 
 func stageSeeds(base int64) []pipeline.Stage {
 	return []pipeline.Stage{
-		pipeline.SeededMap("good", base, func(p pipeline.Pair, seed int64) (pipeline.Pair, bool) {
-			rng := rand.New(rand.NewSource(seed))
-			p.NL = p.NL + rngSuffix(rng)
-			return p, true
-		}),
-		pipeline.SeededMap("bad", base, func(p pipeline.Pair, seed int64) (pipeline.Pair, bool) {
-			rng := rand.New(rand.NewSource(base)) // want `must derive its seed from par\.SplitSeed`
-			p.NL = p.NL + rngSuffix(rng)
-			return p, true
-		}),
 		pipeline.Map("pure", func(p pipeline.Pair) pipeline.Pair {
 			rand.NewSource(7) // want `must derive its seed from par\.SplitSeed`
 			return p
@@ -49,11 +38,4 @@ func allowed(base int64, out []float64) {
 		rng := rand.New(rand.NewSource(base))
 		out[i] = rng.Float64()
 	})
-}
-
-func rngSuffix(rng *rand.Rand) string {
-	if rng.Float64() > 0.5 {
-		return " x"
-	}
-	return ""
 }

@@ -135,6 +135,8 @@ func (a *Augmenter) Counters() map[string]int64 {
 
 // Augment returns the input pairs followed by all generated duplicate
 // variations, deduplicated — the batch form of Step.
+//
+//lint:allow deadcode reference implementation: core's stage-equivalence golden compares the streaming stage against it
 func (a *Augmenter) Augment(pairs []generator.Pair) []generator.Pair {
 	out := make([]generator.Pair, 0, len(pairs)*2)
 	for _, p := range pairs {

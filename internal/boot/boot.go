@@ -74,8 +74,6 @@ type Spec struct {
 	Factory func(seed int64) models.Translator
 	// Train configures checkpoint/resume for trainable models.
 	Train models.TrainOptions
-	// PipelineWorkers bounds the generation stage pool (0 = NumCPU).
-	PipelineWorkers int
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -177,12 +175,9 @@ func ResolveSchema(name string, rows int, seed int64) (*schema.Schema, *engine.D
 
 // Pairs runs the full generate→augment→lemmatize→dedup stage graph
 // for the schema with cooperative cancellation, returning the corpus.
-func Pairs(ctx context.Context, s *schema.Schema, p core.Params, seed int64, workers int) ([]core.Pair, error) {
-	pl := core.New(s, p, seed)
-	pl.Workers = workers
-	g := pl.Graph()
+func Pairs(ctx context.Context, s *schema.Schema, p core.Params, seed int64) ([]core.Pair, error) {
 	var out []core.Pair
-	if err := g.Run(ctx, func(q core.Pair) error { out = append(out, q); return nil }); err != nil {
+	if err := core.New(s, p, seed).Graph().Run(ctx, func(q core.Pair) error { out = append(out, q); return nil }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -314,7 +309,7 @@ func Build(ctx context.Context, sp Spec) (*Unit, error) {
 	var exs []models.Example
 	pairs := 0
 	if sp.NeedsCorpus() {
-		ps, err := Pairs(ctx, s, sp.ParamsOrDefault(), sp.Seed, sp.PipelineWorkers)
+		ps, err := Pairs(ctx, s, sp.ParamsOrDefault(), sp.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -142,22 +142,6 @@ func (c *Cache[V]) shard(key string) *shard[V] {
 	return c.shards[fnv1a(key)&c.mask]
 }
 
-// Get returns the cached value for key, bumping its recency.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	v, ok := c.shard(key).get(key)
-	if ok {
-		c.hits.Add(1)
-	}
-	return v, ok
-}
-
-// Put stores key→v, evicting the shard's LRU entry when full.
-func (c *Cache[V]) Put(key string, v V) {
-	if c.shard(key).put(key, v) {
-		c.evictions.Add(1)
-	}
-}
-
 // Do returns the value for key, loading it at most once across all
 // concurrent callers. The loader runs with the leader's ctx; see the
 // package comment for the coalescing and leader-cancellation
@@ -272,12 +256,6 @@ func newShard[V any](capacity int) *shard[V] {
 	}
 }
 
-func (s *shard[V]) get(key string) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.getLocked(key)
-}
-
 func (s *shard[V]) getLocked(key string) (V, bool) {
 	e, ok := s.entries[key]
 	if !ok {
@@ -286,12 +264,6 @@ func (s *shard[V]) getLocked(key string) (V, bool) {
 	}
 	s.moveToFront(e)
 	return e.val, true
-}
-
-func (s *shard[V]) put(key string, v V) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putLocked(key, v)
 }
 
 // putLocked inserts or refreshes key and reports whether an entry was

@@ -10,28 +10,43 @@ import (
 	"time"
 )
 
+// put stores key→v through the loader path.
+func put(c *Cache[int], key string, v int) {
+	c.Do(context.Background(), key, func(context.Context) (int, error) { return v, nil })
+}
+
+// has reports whether key is cached, without touching its recency.
+func has[V any](c *Cache[V], key string) bool {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok
+}
+
 // TestLRUEvictionDeterministic: a single-shard cache evicts its strict
-// LRU entry, recency is refreshed by Get, and replaying the same
+// LRU entry, recency is refreshed by a hit, and replaying the same
 // operation sequence reproduces the same contents and counters.
 func TestLRUEvictionDeterministic(t *testing.T) {
 	run := func() (*Cache[int], []string) {
 		c := New[int](Config{Capacity: 3, Shards: 1})
 		for i := 1; i <= 4; i++ {
-			c.Put(fmt.Sprintf("k%d", i), i)
+			put(c, fmt.Sprintf("k%d", i), i)
 		}
 		// k1 is the LRU victim of inserting k4.
-		if _, ok := c.Get("k1"); ok {
+		if has(c, "k1") {
 			t.Fatal("k1 should have been evicted")
 		}
-		// Refresh k2; inserting k5 must now evict k3.
-		if v, ok := c.Get("k2"); !ok || v != 2 {
-			t.Fatalf("k2 = %v %v", v, ok)
+		// Refresh k2 with a hit; inserting k5 must now evict k3.
+		v, o, _ := c.Do(context.Background(), "k2", func(context.Context) (int, error) { return -1, nil })
+		if v != 2 || o != Hit {
+			t.Fatalf("k2 = %v %v", v, o)
 		}
-		c.Put("k5", 5)
+		put(c, "k5", 5)
 		var alive []string
 		for i := 1; i <= 5; i++ {
 			k := fmt.Sprintf("k%d", i)
-			if _, ok := c.shard(k).get(k); ok {
+			if has(c, k) {
 				alive = append(alive, k)
 			}
 		}
@@ -68,7 +83,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	c := New[int](Config{Capacity: 2, Shards: 64})
 	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		put(c, fmt.Sprintf("k%d", i), i)
 	}
 	if got := c.Len(); got > 2 {
 		t.Fatalf("capacity 2 cache holds %d entries", got)
@@ -202,7 +217,7 @@ func TestDoSharedFailure(t *testing.T) {
 	if !errors.Is(waitErr, boom) {
 		t.Fatalf("waiter err = %v", waitErr)
 	}
-	if _, ok := c.Get("q"); ok {
+	if has(c, "q") {
 		t.Fatal("failed load must not be cached")
 	}
 	v, o, err := c.Do(context.Background(), "q", func(context.Context) (string, error) { return "ok", nil })

@@ -25,8 +25,6 @@ type GenCache struct {
 	mu      sync.Mutex
 	limit   int
 	entries map[genKey][]Pair
-	hits    int64
-	misses  int64
 }
 
 type genKey struct {
@@ -46,13 +44,6 @@ func NewGenCache(limit int) *GenCache {
 		limit = DefaultGenCacheLimit
 	}
 	return &GenCache{limit: limit, entries: map[genKey][]Pair{}}
-}
-
-// CacheStats reports hits, misses, and resident entries so far.
-func (c *GenCache) CacheStats() (hits, misses int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
 }
 
 func (c *GenCache) key(p *Pipeline) genKey {
@@ -78,11 +69,6 @@ func (c *GenCache) stage(p *Pipeline) pipeline.Stage {
 		func(emit func(Pair)) {
 			c.mu.Lock()
 			cached, ok := c.entries[key]
-			if ok {
-				c.hits++
-			} else {
-				c.misses++
-			}
 			c.mu.Unlock()
 			if ok {
 				hit = 1

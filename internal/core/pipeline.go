@@ -77,8 +77,6 @@ type Pipeline struct {
 	// hyperopt regime, where many trials share instantiation settings
 	// and differ only downstream.
 	Cache *GenCache
-
-	stats []pipeline.Stats
 }
 
 // New returns a pipeline with the given parameters.
@@ -133,7 +131,8 @@ func DedupStage() pipeline.Stage { return pipeline.Dedup() }
 // lemmatize → dedup. The slice is freshly built (stages are
 // single-use) and free to edit before handing it to Graph — drop the
 // augment stage for a no-augmentation ablation, drop lemmatize to keep
-// surface forms, insert a Tee to observe the stream.
+// surface forms, append a pipeline.Map stage that returns its input to
+// observe the stream.
 func (p *Pipeline) Stages() []pipeline.Stage {
 	return []pipeline.Stage{p.GenerateStage(), p.AugmentStage(), LemmaStage(), DedupStage()}
 }
@@ -148,12 +147,9 @@ func (p *Pipeline) Graph(stages ...pipeline.Stage) *pipeline.Graph {
 }
 
 // Run executes the default composition and returns the training
-// pairs. Stats holds the per-stage snapshot afterwards.
+// pairs. For the per-stage snapshot, run p.Graph() and read its Stats.
 func (p *Pipeline) Run() []Pair {
-	g := p.Graph()
-	out := g.Collect()
-	p.stats = g.Stats()
-	return out
+	return p.Graph().Collect()
 }
 
 // Stream executes the default composition, handing each pair to emit
@@ -161,17 +157,8 @@ func (p *Pipeline) Run() []Pair {
 // at any size. It returns the first error emit returns (after
 // draining the stream).
 func (p *Pipeline) Stream(emit func(Pair) error) error {
-	g := p.Graph()
-	err := g.Stream(emit)
-	p.stats = g.Stats()
-	return err
+	return p.Graph().Stream(emit)
 }
-
-// Stats returns the per-stage instrumentation snapshot (pairs in/out,
-// wall time, dedup hits, per-origin variant counts) of the last Run or
-// Stream. Nil before the first run. For a custom stage list built via
-// Graph, read the graph's own Stats instead.
-func (p *Pipeline) Stats() []pipeline.Stats { return p.stats }
 
 // LemmatizeNL tokenizes and lemmatizes an NL string the same way for
 // training data and runtime input (paper §2.2.3 / §4.1).

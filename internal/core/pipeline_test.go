@@ -106,11 +106,11 @@ func TestLemmatizeNL(t *testing.T) {
 
 func TestTemplateFraction(t *testing.T) {
 	all := TemplateFraction(1.0, 1)
-	if len(all) != templates.Count() {
+	if len(all) != len(templates.All()) {
 		t.Fatalf("fraction 1.0 = %d templates", len(all))
 	}
 	half := TemplateFraction(0.5, 1)
-	if len(half) != (templates.Count()+1)/2 {
+	if len(half) != (len(templates.All())+1)/2 {
 		t.Fatalf("fraction 0.5 = %d templates", len(half))
 	}
 	none := TemplateFraction(0, 1)

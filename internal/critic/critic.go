@@ -809,7 +809,7 @@ const minRepairSimilarity = 0.25
 func (c *Critic) nearest(got string, lexicon []string) (string, bool) {
 	best, bestScore, bestTie := "", -1.0, uint64(0)
 	for _, cand := range lexicon {
-		score := bigramJaccard(strings.ToLower(got), strings.ToLower(cand))
+		score := Jaccard(strings.ToLower(got), strings.ToLower(cand))
 		tie := c.tieKey(cand)
 		if score > bestScore || (score == bestScore && tie < bestTie) {
 			best, bestScore, bestTie = cand, score, tie
@@ -828,9 +828,11 @@ func (c *Critic) tieKey(name string) uint64 {
 	return uint64(par.SplitSeed(c.cfg.Seed, int(h.Sum32())))
 }
 
-// bigramJaccard is the Jaccard index of the two strings' character
-// bigram sets (whole string for single-rune inputs).
-func bigramJaccard(a, b string) float64 {
+// Jaccard is the Jaccard index of the two strings' character bigram
+// sets (a single-rune string is its own bigram): 1 for identical
+// strings, "" included, and 0 when one side is empty and the other
+// is not.
+func Jaccard(a, b string) float64 {
 	if a == b {
 		return 1
 	}
@@ -854,6 +856,8 @@ func bigramJaccard(a, b string) float64 {
 	return float64(inter) / float64(len(sa)+len(sb)-inter)
 }
 
+// bigrams returns the sorted distinct character bigrams of s (the
+// whole string when it has at most one rune).
 func bigrams(s string) []string {
 	r := []rune(s)
 	if len(r) <= 1 {

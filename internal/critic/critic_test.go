@@ -321,3 +321,35 @@ func TestSnapshotCounters(t *testing.T) {
 		t.Fatalf("Snapshot = %+v, want %+v", got, want)
 	}
 }
+
+// TestJaccard pins the bigram Jaccard index the repair step ranks
+// lexicon entries by, edge cases included: the empty string, single
+// runes, identical strings, and strings with equal bigram sets.
+func TestJaccard(t *testing.T) {
+	cases := []struct {
+		a, b string
+		want float64
+	}{
+		{"", "", 1},
+		{"a", "", 0},
+		{"", "a", 0},
+		{"a", "a", 1},
+		{"a", "b", 0},
+		{"a", "ab", 0},
+		{"abc", "abc", 1},
+		{"abc", "xyz", 0},
+		{"aaaa", "aa", 1}, // same bigram set {aa}
+		{"ab", "ba", 0},
+		{"male", "female", 3.0 / 5},
+		{"influenza", "influenzas", 8.0 / 9},
+		{"café", "cafe", 2.0 / 4},
+	}
+	for _, c := range cases {
+		if got := Jaccard(c.a, c.b); got != c.want {
+			t.Errorf("Jaccard(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := Jaccard(c.b, c.a); got != c.want {
+			t.Errorf("Jaccard(%q, %q) = %v, want %v (symmetry)", c.b, c.a, got, c.want)
+		}
+	}
+}

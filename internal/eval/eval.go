@@ -95,10 +95,11 @@ func EvalSpider(ctx context.Context, tr models.Translator, qs []spider.Question,
 // EvalSchemaCtx scores a translator on questions over one explicit
 // schema — unlike EvalSpider it does not look the schema up in the
 // zoo, so it works for generated tenant schemas too. It is the
-// registry's onboarding eval gate.
-func EvalSchemaCtx(ctx context.Context, tr models.Translator, s *schema.Schema, qs []spider.Question, workers int) (*SpiderReport, error) {
+// registry's onboarding eval gate, scored on every core (the report
+// is the same at any worker count).
+func EvalSchemaCtx(ctx context.Context, tr models.Translator, s *schema.Schema, qs []spider.Question) (*SpiderReport, error) {
 	schemaToks := map[string][]string{s.Name: models.SchemaTokens(s)}
-	return evalQuestions(ctx, tr, schemaToks, qs, workers)
+	return evalQuestions(ctx, tr, schemaToks, qs, 0)
 }
 
 // evalQuestions is the shared exact-match scoring loop behind

@@ -56,15 +56,22 @@ func makePairs(n int) []pipeline.Pair {
 func TestInjectedStagePanicBecomesStageError(t *testing.T) {
 	const n = 60
 	inj := fault.NewInjector(7, 10)
-	k := inj.FirstFire(n)
-	if k < 0 || k >= n-1 {
+	k := 0
+	for k < n && !inj.Fires(k) {
+		k++
+	}
+	if k >= n-1 {
 		t.Fatalf("injector never fires usefully in [0,%d): k=%d", n, k)
 	}
 	baseline := goruntime.NumGoroutine()
 
 	run := func(workers int) ([]pipeline.Pair, error) {
 		g := pipeline.New(workers,
-			pipeline.FromSlice("src", makePairs(n)),
+			pipeline.Source("src", func(emit func(pipeline.Pair)) {
+				for _, p := range makePairs(n) {
+					emit(p)
+				}
+			}),
 			fault.Stage(pipeline.Map("xform", func(p pipeline.Pair) pipeline.Pair { return p }),
 				fault.NewInjector(7, 10), fault.Panic, 0),
 		)

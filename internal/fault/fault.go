@@ -81,18 +81,6 @@ func (inj *Injector) Fires(i int) bool {
 	return uint64(par.SplitSeed(inj.seed, i))%uint64(inj.oneIn) == 0
 }
 
-// FirstFire returns the first index in [0, n) at which the injector
-// fires, or -1. Chaos tests use it to know where the fault will land
-// before running anything.
-func (inj *Injector) FirstFire(n int) int {
-	for i := 0; i < n; i++ {
-		if inj.Fires(i) {
-			return i
-		}
-	}
-	return -1
-}
-
 // ---------------------------------------------------------------------
 // Pipeline stage wrapper.
 // ---------------------------------------------------------------------
@@ -109,6 +97,8 @@ type faultStage struct {
 // the injector selects (kinds: Panic, Delay). Stages emit serially
 // and in a worker-count-invariant order, so the fault position in the
 // stream is deterministic.
+//
+//lint:allow deadcode test hook: pipeline chaos tests inject stage panics through it
 func Stage(inner pipeline.Stage, inj *Injector, kind Kind, delay time.Duration) pipeline.Stage {
 	return &faultStage{inner: inner, inj: inj, kind: kind, delay: delay}
 }
@@ -149,6 +139,8 @@ type Writer struct {
 }
 
 // NewWriter wraps w.
+//
+//lint:allow deadcode test hook: checkpoint chaos tests tear writes through it
 func NewWriter(w io.Writer, inj *Injector, kind Kind) *Writer {
 	return &Writer{w: w, inj: inj, kind: kind}
 }
@@ -188,6 +180,8 @@ type Translator struct {
 }
 
 // NewTranslator wraps inner.
+//
+//lint:allow deadcode test hook: fallback chaos tests fail the primary tier through it
 func NewTranslator(inner models.Translator, inj *Injector, kind Kind, delay time.Duration) *Translator {
 	return &Translator{inner: inner, inj: inj, kind: kind, delay: delay}
 }

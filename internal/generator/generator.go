@@ -110,6 +110,8 @@ func NewWithTemplates(s *schema.Schema, p Params, seed int64, tpls []templates.T
 
 // Generate instantiates every template and returns the deduplicated
 // initial training set.
+//
+//lint:allow deadcode reference implementation: core's stage-equivalence golden compares the streaming stage against it
 func (g *Generator) Generate() []Pair {
 	var out []Pair
 	g.Stream(func(p Pair) { out = append(out, p) })
@@ -396,12 +398,6 @@ func (g *Generator) tableOf(slot string, b *binding) *schema.Table {
 // placeholderFor renders the anonymized-constant token for a column.
 func placeholderFor(t *schema.Table, c *schema.Column) string {
 	return "@" + strings.ToUpper(t.Name) + "." + strings.ToUpper(c.Name)
-}
-
-// Placeholder is the exported form of the anonymized-constant token
-// convention, shared with the runtime parameter handler.
-func Placeholder(table, column string) string {
-	return "@" + strings.ToUpper(table) + "." + strings.ToUpper(column)
 }
 
 // renderNL substitutes phrase and schema slots into the NL skeleton.

@@ -97,8 +97,12 @@ func TestGenerateBalanced(t *testing.T) {
 	// Budget per template = sizeSlotFills * numNLVariants (boosts are
 	// 1.0 by default); the GROUP BY promotion can add nothing beyond
 	// that. No template may exceed its budget.
+	byID := map[string]templates.Template{}
+	for _, tpl := range templates.All() {
+		byID[tpl.ID] = tpl
+	}
 	for id, n := range perTemplate {
-		tpl := templates.ByID(id)
+		tpl := byID[id]
 		budget := p.SizeSlotFills * len(tpl.NL)
 		if n > budget {
 			t.Errorf("template %s produced %d instances, budget %d", id, n, budget)
@@ -231,12 +235,6 @@ func TestPluralize(t *testing.T) {
 		if got := Pluralize(in); got != want {
 			t.Errorf("Pluralize(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestPlaceholderHelper(t *testing.T) {
-	if got := Placeholder("patients", "age"); got != "@PATIENTS.AGE" {
-		t.Fatalf("Placeholder = %q", got)
 	}
 }
 

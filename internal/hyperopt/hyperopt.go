@@ -8,15 +8,15 @@
 // NL–SQL pairs, and φ a candidate parameter set. Each trial runs the
 // entire pipeline — data generation and model training — and returns
 // the trained model's accuracy on T. Random search samples φ uniformly
-// from the parameter space; grid search (the exhaustive alternative
-// the paper compares against conceptually) is also provided.
+// from the parameter space; SurrogateSearch refines it with an RBF
+// surrogate.
 //
 // Trials compose their pipelines from the streaming stage API
 // (internal/pipeline via core): an objective builds one core.Pipeline
 // per (schema, φ) and can share a core.GenCache across trials so that
-// candidates with identical instantiation parameters — grid-search
-// axes that vary only augmentation knobs, ablation variants, surrogate
-// refinements around a midpoint — replay the memoized generate stage
+// candidates with identical instantiation parameters — ablation
+// variants, surrogate refinements that vary only augmentation knobs —
+// replay the memoized generate stage
 // instead of re-instantiating templates. Cached replay is
 // byte-identical to live generation, so memoization never changes a
 // trial's corpus or accuracy.
@@ -143,80 +143,6 @@ func RandomSearchWorkers(space Space, n int, seed int64, workers int, obj Seeded
 		return trials[i].Accuracy > trials[j].Accuracy
 	})
 	return trials
-}
-
-// GridSearch evaluates the corner/midpoint grid of the space (each
-// parameter at lo, mid, hi would explode combinatorially, so the grid
-// varies one parameter at a time around the space midpoint — the
-// axis-aligned grid used for comparison). Unlike RandomSearch it calls
-// the objective sequentially, so introspective objectives (recording
-// the visited grid, for instance) need no synchronization.
-func GridSearch(space Space, obj Objective) []Trial {
-	mid := space.midpoint()
-	var trials []Trial
-	eval := func(p core.Params) {
-		acc, ok := obj(p)
-		trials = append(trials, Trial{Params: p, Accuracy: acc, Converged: ok})
-	}
-	eval(mid)
-	for axis := 0; axis < 10; axis++ {
-		for _, end := range []int{0, 1} {
-			p := mid
-			space.setAxis(&p, axis, end)
-			eval(p)
-		}
-	}
-	sort.SliceStable(trials, func(i, j int) bool { return trials[i].Accuracy > trials[j].Accuracy })
-	return trials
-}
-
-func (s Space) midpoint() core.Params {
-	mi := func(b [2]int) int { return (b[0] + b[1]) / 2 }
-	mf := func(b [2]float64) float64 { return (b[0] + b[1]) / 2 }
-	return core.Params{
-		Instantiation: generator.Params{
-			SizeSlotFills: mi(s.SizeSlotFills),
-			SizeTables:    mi(s.SizeTables),
-			GroupByP:      mf(s.GroupByP),
-			JoinBoost:     mf(s.JoinBoost),
-			AggBoost:      mf(s.AggBoost),
-			NestBoost:     mf(s.NestBoost),
-		},
-		Augmentation: augment.Params{
-			SizePara:   mi(s.SizePara),
-			NumPara:    mi(s.NumPara),
-			NumMissing: mi(s.NumMissing),
-			RandDropP:  mf(s.RandDropP),
-		},
-	}
-}
-
-// setAxis sets one parameter to its lo (end=0) or hi (end=1) bound.
-func (s Space) setAxis(p *core.Params, axis, end int) {
-	gi := func(b [2]int) int { return b[end] }
-	gf := func(b [2]float64) float64 { return b[end] }
-	switch axis {
-	case 0:
-		p.Instantiation.SizeSlotFills = gi(s.SizeSlotFills)
-	case 1:
-		p.Instantiation.SizeTables = gi(s.SizeTables)
-	case 2:
-		p.Instantiation.GroupByP = gf(s.GroupByP)
-	case 3:
-		p.Instantiation.JoinBoost = gf(s.JoinBoost)
-	case 4:
-		p.Instantiation.AggBoost = gf(s.AggBoost)
-	case 5:
-		p.Instantiation.NestBoost = gf(s.NestBoost)
-	case 6:
-		p.Augmentation.SizePara = gi(s.SizePara)
-	case 7:
-		p.Augmentation.NumPara = gi(s.NumPara)
-	case 8:
-		p.Augmentation.NumMissing = gi(s.NumMissing)
-	case 9:
-		p.Augmentation.RandDropP = gf(s.RandDropP)
-	}
 }
 
 // Stats summarizes converged trial accuracies: count, min, max, mean,

@@ -81,31 +81,6 @@ func TestRandomSearchDeterminism(t *testing.T) {
 	}
 }
 
-func TestGridSearchCoversAxes(t *testing.T) {
-	var seen []core.Params
-	obj := func(p core.Params) (float64, bool) {
-		seen = append(seen, p)
-		return 0.5, true
-	}
-	trials := GridSearch(DefaultSpace(), obj)
-	if len(trials) != 21 { // midpoint + 10 axes x 2 ends
-		t.Fatalf("grid trials = %d", len(trials))
-	}
-	// The two sizeSlotFills extremes must appear.
-	lo, hi := false, false
-	for _, p := range seen {
-		if p.Instantiation.SizeSlotFills == DefaultSpace().SizeSlotFills[0] {
-			lo = true
-		}
-		if p.Instantiation.SizeSlotFills == DefaultSpace().SizeSlotFills[1] {
-			hi = true
-		}
-	}
-	if !lo || !hi {
-		t.Fatal("grid did not visit sizeSlotFills extremes")
-	}
-}
-
 func TestStats(t *testing.T) {
 	trials := []Trial{
 		{Accuracy: 0.4, Converged: true},

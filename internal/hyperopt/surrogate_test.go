@@ -2,6 +2,7 @@ package hyperopt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -78,14 +79,16 @@ func TestSurrogateSearchDeterminism(t *testing.T) {
 
 func TestNormalizeBounds(t *testing.T) {
 	space := DefaultSpace()
-	p := space.midpoint()
-	x := normalize(space, p)
-	if len(x) != 10 {
-		t.Fatalf("normalized dim = %d", len(x))
-	}
-	for i, v := range x {
-		if v < 0 || v > 1 {
-			t.Fatalf("normalized[%d] = %v out of [0,1]", i, v)
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 20; k++ {
+		x := normalize(space, space.Sample(rng))
+		if len(x) != 10 {
+			t.Fatalf("normalized dim = %d", len(x))
+		}
+		for i, v := range x {
+			if v < 0 || v > 1 {
+				t.Fatalf("sample %d: normalized[%d] = %v out of [0,1]", k, i, v)
+			}
 		}
 	}
 }

@@ -17,8 +17,3 @@ func ExampleLemmatize() {
 	// stay
 	// old
 }
-
-func ExampleLemmatizeText() {
-	fmt.Println(lemma.LemmatizeText("the patients were diagnosed"))
-	// Output: the patient be diagnose
-}

@@ -205,13 +205,3 @@ func LemmatizeAll(toks []string) []string {
 	}
 	return out
 }
-
-// LemmatizeText token-splits on spaces and lemmatizes; convenience for
-// already-tokenized strings.
-func LemmatizeText(text string) string {
-	parts := strings.Fields(text)
-	for i, p := range parts {
-		parts[i] = Lemmatize(p)
-	}
-	return strings.Join(parts, " ")
-}

@@ -54,12 +54,6 @@ func TestLemmatizeAll(t *testing.T) {
 	}
 }
 
-func TestLemmatizeText(t *testing.T) {
-	if got := LemmatizeText("the cars were stopped"); got != "the car be stop" {
-		t.Fatalf("LemmatizeText = %q", got)
-	}
-}
-
 // Property: lemmatization is idempotent for the domain vocabulary.
 func TestLemmatizeIdempotentQuick(t *testing.T) {
 	words := []string{

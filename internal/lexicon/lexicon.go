@@ -111,11 +111,6 @@ var SlotFills = map[string][]string{
 	},
 }
 
-// Fills returns the alternatives for a slot (nil for unknown slots).
-func Fills(slot string) []string {
-	return SlotFills[slot]
-}
-
 // Comparative describes domain-specific phrasing for a comparison
 // direction.
 type Comparative struct {

@@ -83,9 +83,6 @@ func NewSeq2Seq(cfg Seq2SeqConfig) *Seq2Seq {
 // Name implements Translator.
 func (m *Seq2Seq) Name() string { return "seq2seq" }
 
-// Vocab exposes the trained vocabulary (nil before Train).
-func (m *Seq2Seq) Vocab() *tokens.Vocab { return m.vocab }
-
 // NumParams returns the number of trainable parameters (0 before
 // Train).
 func (m *Seq2Seq) NumParams() int {
@@ -330,6 +327,8 @@ func (m *Seq2Seq) rollout(ex Example) (*encState, []*decStep, float64) {
 
 // Loss returns the teacher-forced NLL of one example without touching
 // gradients (used by gradient checks and validation).
+//
+//lint:allow deadcode reference implementation: the gradient checks difference it against the analytic gradient
 func (m *Seq2Seq) Loss(ex Example) float64 {
 	_, _, loss := m.rollout(ex)
 	return loss

@@ -756,6 +756,8 @@ func (m *Sketch) Translate(nl, schemaToks []string) []string {
 
 // Loss returns the example's combined loss without updating gradients
 // (used by tests and gradient checks).
+//
+//lint:allow deadcode reference implementation: the gradient checks difference it against the analytic gradient
 func (m *Sketch) Loss(ex Example) float64 {
 	ss := m.sets.get(ex.Schema)
 	sk, gold := sketchOf(ex.SQL, ss)

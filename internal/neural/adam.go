@@ -26,23 +26,12 @@ func (p *ParamSet) Mats() []*Mat { return p.mats }
 func (p *ParamSet) Names() []string { return p.names }
 
 // ZeroGrad clears all gradients.
+//
+//lint:allow deadcode the gradient checks (models, neural) reset gradients through it before each probe
 func (p *ParamSet) ZeroGrad() {
 	for _, m := range p.mats {
 		m.ZeroGrad()
 	}
-}
-
-// Shadow returns a parameter set whose matrices share this set's
-// weight buffers but own fresh gradient buffers, registered under the
-// same names in the same order. A shadow set is what a minibatch
-// worker backprops into while the shared weights stay read-only; see
-// Mat.Shadow.
-func (p *ParamSet) Shadow() *ParamSet {
-	out := &ParamSet{}
-	for i, m := range p.mats {
-		out.Register(p.names[i], m.Shadow())
-	}
-	return out
 }
 
 // MergeGradsFrom adds other's gradients into p's (matrix by matrix, in

@@ -57,7 +57,10 @@ func TestGradWritersMarkDirty(t *testing.T) {
 	requireDirty(t, "GradRow", e.E)
 
 	ps.ZeroGrad()
-	sh := ps.Shadow()
+	sh := &ParamSet{}
+	for i, m := range ps.Mats() {
+		sh.Register(ps.Names()[i], m.Shadow())
+	}
 	sh.ZeroGrad()
 	sh.Mats()[0].GradRow(0)[0] = 1
 	ps.MergeGradsFrom(sh)

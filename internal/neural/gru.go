@@ -1,9 +1,6 @@
 package neural
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // GRU is a gated recurrent unit cell:
 //
@@ -238,11 +235,4 @@ func (l *Linear) Backward(x, dY []float64) []float64 {
 	l.W.BackwardVec(dY, x, dx)
 	l.B.addBiasGrad(dY)
 	return dx
-}
-
-// Validate panics if the layer shapes are inconsistent; used in tests.
-func (l *Linear) Validate() {
-	if l.W.R != l.Out || l.W.C != l.In || l.B.R != l.Out {
-		panic(fmt.Sprintf("neural: inconsistent Linear shapes W=%v B=%v in=%d out=%d", l.W, l.B, l.In, l.Out))
-	}
 }

@@ -52,9 +52,6 @@ func NewMatRand(r, c int, rng *rand.Rand) *Mat {
 	return m
 }
 
-// At returns the element at row i, column j.
-func (m *Mat) At(i, j int) float64 { return m.W[i*m.C+j] }
-
 // Set assigns the element at row i, column j.
 func (m *Mat) Set(i, j int, v float64) { m.W[i*m.C+j] = v }
 
@@ -83,24 +80,6 @@ func (m *Mat) ZeroGrad() {
 	}
 	clear(m.G)
 	m.dirty = false
-}
-
-// Copy returns a deep copy of the weights only; the copy's gradient
-// buffer is freshly zeroed. Use CopyWithGrads when the gradient state
-// must travel with the weights, and Shadow when a worker needs its own
-// gradient buffer over shared weights.
-func (m *Mat) Copy() *Mat {
-	out := NewMat(m.R, m.C)
-	copy(out.W, m.W)
-	return out
-}
-
-// CopyWithGrads returns a deep copy of both the weight and the
-// gradient buffer.
-func (m *Mat) CopyWithGrads() *Mat {
-	out := m.Copy()
-	copy(out.G, m.G)
-	return out
 }
 
 // Shadow returns a matrix that shares m's weight buffer but owns a
@@ -321,22 +300,4 @@ func Axpy(a float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += a * v
 	}
-}
-
-// Fill sets every element of v to c.
-func Fill(v []float64, c float64) {
-	for i := range v {
-		v[i] = c
-	}
-}
-
-// Argmax returns the index of the maximum element (first on ties).
-func Argmax(v []float64) int {
-	best, bi := math.Inf(-1), 0
-	for i, x := range v {
-		if x > best {
-			best, bi = x, i
-		}
-	}
-	return bi
 }

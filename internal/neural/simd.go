@@ -18,6 +18,8 @@ var expFused = cpuHasFMA()
 // lacks AVX2 it changes nothing and reports false. The returned
 // function restores the previous setting. It must not be called while
 // a training step runs.
+//
+//lint:allow deadcode test hook: the kernel tests run both dispatches through it
 func SetAVX2ForTesting(on bool) (restore func(), ok bool) {
 	if on && !cpuHasAVX2() {
 		return func() {}, false

@@ -23,9 +23,6 @@ func NewLimiter(n int) *Limiter {
 	return &Limiter{slots: make(chan struct{}, Count(n))}
 }
 
-// Cap returns the total slot count.
-func (l *Limiter) Cap() int { return cap(l.slots) }
-
 // InUse returns the number of currently held slots. The value is a
 // snapshot: it can be stale by the time the caller looks at it, which
 // is fine for load reporting and never used for admission decisions.

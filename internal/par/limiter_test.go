@@ -9,8 +9,8 @@ import (
 
 func TestLimiterTryAcquireRelease(t *testing.T) {
 	l := NewLimiter(2)
-	if l.Cap() != 2 {
-		t.Fatalf("Cap = %d, want 2", l.Cap())
+	if cap(l.slots) != 2 {
+		t.Fatalf("capacity = %d, want 2", cap(l.slots))
 	}
 	if !l.TryAcquire() || !l.TryAcquire() {
 		t.Fatal("two acquires within capacity must succeed")
@@ -84,7 +84,7 @@ func TestLimiterReleaseWithoutAcquirePanics(t *testing.T) {
 }
 
 func TestLimiterDefaultCapacity(t *testing.T) {
-	if got := NewLimiter(0).Cap(); got != Count(0) {
-		t.Fatalf("NewLimiter(0).Cap() = %d, want Count(0) = %d", got, Count(0))
+	if got := cap(NewLimiter(0).slots); got != Count(0) {
+		t.Fatalf("NewLimiter(0) capacity = %d, want Count(0) = %d", got, Count(0))
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Count resolves a worker-count knob: values <= 0 select
@@ -136,8 +135,8 @@ feed:
 	return stopped
 }
 
-// ErrDeadline is returned by Await and Deadline when fn is still
-// running at expiry.
+// ErrDeadline is returned by Await when fn is still running at
+// expiry.
 var ErrDeadline = fmt.Errorf("par: deadline exceeded")
 
 // Await runs fn on its own goroutine and waits for it to finish or for
@@ -172,18 +171,6 @@ func Await(ctx context.Context, fn func()) error {
 	case <-ctx.Done():
 		return ErrDeadline
 	}
-}
-
-// Deadline is Await with a duration bound; d <= 0 means no bound (fn
-// runs inline).
-func Deadline(d time.Duration, fn func()) error {
-	if d <= 0 {
-		fn()
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return Await(ctx, fn)
 }
 
 // SplitSeed derives the i-th child seed from base using a SplitMix64

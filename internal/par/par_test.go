@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestCount(t *testing.T) {
@@ -182,14 +181,4 @@ func TestAwaitRepanicsWhileWaiting(t *testing.T) {
 		}
 	}()
 	_ = Await(context.Background(), func() { panic("kaboom") })
-}
-
-func TestDeadlineUnboundedRunsInline(t *testing.T) {
-	ran := false
-	if err := Deadline(0, func() { ran = true }); err != nil || !ran {
-		t.Fatalf("unbounded Deadline: ran=%v err=%v", ran, err)
-	}
-	if err := Deadline(time.Millisecond, func() { time.Sleep(200 * time.Millisecond) }); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("slow fn under Deadline returned %v", err)
-	}
 }

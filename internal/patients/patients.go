@@ -186,6 +186,3 @@ func Cases() []Case {
 	}
 	return out
 }
-
-// NumQueries returns the number of base queries (57).
-func NumQueries() int { return len(queries) }

@@ -12,8 +12,8 @@ func TestBenchmarkStructure(t *testing.T) {
 	if len(cs) != 399 {
 		t.Fatalf("benchmark must have 399 cases (57 per 7 categories), got %d", len(cs))
 	}
-	if NumQueries() != 57 {
-		t.Fatalf("base queries = %d, want 57", NumQueries())
+	if len(queries) != 57 {
+		t.Fatalf("base queries = %d, want 57", len(queries))
 	}
 	perCat := map[Category]int{}
 	for _, c := range cs {

@@ -78,7 +78,11 @@ func FuzzPipelineDedup(f *testing.F) {
 
 		var prev []pipeline.Pair
 		for _, workers := range []int{1, 4} {
-			g := pipeline.New(workers, pipeline.FromSlice("src", pairs), pipeline.Dedup())
+			g := pipeline.New(workers, pipeline.Source("src", func(emit func(pipeline.Pair)) {
+				for _, p := range pairs {
+					emit(p)
+				}
+			}), pipeline.Dedup())
 			got := g.Collect()
 			if len(got) != len(ref) {
 				t.Fatalf("workers=%d: dedup kept %d pairs, reference kept %d", workers, len(got), len(ref))

@@ -9,15 +9,13 @@
 // throughput knob, not a semantics knob: a Graph emits the same pairs
 // in the same order at workers=1 and workers=64.
 //
-//   - Sequential stages (Func, Tee, Dedup, sources) run on one
+//   - Sequential stages (sources, FuncWithCounters, Dedup) run on one
 //     goroutine and consume the stream in arrival order, so stateful
 //     transforms — an RNG-bearing augmenter, a dedup map — keep the
 //     exact trajectory of the historical sequential pipeline.
-//   - Parallel stages (Map, Filter, SeededMap) fan items out to a
-//     bounded pool and re-emit results in input order through a
-//     sequencing window, so pure per-item work parallelizes without
-//     reordering. SeededMap derives each item's seed from the stream
-//     index with par.SplitSeed, never from scheduling.
+//   - Map, the parallel stage, fans items out to a bounded pool and
+//     re-emits results in input order through a sequencing window, so
+//     pure per-item work parallelizes without reordering.
 //
 // Stages run concurrently with each other (pipelining), so a Graph
 // overlaps generation, augmentation, and lemmatization even when every
@@ -341,16 +339,6 @@ func SourceWithCounters(name string, gen func(emit func(Pair)), counters func() 
 	return &sourceStage{name: name, gen: gen, counters: counters}
 }
 
-// FromSlice builds a source stage replaying a fixed slice — the shape
-// used by per-stage benchmarks and cached generation.
-func FromSlice(name string, pairs []Pair) Stage {
-	return Source(name, func(emit func(Pair)) {
-		for _, p := range pairs {
-			emit(p)
-		}
-	})
-}
-
 type funcStage struct {
 	name     string
 	fn       func(Pair, func(Pair))
@@ -370,28 +358,13 @@ func (f *funcStage) Counters() map[string]int64 {
 	return f.counters()
 }
 
-// Func builds a sequential per-item expander stage: fn is called once
-// per input pair in stream order and may emit any number of outputs.
-// This is the shape for stateful transforms (a shared RNG, a dedup
-// map) whose trajectory must match the historical sequential code.
-func Func(name string, fn func(p Pair, emit func(Pair))) Stage {
-	return &funcStage{name: name, fn: fn}
-}
-
-// FuncWithCounters is Func plus an extra-counter hook read after the
-// run.
+// FuncWithCounters builds a sequential per-item expander stage: fn is
+// called once per input pair in stream order and may emit any number
+// of outputs. This is the shape for stateful transforms (a shared RNG,
+// a dedup map) whose trajectory must match the historical sequential
+// code. counters, when non-nil, is read after the run.
 func FuncWithCounters(name string, fn func(p Pair, emit func(Pair)), counters func() map[string]int64) Stage {
 	return &funcStage{name: name, fn: fn, counters: counters}
-}
-
-// Tee builds a pass-through stage that calls observe on every pair
-// without altering the stream — progress reporting, side-channel
-// writes, invariant checks.
-func Tee(name string, observe func(Pair)) Stage {
-	return Func(name, func(p Pair, emit func(Pair)) {
-		observe(p)
-		emit(p)
-	})
 }
 
 // Dedup builds a stage that drops exact-duplicate pairs (same NL and
@@ -420,61 +393,35 @@ func Dedup() Stage {
 // ---------------------------------------------------------------------
 
 type mapStage struct {
-	name   string
-	seeded bool
-	base   int64
-	fn     func(p Pair, seed int64) (Pair, bool)
+	name string
+	fn   func(Pair) Pair
 }
 
 // Map builds a parallel per-item map stage. fn must be pure (no shared
 // state): items are processed on a bounded pool and re-emitted in
 // input order, so the output is identical at any worker count.
 func Map(name string, fn func(Pair) Pair) Stage {
-	return &mapStage{name: name, fn: func(p Pair, _ int64) (Pair, bool) { return fn(p), true }}
-}
-
-// Filter builds a parallel predicate stage: pairs for which keep
-// returns false are dropped, order is preserved.
-func Filter(name string, keep func(Pair) bool) Stage {
-	return &mapStage{name: name, fn: func(p Pair, _ int64) (Pair, bool) { return p, keep(p) }}
-}
-
-// SeededMap builds a parallel per-item transform whose randomness is
-// split per stream index: item i receives par.SplitSeed(base, i), so
-// its draws depend only on its position, never on scheduling or pool
-// size. fn may drop an item by returning false.
-func SeededMap(name string, base int64, fn func(p Pair, seed int64) (Pair, bool)) Stage {
-	return &mapStage{name: name, seeded: true, base: base, fn: fn}
+	return &mapStage{name: name, fn: fn}
 }
 
 func (m *mapStage) Name() string { return m.name }
 
 type mapResult struct {
 	p      Pair
-	ok     bool
 	failed bool // fn panicked on this item
 	cause  any  // the recovered value when failed
 }
 
 type mapJob struct {
 	p    Pair
-	seed int64
 	done chan mapResult
 }
 
 func (m *mapStage) Run(in <-chan Pair, emit func(Pair), workers int) {
 	w := par.Count(workers)
 	if w <= 1 {
-		i := 0
 		for p := range in {
-			var seed int64
-			if m.seeded {
-				seed = par.SplitSeed(m.base, i)
-			}
-			if q, ok := m.fn(p, seed); ok {
-				emit(q)
-			}
-			i++
+			emit(m.fn(p))
 		}
 		return
 	}
@@ -493,22 +440,16 @@ func (m *mapStage) Run(in <-chan Pair, emit func(Pair), workers int) {
 							j.done <- mapResult{failed: true, cause: r}
 						}
 					}()
-					q, ok := m.fn(j.p, j.seed)
-					j.done <- mapResult{p: q, ok: ok}
+					j.done <- mapResult{p: m.fn(j.p)}
 				}()
 			}
 		}()
 	}
 	go func() {
-		i := 0
 		for p := range in {
 			j := &mapJob{p: p, done: make(chan mapResult, 1)}
-			if m.seeded {
-				j.seed = par.SplitSeed(m.base, i)
-			}
 			order <- j // blocks once 2w items are in flight
 			jobs <- j
-			i++
 		}
 		close(jobs)
 		close(order)
@@ -529,9 +470,6 @@ func (m *mapStage) Run(in <-chan Pair, emit func(Pair), workers int) {
 			panicked = r.cause
 			continue
 		}
-		if !r.ok {
-			continue
-		}
 		func() {
 			defer func() {
 				if e := recover(); e != nil {
@@ -544,147 +482,5 @@ func (m *mapStage) Run(in <-chan Pair, emit func(Pair), workers int) {
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Combinators over stages.
-// ---------------------------------------------------------------------
-
-type chainStage struct {
-	name string
-	subs []Stage
-}
-
-// Chain composes stages into one stage, wiring internal buffered
-// channels exactly as a Graph does. Useful for handing a multi-step
-// transform to a combinator that expects a single Stage.
-func Chain(name string, subs ...Stage) Stage {
-	if len(subs) == 0 {
-		panic("pipeline: empty chain")
-	}
-	return &chainStage{name: name, subs: subs}
-}
-
-func (c *chainStage) Name() string { return c.name }
-func (c *chainStage) Run(in <-chan Pair, emit func(Pair), workers int) {
-	cur := in
-	var panicOnce sync.Once
-	var panicked any
-	var wg sync.WaitGroup
-	for _, st := range c.subs[:len(c.subs)-1] {
-		next := make(chan Pair, chanBuf)
-		wg.Add(1)
-		go func(st Stage, in <-chan Pair, out chan<- Pair) {
-			defer wg.Done()
-			defer func() {
-				if in != nil {
-					for range in {
-					}
-				}
-			}()
-			defer close(out)
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			st.Run(in, func(p Pair) { out <- p }, workers)
-		}(st, cur, next)
-		cur = next
-	}
-	// The last sub-stage runs inline, so its panic must be caught here:
-	// letting it unwind Run directly would strand the inner goroutines
-	// blocked on their full channels — the classic failing-stage leak.
-	// Catch it, drain the internal edge so they finish, wait, then
-	// re-raise the original value (never a formatted copy: the graph
-	// needs the value itself to build a StageError or recognize its
-	// cancellation sentinel).
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicOnce.Do(func() { panicked = r })
-			}
-		}()
-		c.subs[len(c.subs)-1].Run(cur, emit, workers)
-	}()
-	if cur != in {
-		for range cur {
-		}
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-type fanStage struct {
-	name string
-	subs []Stage
-}
-
-// Fan replicates the input stream to every sub-stage and emits their
-// outputs grouped by stage, in stage order: all of the first stage's
-// output (streamed through), then the second's, and so on. The
-// grouping makes the merge deterministic at the cost of buffering the
-// later stages' outputs, so put the largest producer first.
-func Fan(name string, subs ...Stage) Stage {
-	if len(subs) == 0 {
-		panic("pipeline: empty fan")
-	}
-	return &fanStage{name: name, subs: subs}
-}
-
-func (f *fanStage) Name() string { return f.name }
-func (f *fanStage) Run(in <-chan Pair, emit func(Pair), workers int) {
-	n := len(f.subs)
-	ins := make([]chan Pair, n)
-	for i := range ins {
-		ins[i] = make(chan Pair, chanBuf)
-	}
-	buffered := make([][]Pair, n)
-	var panicOnce sync.Once
-	var panicked any
-	var wg sync.WaitGroup
-	for i, st := range f.subs {
-		wg.Add(1)
-		go func(i int, st Stage) {
-			defer wg.Done()
-			defer func() {
-				for range ins[i] {
-				}
-			}()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			if i == 0 {
-				st.Run(ins[i], emit, workers) // only goroutine emitting until Wait
-				return
-			}
-			st.Run(ins[i], func(p Pair) { buffered[i] = append(buffered[i], p) }, workers)
-		}(i, st)
-	}
-	if in != nil {
-		for p := range in {
-			for i := range ins {
-				ins[i] <- p
-			}
-		}
-	}
-	for i := range ins {
-		close(ins[i])
-	}
-	wg.Wait()
-	if panicked != nil {
-		// Re-raise the original value so the graph can type it (see
-		// chainStage.Run).
-		panic(panicked)
-	}
-	for _, buf := range buffered[1:] {
-		for _, p := range buf {
-			emit(p)
-		}
 	}
 }

@@ -23,6 +23,15 @@ func mk(n int) []Pair {
 	return out
 }
 
+// fromSlice is a source stage replaying pairs.
+func fromSlice(pairs []Pair) Stage {
+	return Source("src", func(emit func(Pair)) {
+		for _, p := range pairs {
+			emit(p)
+		}
+	})
+}
+
 func collect(workers int, stages ...Stage) []Pair {
 	return New(workers, stages...).Collect()
 }
@@ -45,55 +54,17 @@ func TestMapOrderPreservedAtAnyWorkerCount(t *testing.T) {
 		p.NL = strings.ToUpper(p.NL)
 		return p
 	}
-	want := collect(1, FromSlice("src", in), Map("upper", upper))
+	want := collect(1, fromSlice(in), Map("upper", upper))
 	for i, p := range want {
 		if p.NL != strings.ToUpper(in[i].NL) {
 			t.Fatalf("pair %d = %q, want uppercase of %q", i, p.NL, in[i].NL)
 		}
 	}
 	for _, w := range []int{2, 3, 8, 16} {
-		got := collect(w, FromSlice("src", in), Map("upper", upper))
+		got := collect(w, fromSlice(in), Map("upper", upper))
 		if !equalPairs(got, want) {
 			t.Fatalf("workers=%d output differs from workers=1", w)
 		}
-	}
-}
-
-func TestFilterDropsAndPreservesOrder(t *testing.T) {
-	in := mk(200)
-	keep := func(p Pair) bool { return p.TemplateID != "T3" }
-	want := collect(1, FromSlice("src", in), Filter("keep", keep))
-	for _, p := range want {
-		if p.TemplateID == "T3" {
-			t.Fatalf("filtered template survived: %+v", p)
-		}
-	}
-	if len(want) >= len(in) {
-		t.Fatal("filter dropped nothing")
-	}
-	for _, w := range []int{2, 8} {
-		if got := collect(w, FromSlice("src", in), Filter("keep", keep)); !equalPairs(got, want) {
-			t.Fatalf("workers=%d filter output differs", w)
-		}
-	}
-}
-
-func TestSeededMapSplitsSeedByIndex(t *testing.T) {
-	in := mk(300)
-	stamp := func(p Pair, seed int64) (Pair, bool) {
-		p.Origin = fmt.Sprintf("%d", seed)
-		return p, seed%5 != 0 // also exercise dropping
-	}
-	want := collect(1, FromSlice("src", in), SeededMap("stamp", 42, stamp))
-	for _, w := range []int{2, 7} {
-		if got := collect(w, FromSlice("src", in), SeededMap("stamp", 42, stamp)); !equalPairs(got, want) {
-			t.Fatalf("workers=%d seeded map output differs", w)
-		}
-	}
-	// A different base seed must change the derived seeds.
-	other := collect(1, FromSlice("src", in), SeededMap("stamp", 43, stamp))
-	if equalPairs(other, want) {
-		t.Fatal("base seed had no effect")
 	}
 }
 
@@ -105,7 +76,7 @@ func TestFuncExpandsInOrder(t *testing.T) {
 		v.Origin = "copy"
 		emit(v)
 	}
-	got := collect(4, FromSlice("src", in), Func("expand", expand))
+	got := collect(4, fromSlice(in), FuncWithCounters("expand", expand, nil))
 	if len(got) != 2*len(in) {
 		t.Fatalf("expanded to %d pairs, want %d", len(got), 2*len(in))
 	}
@@ -116,15 +87,6 @@ func TestFuncExpandsInOrder(t *testing.T) {
 	}
 }
 
-func TestTeeObservesWithoutAltering(t *testing.T) {
-	in := mk(80)
-	var seen []Pair
-	got := collect(2, FromSlice("src", in), Tee("watch", func(p Pair) { seen = append(seen, p) }))
-	if !equalPairs(got, in) || !equalPairs(seen, in) {
-		t.Fatal("tee altered or missed part of the stream")
-	}
-}
-
 func TestDedupDropsExactDuplicates(t *testing.T) {
 	in := mk(10)
 	dups := append(append([]Pair{}, in...), in[2], in[5], in[5])
@@ -132,7 +94,7 @@ func TestDedupDropsExactDuplicates(t *testing.T) {
 	alt := in[7]
 	alt.Origin = "paraphrase"
 	dups = append(dups, alt)
-	g := New(1, FromSlice("src", dups), Dedup())
+	g := New(1, fromSlice(dups), Dedup())
 	got := g.Collect()
 	if !equalPairs(got, in) {
 		t.Fatalf("dedup output = %d pairs, want the %d originals in order", len(got), len(in))
@@ -146,8 +108,12 @@ func TestDedupDropsExactDuplicates(t *testing.T) {
 func TestStatsCountsAndLinks(t *testing.T) {
 	in := mk(30)
 	g := New(2,
-		FromSlice("src", in),
-		Filter("keep", func(p Pair) bool { return p.TemplateID != "T0" }),
+		fromSlice(in),
+		FuncWithCounters("keep", func(p Pair, emit func(Pair)) {
+			if p.TemplateID != "T0" {
+				emit(p)
+			}
+		}, nil),
 		Map("id", func(p Pair) Pair { return p }),
 	)
 	out := g.Collect()
@@ -167,7 +133,7 @@ func TestStreamStopsOnEmitError(t *testing.T) {
 	in := mk(1000)
 	wantErr := errors.New("disk full")
 	n := 0
-	err := New(4, FromSlice("src", in), Map("id", func(p Pair) Pair { return p })).Stream(func(p Pair) error {
+	err := New(4, fromSlice(in), Map("id", func(p Pair) Pair { return p })).Stream(func(p Pair) error {
 		n++
 		if n == 10 {
 			return wantErr
@@ -179,36 +145,6 @@ func TestStreamStopsOnEmitError(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("emit called %d times after error", n)
-	}
-}
-
-func TestChainEqualsFlatGraph(t *testing.T) {
-	in := mk(120)
-	upper := func(p Pair) Pair { p.NL = strings.ToUpper(p.NL); return p }
-	keep := func(p Pair) bool { return p.TemplateID != "T1" }
-	flat := collect(3, FromSlice("src", in), Map("u", upper), Filter("k", keep))
-	chained := collect(3, FromSlice("src", in), Chain("both", Map("u", upper), Filter("k", keep)))
-	if !equalPairs(flat, chained) {
-		t.Fatal("chain output differs from flat graph")
-	}
-}
-
-func TestFanGroupsByStage(t *testing.T) {
-	in := mk(40)
-	tag := func(origin string) Stage {
-		return Map(origin, func(p Pair) Pair { p.Origin = origin; return p })
-	}
-	got := collect(2, FromSlice("src", in), Fan("fan", tag("a"), tag("b")))
-	if len(got) != 2*len(in) {
-		t.Fatalf("fan emitted %d pairs, want %d", len(got), 2*len(in))
-	}
-	for i := range in {
-		if got[i].Origin != "a" || got[len(in)+i].Origin != "b" {
-			t.Fatalf("fan merge not grouped by stage at %d", i)
-		}
-		if got[i].NL != in[i].NL || got[len(in)+i].NL != in[i].NL {
-			t.Fatalf("fan reordered input at %d", i)
-		}
 	}
 }
 
@@ -226,13 +162,10 @@ func TestStagePanicPropagates(t *testing.T) {
 		f()
 	}
 	check("sequential", func() {
-		collect(1, FromSlice("src", mk(10)), Func("bad", func(p Pair, emit func(Pair)) { panic("boom") }))
+		collect(1, fromSlice(mk(10)), FuncWithCounters("bad", func(p Pair, emit func(Pair)) { panic("boom") }, nil))
 	})
 	check("parallel", func() {
-		collect(8, FromSlice("src", mk(100)), Map("bad", func(p Pair) Pair { panic("boom") }))
-	})
-	check("chained", func() {
-		collect(2, FromSlice("src", mk(10)), Chain("c", Tee("t", func(Pair) {}), Func("bad", func(p Pair, emit func(Pair)) { panic("boom") })))
+		collect(8, fromSlice(mk(100)), Map("bad", func(p Pair) Pair { panic("boom") }))
 	})
 }
 
@@ -255,14 +188,14 @@ func TestRunReturnsStageErrorNotPanic(t *testing.T) {
 	in := mk(50)
 	var fired bool
 	g := New(4,
-		FromSlice("src", in),
-		Func("explode", func(p Pair, emit func(Pair)) {
+		fromSlice(in),
+		FuncWithCounters("explode", func(p Pair, emit func(Pair)) {
 			if p.SQL == "SELECT 7" {
 				fired = true
 				panic("boom")
 			}
 			emit(p)
-		}),
+		}, nil),
 	)
 	got, err := g.CollectContext(context.Background())
 	if !fired {
@@ -288,7 +221,7 @@ func TestRunCancelledReturnsPrefix(t *testing.T) {
 	in := mk(5000)
 	ctx, cancel := context.WithCancel(context.Background())
 	var got []Pair
-	err := New(4, FromSlice("src", in), Map("id", func(p Pair) Pair { return p })).Run(ctx, func(p Pair) error {
+	err := New(4, fromSlice(in), Map("id", func(p Pair) Pair { return p })).Run(ctx, func(p Pair) error {
 		got = append(got, p)
 		if len(got) == 25 {
 			cancel()
@@ -312,7 +245,7 @@ func TestRunCancelledReturnsPrefix(t *testing.T) {
 func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := New(2, FromSlice("src", mk(100))).CollectContext(ctx)
+	got, err := New(2, fromSlice(mk(100))).CollectContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -323,24 +256,20 @@ func TestRunPreCancelled(t *testing.T) {
 
 func TestFailingStageLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	// The regression shape: a panic in the LAST sub-stage of a Chain
-	// used to unwind Run before the inner goroutines finished, leaving
-	// them blocked on their full internal channels forever. The fault
-	// sits behind a busy upstream (many more pairs than chanBuf) so a
-	// leak would be deterministic, and the whole thing runs inside a
-	// Graph so the sentinel/drain interplay is exercised too.
+	// The fault sits behind a busy parallel upstream (many more pairs
+	// than chanBuf) with a parallel stage downstream, so a stage left
+	// blocked on a full channel would leak deterministically, and the
+	// sentinel/drain interplay of both neighbours is exercised.
 	for _, workers := range []int{1, 8} {
 		g := New(workers,
-			FromSlice("src", mk(4000)),
-			Chain("c",
-				Map("id", func(p Pair) Pair { return p }),
-				Func("bad", func(p Pair, emit func(Pair)) {
-					if p.SQL == "SELECT 100" {
-						panic("boom")
-					}
-					emit(p)
-				}),
-			),
+			fromSlice(mk(4000)),
+			Map("id", func(p Pair) Pair { return p }),
+			FuncWithCounters("bad", func(p Pair, emit func(Pair)) {
+				if p.SQL == "SELECT 100" {
+					panic("boom")
+				}
+				emit(p)
+			}, nil),
 			Map("down", func(p Pair) Pair { return p }),
 		)
 		_, err := g.CollectContext(context.Background())
@@ -348,7 +277,7 @@ func TestFailingStageLeaksNoGoroutines(t *testing.T) {
 		if !errors.As(err, &se) {
 			t.Fatalf("workers=%d: err = %v, want *StageError", workers, err)
 		}
-		if se.Stage != "c" {
+		if se.Stage != "bad" {
 			t.Fatalf("workers=%d: failing stage = %q", workers, se.Stage)
 		}
 	}
@@ -358,7 +287,7 @@ func TestFailingStageLeaksNoGoroutines(t *testing.T) {
 func TestStageErrorPrefixWorkerInvariant(t *testing.T) {
 	run := func(workers int) ([]Pair, *StageError) {
 		g := New(workers,
-			FromSlice("src", mk(300)),
+			fromSlice(mk(300)),
 			Map("bad", func(p Pair) Pair {
 				if p.SQL == "SELECT 123" {
 					panic("boom")

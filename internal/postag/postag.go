@@ -134,15 +134,6 @@ func TagWord(w string) Tag {
 	}
 }
 
-// TagAll tags every token.
-func TagAll(toks []string) []Tag {
-	out := make([]Tag, len(toks))
-	for i, t := range toks {
-		out[i] = TagWord(t)
-	}
-	return out
-}
-
 // Droppable reports whether a word of this class can be removed
 // without destroying the question's core semantics — the POS-guided
 // word-removal policy of the paper's §3.2.3: function words

@@ -27,16 +27,6 @@ func TestTagWordTable(t *testing.T) {
 	}
 }
 
-func TestTagAll(t *testing.T) {
-	tags := TagAll([]string{"show", "the", "name", "of", "patients"})
-	want := []Tag{Verb, Determiner, Noun, Preposition, Noun}
-	for i := range want {
-		if tags[i] != want[i] {
-			t.Fatalf("TagAll = %v", tags)
-		}
-	}
-}
-
 func TestDroppablePolicy(t *testing.T) {
 	droppable := []string{"the", "of", "is", "me", "show", "only"}
 	for _, w := range droppable {

@@ -336,18 +336,3 @@ func Paraphrases(phrase string, max int, minQuality float64) []string {
 	}
 	return out
 }
-
-// Size returns the number of keys in the paraphrase table.
-func Size() int { return len(table) }
-
-// MaxKeyLen returns the longest key length in tokens (the largest
-// subclause size worth looking up).
-func MaxKeyLen() int {
-	max := 1
-	for k := range table {
-		if n := strings.Count(k, " ") + 1; n > max {
-			max = n
-		}
-	}
-	return max
-}

@@ -176,7 +176,7 @@ func TestOnboardFleetUnderLiveTraffic(t *testing.T) {
 
 	close(stop)
 	readers.Wait()
-	r.Wait()
+	r.WaitCtx(context.Background())
 
 	if n := dropped.Load(); n != 0 {
 		t.Fatalf("%d dropped requests during onboarding/swap (served %d)", n, served.Load())
@@ -263,7 +263,7 @@ func TestKilledOnboardingResumesBitIdentical(t *testing.T) {
 		t.Fatalf("resumed onboarding at version %d, want 1", st.Version)
 	}
 	_ = resumedSeen // checkpoints may or may not fire again post-resume
-	r.Wait()
+	r.WaitCtx(context.Background())
 
 	var gotBytes bytes.Buffer
 	if err := ten2.Current().Unit.Model.(saveFuller).SaveFull(&gotBytes); err != nil {
@@ -289,7 +289,7 @@ func (badModel) Translate(_, _ []string) []string { return []string{"select", "g
 // surfaces the gate failure as rolled_back.
 func TestFailedEvalRollsBack(t *testing.T) {
 	r := registry.New(registry.Config{
-		Workers: 1, MinAccuracy: 0.5, EvalQuestions: 8, EvalWorkers: 2,
+		Workers: 1, MinAccuracy: 0.5, EvalQuestions: 8,
 	})
 	name := boot.TenantName("synth:7")
 	r.Install(name, buildUnit(t, "synth:7", 7))
@@ -329,7 +329,7 @@ func TestFailedEvalRollsBack(t *testing.T) {
 	st := waitForState(t, ten, registry.StateRolledBack)
 	close(stop)
 	readers.Wait()
-	r.Wait()
+	r.WaitCtx(context.Background())
 
 	if !strings.Contains(st.Error, "eval gate") {
 		t.Fatalf("status error = %q, want the eval-gate rejection", st.Error)
@@ -342,38 +342,6 @@ func TestFailedEvalRollsBack(t *testing.T) {
 	}
 	if st.Version != v1.Seq {
 		t.Fatalf("status version %d, want serving %d", st.Version, v1.Seq)
-	}
-}
-
-// TestExplicitRollback: Rollback swaps the predecessor back in
-// atomically, and swaps forward again on a second call.
-func TestExplicitRollback(t *testing.T) {
-	r := registry.New(registry.Config{Workers: 1})
-	name := boot.TenantName("synth:9")
-	u := buildUnit(t, "synth:9", 9)
-	r.Install(name, u)
-	ten := r.Lookup(name)
-	if ten.Rollback() {
-		t.Fatal("rollback with no predecessor reported success")
-	}
-	r.Install(name, buildUnit(t, "synth:9", 10))
-	if got := ten.Current().Seq; got != 2 {
-		t.Fatalf("after second install, seq = %d, want 2", got)
-	}
-	if !ten.Rollback() {
-		t.Fatal("rollback with a predecessor failed")
-	}
-	if got := ten.Current().Seq; got != 1 {
-		t.Fatalf("after rollback, seq = %d, want 1", got)
-	}
-	if st := ten.Status(); st.State != registry.StateRolledBack {
-		t.Fatalf("state = %s, want rolled_back", st.State)
-	}
-	if !ten.Rollback() {
-		t.Fatal("roll-forward failed")
-	}
-	if got := ten.Current().Seq; got != 2 {
-		t.Fatalf("after roll-forward, seq = %d, want 2", got)
 	}
 }
 
@@ -409,7 +377,7 @@ func TestRemoveCancelsInFlightOnboarding(t *testing.T) {
 	if !r.Remove(ten.Name) {
 		t.Fatal("remove of an onboarding tenant failed")
 	}
-	r.Wait()
+	r.WaitCtx(context.Background())
 	if r.Lookup(ten.Name) != nil {
 		t.Fatal("tenant still resolvable after Remove")
 	}
@@ -436,5 +404,5 @@ func TestOnboardRejectsConcurrentBuild(t *testing.T) {
 		t.Fatal("second concurrent onboard of the same tenant succeeded")
 	}
 	cancel()
-	r.Wait()
+	r.WaitCtx(context.Background())
 }

@@ -69,7 +69,7 @@ func (r *Registry) runOnboard(ctx context.Context, t *Tenant, spec boot.Spec) er
 	}
 
 	t.enter(StateGenerating)
-	pairs, err := boot.Pairs(ctx, s, spec.ParamsOrDefault(), spec.Seed, r.cfg.PipelineWorkers)
+	pairs, err := boot.Pairs(ctx, s, spec.ParamsOrDefault(), spec.Seed)
 	if err != nil {
 		return err
 	}
@@ -110,7 +110,7 @@ func (r *Registry) runOnboard(ctx context.Context, t *Tenant, spec boot.Spec) er
 	if r.cfg.EvalQuestions > 0 {
 		t.enter(StateEvaluating)
 		qs := spider.Workload(s, r.cfg.EvalQuestions, spec.Seed+1789)
-		rep, err := eval.EvalSchemaCtx(ctx, m, s, qs, r.cfg.EvalWorkers)
+		rep, err := eval.EvalSchemaCtx(ctx, m, s, qs)
 		if err != nil {
 			return err
 		}

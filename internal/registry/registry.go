@@ -13,8 +13,6 @@
 //     requests.
 //   - Rollback: a candidate failing the eval gate is discarded before
 //     the swap; the previously serving version never stops answering.
-//     An installed version can also be explicitly rolled back to its
-//     predecessor.
 //   - Restartable onboarding: training checkpoints land in
 //     CheckpointDir/<tenant>.ckpt; a killed onboarding re-run with the
 //     same spec resumes from the checkpoint bit-identically.
@@ -97,7 +95,6 @@ type Tenant struct {
 	cur atomic.Pointer[Version]
 
 	mu      sync.Mutex
-	prev    *Version
 	st      Status
 	nextSeq int
 	cancel  context.CancelFunc // active onboarding, nil otherwise
@@ -106,13 +103,6 @@ type Tenant struct {
 // Current returns the serving version, or nil while the first
 // onboarding is still in flight.
 func (t *Tenant) Current() *Version { return t.cur.Load() }
-
-// Previous returns the version displaced by the last swap, if any.
-func (t *Tenant) Previous() *Version {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.prev
-}
 
 // Status snapshots the tenant.
 func (t *Tenant) Status() Status {
@@ -128,32 +118,12 @@ func (t *Tenant) Status() Status {
 	return st
 }
 
-// Rollback atomically swaps the previous version back into the slot
-// (the escape hatch for a regression discovered after a swap). It
-// reports whether there was a predecessor to restore.
-func (t *Tenant) Rollback() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.prev == nil {
-		return false
-	}
-	restored := t.prev
-	t.prev = t.cur.Load()
-	t.cur.Store(restored)
-	t.st.State = StateRolledBack
-	t.st.Error = ""
-	return true
-}
-
 // install publishes v as the serving version. The atomic store is the
 // zero-downtime swap: requests that already loaded the old version
 // finish on it, every later Current sees v.
 func (t *Tenant) install(v *Version) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if old := t.cur.Load(); old != nil {
-		t.prev = old
-	}
 	t.cur.Store(v)
 	t.st.State = StateReady
 	t.st.Onboarding = false
@@ -187,25 +157,19 @@ func (t *Tenant) fail(err error) {
 type Config struct {
 	// Workers bounds each tenant's concurrent translations (0 = NumCPU).
 	Workers int
-	// CacheSize/CacheShards size each version's result cache (0 = no
-	// cache).
-	CacheSize   int
-	CacheShards int
+	// CacheSize sizes each version's result cache (0 = no cache).
+	CacheSize int
 	// MinAccuracy is the eval gate: a candidate scoring below it is
 	// rejected (rolled back) instead of installed. 0 disables gating.
 	MinAccuracy float64
 	// EvalQuestions sizes the gate workload (default 24; negative
 	// skips evaluation entirely).
 	EvalQuestions int
-	// EvalWorkers bounds the gate's parallel scoring (0 = NumCPU).
-	EvalWorkers int
 	// CheckpointDir, when set, makes onboarding restartable: training
 	// checkpoints land in <dir>/<tenant>.ckpt every CheckpointEvery
 	// steps (default 25) and a rerun resumes from them.
 	CheckpointDir   string
 	CheckpointEvery int
-	// PipelineWorkers bounds the generation stage pool (0 = NumCPU).
-	PipelineWorkers int
 	// Equip, when non-nil, attaches per-version equipment before the
 	// version becomes visible (the serving layer's breakers).
 	Equip func(tenant string, v *Version)
@@ -298,10 +262,7 @@ func (r *Registry) newVersion(t *Tenant, u *boot.Unit, acc float64) *Version {
 	t.mu.Unlock()
 	v := &Version{Seq: seq, Unit: u, Accuracy: acc}
 	if r.cfg.CacheSize > 0 {
-		v.Cache = cache.New[*runtime.DecodeResult](cache.Config{
-			Capacity: r.cfg.CacheSize,
-			Shards:   r.cfg.CacheShards,
-		})
+		v.Cache = cache.New[*runtime.DecodeResult](cache.Config{Capacity: r.cfg.CacheSize})
 	}
 	if r.cfg.Equip != nil {
 		r.cfg.Equip(t.Name, v)
@@ -346,15 +307,11 @@ func (r *Registry) Remove(name string) bool {
 	return true
 }
 
-// Wait blocks until every background onboarding has returned (after
-// cancelling their context via the caller's shutdown path). It is
-// unbounded; shutdown paths with a deadline should use WaitCtx.
-func (r *Registry) Wait() { r.wg.Wait() }
-
-// WaitCtx is Wait bounded by ctx: it returns ctx.Err() if the
-// onboardings have not all returned by then. A misbehaving model can
-// then cost at most a leaked goroutine on exit, never a hung
-// shutdown.
+// WaitCtx blocks until every background onboarding has returned
+// (after cancelling their context via the caller's shutdown path), or
+// returns ctx.Err() if they have not all returned by the time ctx is
+// done. A misbehaving model can then cost at most a leaked goroutine
+// on exit, never a hung shutdown.
 func (r *Registry) WaitCtx(ctx context.Context) error {
 	return par.Await(ctx, r.wg.Wait)
 }

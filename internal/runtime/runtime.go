@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -424,41 +423,6 @@ func (ph *ParameterHandler) bestTextMatch(x *spanIndex, i, n int) (sqlast.Column
 	return iv.cols[0], iv.value, bestSim
 }
 
-// Jaccard computes the Jaccard index of the character-bigram sets of a
-// and b (1.0 for identical strings).
-func Jaccard(a, b string) float64 {
-	if a == b {
-		return 1
-	}
-	return jaccardSorted(bigrams(a), bigrams(b))
-}
-
-// jaccardSorted computes the Jaccard index of two sorted distinct
-// bigram slices by merge intersection.
-func jaccardSorted(sa, sb []string) float64 {
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(sa) && j < len(sb) {
-		switch {
-		case sa[i] == sb[j]:
-			inter++
-			i++
-			j++
-		case sa[i] < sb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if inter == len(sa) && inter == len(sb) {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
 // bigramKeys returns the distinct character bigrams of s packed into
 // uint64 keys (hi rune << 32 | lo rune; a single-rune string yields
 // the bare rune, which cannot collide with a pair key because pair
@@ -474,28 +438,6 @@ func bigramKeys(s string) []uint64 {
 	}
 	slices.Sort(out)
 	return slices.Compact(out)
-}
-
-// bigrams returns the sorted distinct character bigrams of s (the
-// whole string when it is a single rune).
-func bigrams(s string) []string {
-	r := []rune(s)
-	if len(r) == 1 {
-		return []string{s}
-	}
-	out := make([]string, 0, len(r))
-	for i := 0; i+1 < len(r); i++ {
-		out = append(out, string(r[i:i+2]))
-	}
-	sort.Strings(out)
-	w := 0
-	for i, g := range out {
-		if i == 0 || g != out[w-1] {
-			out[w] = g
-			w++
-		}
-	}
-	return out[:w]
 }
 
 // placeholderName renders TABLE.COL (upper case, no '@').

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/critic"
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/patients"
@@ -109,19 +110,52 @@ func TestAnonymizePreAnonymizedPassThrough(t *testing.T) {
 	}
 }
 
+// spanSimilarity is the score the Parameter Handler gives phrase (its
+// space-separated tokens, scored as one span) against a database
+// whose only text value is value: the character-bigram Jaccard index
+// bestTextMatch ranks candidate spans by, read off its inverted index.
+func spanSimilarity(t *testing.T, phrase, value string) float64 {
+	t.Helper()
+	s := &schema.Schema{Name: "one", Tables: []*schema.Table{
+		{Name: "t", Columns: []*schema.Column{{Name: "v", Type: schema.Text}}},
+	}}
+	db := engine.NewDatabase(s)
+	if err := db.Insert("t", engine.Row{engine.Str(value)}); err != nil {
+		t.Fatal(err)
+	}
+	ph := NewParameterHandler(db)
+	toks := strings.Fields(phrase)
+	_, _, sim := ph.bestTextMatch(ph.newSpanIndex(toks), 0, len(toks))
+	return sim
+}
+
+// TestJaccard holds the span scorer to the bigram Jaccard index: 1
+// for identical strings, 0 for disjoint ones, a near match in
+// between, and equal to critic.Jaccard of the lower-cased strings.
 func TestJaccard(t *testing.T) {
-	if Jaccard("abc", "abc") != 1 {
+	if spanSimilarity(t, "abc", "abc") != 1 {
 		t.Fatal("identical strings = 1")
 	}
-	if Jaccard("abc", "xyz") != 0 {
+	if spanSimilarity(t, "abc", "xyz") != 0 {
 		t.Fatal("disjoint strings = 0")
 	}
-	sim := Jaccard("influenza", "influenzas")
+	sim := spanSimilarity(t, "influenza", "influenzas")
 	if sim <= 0.5 || sim >= 1 {
 		t.Fatalf("near-match similarity = %v", sim)
 	}
-	if Jaccard("male", "male") <= Jaccard("male", "female") {
+	if spanSimilarity(t, "male", "male") <= spanSimilarity(t, "male", "female") {
 		t.Fatal("exact match must beat partial match")
+	}
+	for _, c := range [][2]string{
+		{"abc", "abc"}, {"abc", "xyz"}, {"influenza", "influenzas"},
+		{"male", "female"}, {"aaaa", "aa"}, {"ab", "ba"}, {"café", "cafe"},
+		{"New York", "new york city"}, {"new york", "New York"},
+	} {
+		got := spanSimilarity(t, c[0], c[1])
+		want := critic.Jaccard(strings.ToLower(c[0]), strings.ToLower(c[1]))
+		if got != want {
+			t.Errorf("span %q vs value %q = %v, want critic.Jaccard %v", c[0], c[1], got, want)
+		}
 	}
 }
 
@@ -320,18 +354,25 @@ func TestTraceRendering(t *testing.T) {
 	}
 }
 
+// TestJaccardEdgeCases pins the scorer at its smallest inputs. A
+// span is never empty (tokens are not), so the empty side that can
+// occur is an empty database value, which shares no bigram with any
+// span; critic's TestJaccard pins Jaccard("", "") itself.
 func TestJaccardEdgeCases(t *testing.T) {
-	if Jaccard("", "") != 1 {
-		t.Fatal("empty strings are identical")
-	}
-	if Jaccard("a", "") != 0 {
+	if spanSimilarity(t, "a", "") != 0 {
 		t.Fatal("empty vs non-empty = 0")
 	}
-	if Jaccard("a", "a") != 1 {
+	if spanSimilarity(t, "a", "a") != 1 {
 		t.Fatal("single identical runes = 1")
 	}
-	if Jaccard("a", "b") != 0 {
+	if spanSimilarity(t, "a", "b") != 0 {
 		t.Fatal("distinct single runes = 0")
+	}
+	if spanSimilarity(t, "a", "ab") != 0 {
+		t.Fatal("a single rune shares no bigram with a pair")
+	}
+	if spanSimilarity(t, "A", "a") != 1 {
+		t.Fatal("spans are scored lower-cased")
 	}
 }
 

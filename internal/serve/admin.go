@@ -10,8 +10,9 @@ import (
 	"repro/internal/registry"
 )
 
-// onboardRequest is the POST /schemas body. Schema is required; the
-// rest defaults like the CLI flags do (sketch model, seed 1, 40 rows).
+// onboardRequest is the POST /schemas body. Schema is required; every
+// other field absent (or zero) inherits the server's Config.Spec, so
+// an onboarded tenant is built like the boot-time ones.
 type onboardRequest struct {
 	// Schema names what to onboard: "patients", a spider-zoo schema, or
 	// "synth:<seed>" for a generated cross-domain one.
@@ -19,11 +20,10 @@ type onboardRequest struct {
 	Model  string `json:"model,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
 	Rows   int    `json:"rows,omitempty"`
-	// Fallback adds the nearest-neighbor degradation tier.
-	Fallback bool `json:"fallback,omitempty"`
-	// Critic overrides the server's critic setting for this tenant
-	// (absent = inherit the server configuration).
-	Critic *bool `json:"critic,omitempty"`
+	// Fallback and Critic override the server's fallback tier and
+	// critic settings for this tenant (absent = inherit them).
+	Fallback *bool `json:"fallback,omitempty"`
+	Critic   *bool `json:"critic,omitempty"`
 }
 
 // schemasResponse is the GET /schemas body.
@@ -71,19 +71,22 @@ func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, KindValidation, 0, "schema is required")
 		return
 	}
-	criticOn := s.cfg.Critic
-	if req.Critic != nil {
-		criticOn = *req.Critic
+	spec := s.cfg.Spec
+	spec.Schema, spec.LoadPath = req.Schema, ""
+	if req.Model != "" {
+		spec.Model = req.Model
 	}
-	spec := boot.Spec{
-		Schema:          req.Schema,
-		Model:           req.Model,
-		Seed:            req.Seed,
-		Rows:            req.Rows,
-		Fallback:        req.Fallback,
-		Critic:          criticOn,
-		CriticRowBudget: s.cfg.CriticRowBudget,
-		CriticTimeout:   s.cfg.CriticTimeout,
+	if req.Seed != 0 {
+		spec.Seed = req.Seed
+	}
+	if req.Rows != 0 {
+		spec.Rows = req.Rows
+	}
+	if req.Fallback != nil {
+		spec.Fallback = *req.Fallback
+	}
+	if req.Critic != nil {
+		spec.Critic = *req.Critic
 	}
 	if _, _, rerr := boot.ResolveSchema(req.Schema, 1, 1); rerr != nil {
 		writeError(w, KindValidation, 0, "%v", rerr)

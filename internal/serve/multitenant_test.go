@@ -210,7 +210,7 @@ func TestOnboardingTenantIs503(t *testing.T) {
 		t.Fatalf("ready tenant disturbed: status %d", status)
 	}
 	cancel()
-	s.Registry().Wait()
+	s.Registry().WaitCtx(context.Background())
 }
 
 // blockingTrainer blocks in TrainContext until cancelled, parking an
@@ -327,7 +327,7 @@ func TestAdminOnboardLifecycle(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/synth21/ask?q=x", &env); status != http.StatusNotFound {
 		t.Fatalf("deleted tenant still routable: status %d", status)
 	}
-	s.Registry().Wait()
+	s.Registry().WaitCtx(context.Background())
 }
 
 // TestAdminValidation: the admin API rejects bad input with the
@@ -355,7 +355,7 @@ func TestAdminValidation(t *testing.T) {
 // is on, while a tenant onboarded without the field inherits the
 // server's critic — with its sandbox breaker wired around it.
 func TestOnboardCriticOverride(t *testing.T) {
-	s, ts := newMultiServer(t, Config{Workers: 1, Critic: true})
+	s, ts := newMultiServer(t, Config{Workers: 1, Spec: boot.Spec{Critic: true}})
 	for _, body := range []map[string]any{
 		{"schema": "synth:21", "model": "nn", "rows": 3, "seed": 21, "critic": false},
 		{"schema": "synth:22", "model": "nn", "rows": 3, "seed": 22},
@@ -364,7 +364,7 @@ func TestOnboardCriticOverride(t *testing.T) {
 			t.Fatalf("POST /schemas %v: status %d", body, status)
 		}
 	}
-	s.Registry().Wait()
+	s.Registry().WaitCtx(context.Background())
 
 	translator := func(name string) *runtime.Translator {
 		t.Helper()
@@ -384,5 +384,38 @@ func TestOnboardCriticOverride(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/synth22/translate?q="+urlQuery("show all of them"), nil)
 	if row := s.Snapshot().Tenants["synth22"]; row.Breakers["critic"] != "closed" {
 		t.Fatalf("synth22 breakers = %v, want the critic's closed", row.Breakers)
+	}
+}
+
+// TestOnboardInheritsServerSpec: a tenant onboarded through POST
+// /schemas is built with the server's build template — the model and
+// the per-tier deadline here — whether or not the request overrides
+// other fields.
+func TestOnboardInheritsServerSpec(t *testing.T) {
+	const deadline = 750 * time.Millisecond
+	s, ts := newMultiServer(t, Config{Workers: 1, Spec: boot.Spec{
+		Model: "nn", Rows: 3, Seed: 5, Deadline: deadline,
+	}})
+	for _, body := range []map[string]any{
+		{"schema": "synth:23"},
+		{"schema": "synth:24", "seed": 24, "rows": 4},
+	} {
+		if status := postJSON(t, ts.URL+"/schemas", body, nil); status != http.StatusAccepted {
+			t.Fatalf("POST /schemas %v: status %d", body, status)
+		}
+	}
+	s.Registry().WaitCtx(context.Background())
+
+	for _, name := range []string{"synth23", "synth24"} {
+		v := s.Registry().Lookup(name).Current()
+		if v == nil {
+			t.Fatalf("tenant %s never became ready: %+v", name, s.Registry().Lookup(name).Status())
+		}
+		if got := v.Unit.Translator.Deadline; got != deadline {
+			t.Errorf("%s: onboarded Translator.Deadline = %v, want the server's %v", name, got, deadline)
+		}
+		if got := v.Unit.Model.Name(); got != "template-nn" {
+			t.Errorf("%s: onboarded model = %q, want the server's nn", name, got)
+		}
 	}
 }

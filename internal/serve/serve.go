@@ -81,23 +81,17 @@ type Config struct {
 	// many entries per model version (0 = no cache). Keys are the
 	// schema name plus the lemmatized anonymized question, so every
 	// constant variation of a query shape shares one cached decode and
-	// no two tenants can ever share an entry; CacheShards optionally
-	// overrides the shard count (0 = the cache package default).
-	CacheSize   int
-	CacheShards int
-	// Critic is the critic setting for tenants onboarded through POST
-	// /schemas (a request's "critic" field overrides it): their
-	// candidates are schema-checked, sandboxed dry-run against the
-	// tenant's engine, and deterministically repaired before
-	// answering. Tenants passed to NewMulti keep whatever critic
-	// boot.Assemble gave them; the server only wires a breaker around
-	// it when breakers are on.
-	Critic bool
-	// CriticRowBudget caps environment rows per critic dry-run and
-	// CriticTimeout bounds one dry-run for onboarded tenants (0 =
-	// critic defaults).
-	CriticRowBudget int
-	CriticTimeout   time.Duration
+	// no two tenants can ever share an entry.
+	CacheSize int
+	// Spec is the build template for tenants onboarded through POST
+	// /schemas: the same settings the boot-time tenants were built
+	// with (model, seed, rows, per-tier deadline, fallback, critic).
+	// The request's schema replaces Spec.Schema, its other fields
+	// override their counterparts when set, and LoadPath is ignored
+	// (saved weights belong to the schema they were trained on).
+	// Tenants passed to NewMulti keep whatever boot.Assemble gave them;
+	// the server only wires breakers around their tiers and critic.
+	Spec boot.Spec
 	// MinAccuracy is the onboarding eval gate: a candidate model
 	// scoring below it on the per-schema workload is rejected and the
 	// prior version keeps serving (0 disables the gate).
@@ -172,7 +166,6 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 	s.reg = registry.New(registry.Config{
 		Workers:         cfg.Workers,
 		CacheSize:       cfg.CacheSize,
-		CacheShards:     cfg.CacheShards,
 		MinAccuracy:     cfg.MinAccuracy,
 		EvalQuestions:   cfg.EvalQuestions,
 		CheckpointDir:   cfg.CheckpointDir,
@@ -193,7 +186,9 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 	return s
 }
 
-// Registry exposes the tenant registry (admin tooling, tests).
+// Registry exposes the tenant registry.
+//
+//lint:allow deadcode test hook: serve tests onboard and inspect tenants through it
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // equip attaches a fresh breaker set — one breaker per tier, and one
@@ -230,7 +225,9 @@ func (s *Server) state(t *registry.Tenant) *tenantState {
 	return ts
 }
 
-// Handler returns the routed handler, for tests and custom listeners.
+// Handler returns the routed handler.
+//
+//lint:allow deadcode test hook: serve tests drive the routes through httptest with it
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start serves on ln in the background and returns the channel that
@@ -248,9 +245,6 @@ func (s *Server) Start(ln net.Listener) <-chan error {
 // admitted keep running. Load balancers watch /readyz, so calling
 // Drain before Shutdown gives them time to stop routing here.
 func (s *Server) Drain() { s.draining.Store(true) }
-
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown drains, cancels in-flight onboarding (its training writes a
 // final checkpoint, so a later process resumes where it stopped), and

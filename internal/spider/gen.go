@@ -115,16 +115,6 @@ func GenerateSchema(seed int64) *schema.Schema {
 	return s
 }
 
-// Fleet generates n schemas from consecutive seeds starting at seed —
-// the synthetic tenant fleet for multi-tenant chaos tests.
-func Fleet(n int, seed int64) []*schema.Schema {
-	out := make([]*schema.Schema, n)
-	for i := range out {
-		out[i] = GenerateSchema(seed + int64(i))
-	}
-	return out
-}
-
 // Workload samples n pre-anonymized benchmark questions over an
 // arbitrary schema (generated or zoo) using the train-split kinds —
 // the onboarding eval gate scores candidate models against it.

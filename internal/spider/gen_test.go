@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/schema"
 	"repro/internal/spider"
 )
 
@@ -86,7 +87,10 @@ func TestGenerateSchemaDeterministic(t *testing.T) {
 
 // TestFleet: consecutive seeds give distinct tenants.
 func TestFleet(t *testing.T) {
-	fleet := spider.Fleet(12, 100)
+	var fleet []*schema.Schema
+	for i := 0; i < 12; i++ {
+		fleet = append(fleet, spider.GenerateSchema(100+int64(i)))
+	}
 	seen := map[string]bool{}
 	for _, s := range fleet {
 		if seen[s.Name] {

@@ -644,15 +644,6 @@ func QueryPatternSet(qs []Question) map[string]bool {
 	return out
 }
 
-// Stats summarizes a question list by difficulty.
-func Stats(qs []Question) map[sqlast.Difficulty]int {
-	out := map[sqlast.Difficulty]int{}
-	for _, q := range qs {
-		out[q.Difficulty]++
-	}
-	return out
-}
-
 // String renders a question for logs.
 func (q Question) String() string {
 	return fmt.Sprintf("[%s/%s] %s => %s", q.Schema, q.Difficulty, q.NL, q.SQL)

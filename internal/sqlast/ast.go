@@ -167,27 +167,6 @@ func (o CmpOp) String() string {
 	}
 }
 
-// Negate returns the complementary operator (LIKE negates to itself;
-// callers wrap it in NOT instead).
-func (o CmpOp) Negate() CmpOp {
-	switch o {
-	case OpEq:
-		return OpNe
-	case OpNe:
-		return OpEq
-	case OpLt:
-		return OpGe
-	case OpLe:
-		return OpGt
-	case OpGt:
-		return OpLe
-	case OpGe:
-		return OpLt
-	default:
-		return o
-	}
-}
-
 // Operand is the right-hand side of a comparison: a literal, a
 // placeholder, a column, or a scalar subquery.
 type Operand interface {

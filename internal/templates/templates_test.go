@@ -5,9 +5,22 @@ import (
 	"testing"
 )
 
+// byID returns the seed template with the given id.
+func byID(t *testing.T, id string) *Template {
+	t.Helper()
+	all := All()
+	for i := range all {
+		if all[i].ID == id {
+			return &all[i]
+		}
+	}
+	t.Fatalf("no template %q", id)
+	return nil
+}
+
 func TestTemplateCount(t *testing.T) {
 	// The paper ships "approximately 100 seed templates".
-	if n := Count(); n < 80 {
+	if n := len(All()); n < 80 {
 		t.Fatalf("seed template count = %d; want approximately 100", n)
 	}
 }
@@ -26,20 +39,24 @@ func TestUniqueIDs(t *testing.T) {
 }
 
 func TestEveryClassRepresented(t *testing.T) {
+	perClass := map[Class]int{}
+	for _, tpl := range All() {
+		perClass[tpl.Class]++
+	}
 	for _, c := range Classes {
-		if len(ByClass(c)) == 0 {
+		if perClass[c] == 0 {
 			t.Errorf("class %s has no templates", c)
 		}
 	}
 	// Key classes need meaningful coverage.
-	if len(ByClass(CFilter)) < 10 {
-		t.Errorf("filter class too small: %d", len(ByClass(CFilter)))
+	if perClass[CFilter] < 10 {
+		t.Errorf("filter class too small: %d", perClass[CFilter])
 	}
-	if len(ByClass(CJoin)) < 8 {
-		t.Errorf("join class too small: %d", len(ByClass(CJoin)))
+	if perClass[CJoin] < 8 {
+		t.Errorf("join class too small: %d", perClass[CJoin])
 	}
-	if len(ByClass(CNested)) < 8 {
-		t.Errorf("nested class too small: %d", len(ByClass(CNested)))
+	if perClass[CNested] < 8 {
+		t.Errorf("nested class too small: %d", perClass[CNested])
 	}
 }
 
@@ -65,8 +82,8 @@ func TestNLVariants(t *testing.T) {
 			paraphrased++
 		}
 	}
-	if paraphrased < Count()/2 {
-		t.Errorf("only %d/%d templates have paraphrased variants", paraphrased, Count())
+	if paraphrased < len(All())/2 {
+		t.Errorf("only %d/%d templates have paraphrased variants", paraphrased, len(All()))
 	}
 }
 
@@ -101,19 +118,19 @@ func TestSlotsAreKnown(t *testing.T) {
 }
 
 func TestUsesTwoTables(t *testing.T) {
-	if ByID("select-attr").UsesTwoTables() {
+	if byID(t, "select-attr").UsesTwoTables() {
 		t.Error("select-attr is single-table")
 	}
-	if !ByID("join-avg").UsesTwoTables() {
+	if !byID(t, "join-avg").UsesTwoTables() {
 		t.Error("join-avg uses two tables")
 	}
-	if !ByID("nested-in-fk").UsesTwoTables() {
+	if !byID(t, "nested-in-fk").UsesTwoTables() {
 		t.Error("nested-in-fk uses two tables")
 	}
 }
 
 func TestRequiredSlots(t *testing.T) {
-	req := ByID("join-avg").RequiredSlots()
+	req := byID(t, "join-avg").RequiredSlots()
 	names := map[string]bool{}
 	for _, r := range req {
 		names[r.Name] = true
@@ -122,7 +139,10 @@ func TestRequiredSlots(t *testing.T) {
 		t.Fatalf("join-avg required slots = %v", req)
 	}
 	// Every filter template needs at least one value placeholder slot.
-	for _, tpl := range ByClass(CFilter) {
+	for _, tpl := range All() {
+		if tpl.Class != CFilter {
+			continue
+		}
 		hasPH := false
 		for _, s := range tpl.Slots() {
 			if strings.HasPrefix(s, "@") {
@@ -135,17 +155,11 @@ func TestRequiredSlots(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	if ByID("select-all") == nil {
-		t.Fatal("select-all missing")
-	}
-	if ByID("no-such-template") != nil {
-		t.Fatal("unknown id should return nil")
-	}
-}
-
 func TestJoinTemplatesUseJoinPlaceholder(t *testing.T) {
-	for _, tpl := range ByClass(CJoin) {
+	for _, tpl := range All() {
+		if tpl.Class != CJoin {
+			continue
+		}
 		if !strings.Contains(tpl.SQL, "@JOIN") {
 			t.Errorf("join template %s must use FROM @JOIN, got %q", tpl.ID, tpl.SQL)
 		}
@@ -153,7 +167,10 @@ func TestJoinTemplatesUseJoinPlaceholder(t *testing.T) {
 }
 
 func TestNestedTemplatesNest(t *testing.T) {
-	for _, tpl := range ByClass(CNested) {
+	for _, tpl := range All() {
+		if tpl.Class != CNested {
+			continue
+		}
 		if strings.Count(tpl.SQL, "SELECT") < 2 {
 			t.Errorf("nested template %s has no subquery: %q", tpl.ID, tpl.SQL)
 		}

@@ -85,11 +85,6 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// Detokenize joins tokens back into a display string.
-func Detokenize(toks []string) string {
-	return strings.Join(toks, " ")
-}
-
 // Vocab is a bidirectional token-id mapping with the five special
 // tokens preinstalled at fixed ids.
 type Vocab struct {
@@ -147,15 +142,6 @@ func (v *Vocab) Encode(toks []string) []int {
 	out := make([]int, len(toks))
 	for i, t := range toks {
 		out[i] = v.ID(t)
-	}
-	return out
-}
-
-// Decode maps ids back to tokens.
-func (v *Vocab) Decode(ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = v.Word(id)
 	}
 	return out
 }
