@@ -56,7 +56,7 @@ func main() {
 		loadPath  = flag.String("load", "", "load model weights saved by dbpal-train instead of training (single-schema only)")
 		seed      = flag.Int64("seed", 1, "pipeline and training seed")
 		rows      = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
-		deadline  = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = none)")
+		deadline  = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = half of -timeout)")
 		fallback  = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
 
 		workers  = flag.Int("workers", 0, "max concurrent translations per tenant (0 = NumCPU)")

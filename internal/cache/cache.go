@@ -61,30 +61,31 @@ func (o Outcome) String() string {
 type Config struct {
 	// Capacity is the total entry budget across shards (default 1024).
 	Capacity int
-	// Shards is the number of independent LRU shards (default 16,
-	// rounded up to a power of two so the hash can mask).
-	Shards int
+}
+
+// minShardEntries keeps each shard's LRU deep enough that per-shard
+// eviction stays close to a global LRU; maxShards bounds the lock
+// striping, beyond which more shards only thin the shards out.
+const (
+	minShardEntries = 64
+	maxShards       = 16
+)
+
+// shardCount is the number of independent LRU shards for a capacity:
+// the largest power of two (so the hash can mask) that leaves every
+// shard at least minShardEntries entries, at most maxShards. A small
+// cache is one strict-LRU shard; the default 1024 entries get 16.
+func shardCount(capacity int) int {
+	n := 1
+	for n*2 <= maxShards && n*2*minShardEntries <= capacity {
+		n *= 2
+	}
+	return n
 }
 
 func (c Config) withDefaults() Config {
 	if c.Capacity <= 0 {
 		c.Capacity = 1024
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	n := 1
-	for n < c.Shards {
-		n <<= 1
-	}
-	c.Shards = n
-	if c.Shards > c.Capacity {
-		// Never let sharding inflate the budget: small caches collapse
-		// to fewer shards instead of rounding every shard up to one.
-		c.Shards = 1
-		for c.Shards*2 <= c.Capacity {
-			c.Shards <<= 1
-		}
 	}
 	return c
 }
@@ -116,12 +117,10 @@ type Cache[V any] struct {
 // New builds a cache from cfg.
 func New[V any](cfg Config) *Cache[V] {
 	cfg = cfg.withDefaults()
-	c := &Cache[V]{cfg: cfg, mask: uint32(cfg.Shards - 1)}
-	per := cfg.Capacity / cfg.Shards
-	if per < 1 {
-		per = 1
-	}
-	for i := 0; i < cfg.Shards; i++ {
+	shards := shardCount(cfg.Capacity)
+	c := &Cache[V]{cfg: cfg, mask: uint32(shards - 1)}
+	per := cfg.Capacity / shards
+	for i := 0; i < shards; i++ {
 		c.shards = append(c.shards, newShard[V](per))
 	}
 	return c
@@ -214,7 +213,7 @@ func (c *Cache[V]) Len() int {
 func (c *Cache[V]) Snapshot() Stats {
 	return Stats{
 		Capacity:  c.cfg.Capacity,
-		Shards:    c.cfg.Shards,
+		Shards:    len(c.shards),
 		Entries:   c.Len(),
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),

@@ -29,7 +29,7 @@ func has[V any](c *Cache[V], key string) bool {
 // operation sequence reproduces the same contents and counters.
 func TestLRUEvictionDeterministic(t *testing.T) {
 	run := func() (*Cache[int], []string) {
-		c := New[int](Config{Capacity: 3, Shards: 1})
+		c := New[int](Config{Capacity: 3})
 		for i := 1; i <= 4; i++ {
 			put(c, fmt.Sprintf("k%d", i), i)
 		}
@@ -67,21 +67,20 @@ func TestLRUEvictionDeterministic(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults: zero config and shard rounding behave as
-// documented, and sharding never inflates a small capacity.
+// TestConfigDefaults: the zero config gets the default capacity and
+// its 16 shards, the shard count follows the capacity (a power of two,
+// at least 64 entries a shard, at most 16 shards, one strict-LRU shard
+// for a small cache), and sharding never inflates a small capacity.
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Capacity != 1024 || cfg.Shards != 16 {
-		t.Fatalf("defaults = %+v", cfg)
+	if c := New[int](Config{}); c.cfg.Capacity != 1024 || len(c.shards) != 16 {
+		t.Fatalf("defaults: capacity %d, %d shards", c.cfg.Capacity, len(c.shards))
 	}
-	if got := (Config{Capacity: 100, Shards: 5}).withDefaults().Shards; got != 8 {
-		t.Fatalf("shards rounded to %d, want 8", got)
+	for capacity, want := range map[int]int{1: 1, 3: 1, 127: 1, 128: 2, 300: 4, 512: 8, 1023: 8, 1024: 16, 1 << 20: 16} {
+		if got := shardCount(capacity); got != want {
+			t.Errorf("shardCount(%d) = %d, want %d", capacity, got, want)
+		}
 	}
-	small := Config{Capacity: 3, Shards: 16}.withDefaults()
-	if small.Shards != 2 {
-		t.Fatalf("small cache shards = %d, want 2", small.Shards)
-	}
-	c := New[int](Config{Capacity: 2, Shards: 64})
+	c := New[int](Config{Capacity: 2})
 	for i := 0; i < 100; i++ {
 		put(c, fmt.Sprintf("k%d", i), i)
 	}
@@ -92,7 +91,7 @@ func TestConfigDefaults(t *testing.T) {
 
 // TestShardStability: a key always lands on the same shard.
 func TestShardStability(t *testing.T) {
-	c := New[int](Config{Capacity: 64, Shards: 8})
+	c := New[int](Config{Capacity: 512})
 	for i := 0; i < 50; i++ {
 		k := fmt.Sprintf("question %d", i)
 		if c.shard(k) != c.shard(k) {
@@ -104,7 +103,7 @@ func TestShardStability(t *testing.T) {
 // TestDoHitMissCoalesce: the three outcomes and their counters. N
 // concurrent misses on one key run the loader exactly once.
 func TestDoHitMissCoalesce(t *testing.T) {
-	c := New[string](Config{Capacity: 8, Shards: 1})
+	c := New[string](Config{Capacity: 8})
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -170,7 +169,7 @@ func TestDoHitMissCoalesce(t *testing.T) {
 // TestDoSharedFailure: a loader error propagates to the leader and all
 // coalesced waiters, and nothing is cached (the next Do retries).
 func TestDoSharedFailure(t *testing.T) {
-	c := New[string](Config{Capacity: 8, Shards: 1})
+	c := New[string](Config{Capacity: 8})
 	boom := errors.New("model failure")
 	var calls atomic.Int64
 	gate := make(chan struct{})
@@ -229,7 +228,7 @@ func TestDoSharedFailure(t *testing.T) {
 // TestWaiterDeadlineLeavesFlight: a waiter whose own context expires
 // abandons the flight with ctx.Err() without disturbing the leader.
 func TestWaiterDeadlineLeavesFlight(t *testing.T) {
-	c := New[string](Config{Capacity: 8, Shards: 1})
+	c := New[string](Config{Capacity: 8})
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	go func() {

@@ -36,7 +36,7 @@ func waitForGoroutines(t *testing.T, baseline int) {
 // -race.
 func TestSingleflightLeaderCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	c := New[string](Config{Capacity: 8, Shards: 1})
+	c := New[string](Config{Capacity: 8})
 
 	var cancelledLoads, goodLoads atomic.Int64
 	// Leader entered the loader. Buffered, so the leader's signal is
@@ -117,7 +117,7 @@ func TestSingleflightLeaderCancelled(t *testing.T) {
 // leader and succeeds.
 func TestSingleflightAllCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	c := New[string](Config{Capacity: 8, Shards: 1})
+	c := New[string](Config{Capacity: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	inLoad := make(chan struct{}, 1) // buffered, as in TestSingleflightLeaderCancelled
 
@@ -155,7 +155,7 @@ func TestSingleflightAllCancelled(t *testing.T) {
 // invariant is that every live caller always lands on a value.
 func TestSingleflightCancellationStorm(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	c := New[string](Config{Capacity: 32, Shards: 4})
+	c := New[string](Config{Capacity: 256})
 	const rounds, callers = 20, 8
 
 	for round := 0; round < rounds; round++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/neural"
 	"repro/internal/tokens"
 )
 
@@ -20,8 +21,7 @@ func (m *Seq2Seq) TranslateBeam(nl, schemaToks []string, width int) [][]string {
 	if width < 1 {
 		width = 1
 	}
-	input := InputSequence(nl, schemaToks)
-	es := m.encode(input)
+	d := m.newInference(nl, schemaToks)
 
 	type beam struct {
 		toks   []string
@@ -30,14 +30,17 @@ func (m *Seq2Seq) TranslateBeam(nl, schemaToks []string, width int) [][]string {
 		prevID int
 		done   bool
 	}
-	beams := []beam{{h: es.final, prevID: tokens.BosID}}
+	beams := []beam{{h: d.final, prevID: tokens.BosID}}
 	var finished []beam
 
 	for step := 0; step < m.cfg.MaxOutLen && len(beams) > 0; step++ {
 		var expanded []beam
 		for _, bm := range beams {
-			st, hNew := m.forwardStep(bm.prevID, bm.h, es)
-			for _, cand := range m.topTokens(st, es, width+1) {
+			// The children share their parent's new state; no step
+			// writes a state after creating it.
+			hNew := make([]float64, m.cfg.HidDim)
+			alpha, pv, pgen := d.step(bm.prevID, bm.h, hNew)
+			for _, cand := range m.topTokens(pv, pgen, alpha, d.input, width+1) {
 				nb := beam{
 					logp:   bm.logp + math.Log(math.Max(cand.p, 1e-12)),
 					h:      hNew,
@@ -109,14 +112,15 @@ type tokCand struct {
 
 // topTokens returns the k most probable next tokens of the mixture
 // distribution (vocabulary + copy), excluding structural specials
-// other than EOS.
-func (m *Seq2Seq) topTokens(st *decStep, es *encState, k int) []tokCand {
+// other than EOS: pv is the vocabulary softmax, pgen the
+// generate-vs-copy weight, alpha the attention over inputToks.
+func (m *Seq2Seq) topTokens(pv []float64, pgen float64, alpha []float64, inputToks []string, k int) []tokCand {
 	copyMass := map[string]float64{}
-	for i, tok := range es.toks {
-		copyMass[tok] += st.alpha[i]
+	for i, tok := range inputToks {
+		copyMass[tok] += alpha[i]
 	}
 	var cands []tokCand
-	for id, pv := range st.pv {
+	for id, pvID := range pv {
 		if id == tokens.PadID || id == tokens.BosID || id == tokens.UnkID {
 			continue
 		}
@@ -124,9 +128,9 @@ func (m *Seq2Seq) topTokens(st *decStep, es *encState, k int) []tokCand {
 		if w == tokens.SepToken {
 			continue
 		}
-		p := st.pgen * pv
+		p := pgen * pvID
 		if cm, ok := copyMass[w]; ok {
-			p += (1 - st.pgen) * cm
+			p += (1 - pgen) * cm
 		}
 		cands = append(cands, tokCand{tok: w, p: p})
 	}
@@ -134,7 +138,7 @@ func (m *Seq2Seq) topTokens(st *decStep, es *encState, k int) []tokCand {
 		if m.vocab.Has(tok) || tok == tokens.SepToken {
 			continue
 		}
-		cands = append(cands, tokCand{tok: tok, p: (1 - st.pgen) * copyMass[tok]})
+		cands = append(cands, tokCand{tok: tok, p: (1 - pgen) * copyMass[tok]})
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].p > cands[j].p })
 	if len(cands) > k {
@@ -153,7 +157,7 @@ func (m *Sketch) TranslateK(nl, schemaToks []string, k int) [][]string {
 	enc := m.encodeInfer(nl)
 	nlc := newNLContext(nl)
 
-	top := topK(m.clsW.Forward(enc), k)
+	top := topK(m.clsW.Forward(enc, neural.NewVec(m.clsW.Out)), k)
 	out := make([][]string, 0, len(top))
 	var sc slotScratch
 	for _, skID := range top {

@@ -39,7 +39,8 @@ func (m *Seq2Seq) SaveFull(w io.Writer) error {
 }
 
 // LoadSeq2Seq restores a model saved with SaveFull, for serving: its
-// gradient buffers are dropped (training rebuilds the parameters).
+// gradient buffers are dropped (training rebuilds the parameters) and
+// its decode plans are built.
 func LoadSeq2Seq(r io.Reader) (*Seq2Seq, error) {
 	var in savedSeq2Seq
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
@@ -52,6 +53,7 @@ func LoadSeq2Seq(r io.Reader) (*Seq2Seq, error) {
 		return nil, err
 	}
 	m.ps.DropGrads()
+	m.buildPlans()
 	return m, nil
 }
 

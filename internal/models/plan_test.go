@@ -47,10 +47,24 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
+// referenceTranslateK is Sketch.TranslateK with the encoder state taken
+// from the training path's encodeNL, not from the decode plan.
+func referenceTranslateK(m *Sketch, nl, schemaToks []string, k int) [][]string {
+	ss := m.sets.get(schemaToks)
+	enc := m.encodeNL(nl).final
+	nlc := newNLContext(nl)
+	var out [][]string
+	var sc slotScratch
+	for _, skID := range topK(m.clsW.Forward(enc, neural.NewVec(m.clsW.Out)), k) {
+		out = append(out, m.fillSketch(m.sketches[skID], ss, enc, nlc, &sc))
+	}
+	return out
+}
+
 // TestDecodePlanMatchesDirect: decoding through the plan gives the
-// encoder state and the top three translations that decoding without
-// it gives, bit for bit, on seeded spider questions and on both of the
-// neural package's dispatches.
+// encoder state and the top three translations that decoding from the
+// training path's encoder gives, bit for bit, on seeded spider
+// questions and on both of the neural package's dispatches.
 func TestDecodePlanMatchesDirect(t *testing.T) {
 	m := patientsSketch()
 	if m.plan == nil {
@@ -68,13 +82,11 @@ func TestDecodePlanMatchesDirect(t *testing.T) {
 				t.Skip("CPU lacks AVX2")
 			}
 			defer restore()
-			direct := *m
-			direct.plan = nil
 			for _, nl := range qs {
-				if got, want := m.encodeInfer(nl), direct.encodeInfer(nl); !sameBits(got, want) {
+				if got, want := m.encodeInfer(nl), m.encodeNL(nl).final; !sameBits(got, want) {
 					t.Fatalf("%v: plan state %v, direct %v", nl, got, want)
 				}
-				if got, want := m.TranslateK(nl, st, 3), direct.TranslateK(nl, st, 3); !reflect.DeepEqual(got, want) {
+				if got, want := m.TranslateK(nl, st, 3), referenceTranslateK(m, nl, st, 3); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v: plan decodes %v, direct %v", nl, got, want)
 				}
 			}
@@ -134,6 +146,61 @@ func TestDecodePlanDroppedByTraining(t *testing.T) {
 		t.Fatal("resumed training kept the old plan")
 	}
 	check("after resuming")
+}
+
+// TestSeq2SeqPlansFollowWeights: the seq2seq model's plans have the
+// sketch's lifecycle. A trained model, decoding from four goroutines at
+// once, decodes like a fresh load of its weights, greedy and beam, and
+// so does a model that trains again.
+func TestSeq2SeqPlansFollowWeights(t *testing.T) {
+	cfg := DefaultSeq2SeqConfig()
+	cfg.Epochs, cfg.EmbDim, cfg.HidDim = 20, 16, 20
+	m := NewSeq2Seq(cfg)
+	exs := trainingExamples()
+	st := exs[0].Schema
+	qs := decodeQuestions()
+	check := func(stage string) {
+		t.Helper()
+		if m.encPlan == nil || m.decPlan == nil {
+			t.Fatalf("%s: a trained model has no decode plans", stage)
+		}
+		var buf bytes.Buffer
+		if err := m.SaveFull(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := LoadSeq2Seq(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		greedy, beams := make([][]string, len(qs)), make([][][]string, len(qs))
+		for i, nl := range qs {
+			greedy[i], beams[i] = referenceTranslate(fresh, nl, st), fresh.TranslateBeam(nl, st, 3)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, nl := range qs {
+					if got := m.Translate(nl, st); !reflect.DeepEqual(got, greedy[i]) {
+						t.Errorf("%s, %v: decodes %v, fresh load %v", stage, nl, got, greedy[i])
+					}
+					if got := m.TranslateBeam(nl, st, 3); !reflect.DeepEqual(got, beams[i]) {
+						t.Errorf("%s, %v: beam %v, fresh load %v", stage, nl, got, beams[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	m.Train(exs)
+	check("first training")
+	before := m.decPlan
+	m.Train(exs[:3])
+	if m.decPlan == before {
+		t.Fatal("training again kept the old plan")
+	}
+	check("second training")
 }
 
 // TestLoadedSketchRetrains: LoadSketch drops the gradient buffers of a
@@ -206,7 +273,7 @@ func BenchmarkSketchDecode(b *testing.B) {
 	tops := make([]int, len(qs))
 	for i, nl := range qs {
 		encs[i] = m.encodeInfer(nl)
-		tops[i] = topK(m.clsW.Forward(encs[i]), 1)[0]
+		tops[i] = topK(m.clsW.Forward(encs[i], neural.NewVec(m.clsW.Out)), 1)[0]
 	}
 	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
@@ -217,7 +284,7 @@ func BenchmarkSketchDecode(b *testing.B) {
 	b.Run("classify", func(b *testing.B) {
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			topK(m.clsW.Forward(encs[n%len(qs)]), 1)
+			topK(m.clsW.Forward(encs[n%len(qs)], neural.NewVec(m.clsW.Out)), 1)
 		}
 	})
 	b.Run("fill", func(b *testing.B) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/neural"
 	"repro/internal/tokens"
@@ -72,6 +71,12 @@ type Seq2Seq struct {
 	wo    *neural.Linear // vocabulary logits
 	wg    *neural.Linear // p_gen scalar
 	rng   *rand.Rand
+	// encPlan and decPlan are the encoder's and the decoder's decode
+	// plans, derived from emb, enc and dec. Only TrainContext and
+	// LoadSeq2Seq write weights; TrainContext drops the plans when it
+	// starts and both build them once the weights are final, so
+	// non-nil plans always match the weights.
+	encPlan, decPlan *neural.GRUPlan
 }
 
 // NewSeq2Seq returns an untrained model; parameters are allocated at
@@ -127,6 +132,8 @@ func (m *Seq2Seq) TrainContext(ctx context.Context, examples []Example, opts Tra
 	if len(examples) == 0 {
 		return nil
 	}
+	m.encPlan, m.decPlan = nil, nil
+	defer m.buildPlans()
 	m.vocab = BuildVocabs(examples, m.cfg.MinCount)
 	// build draws the same RNG sequence on fresh and resumed runs —
 	// that replay, not serialized RNG internals, is what puts the
@@ -269,13 +276,13 @@ func (m *Seq2Seq) forwardStep(prevID int, h []float64, es *encState) (*decStep, 
 	st.concat = make([]float64, 0, 2*m.cfg.HidDim)
 	st.concat = append(st.concat, hNew...)
 	st.concat = append(st.concat, st.ctx...)
-	pre := m.wc.Forward(st.concat)
+	pre := m.wc.Forward(st.concat, neural.NewVec(m.cfg.HidDim))
 	st.comb = neural.NewVec(m.cfg.HidDim)
 	neural.Tanh(pre, st.comb)
 
-	st.logits = m.wo.Forward(st.comb)
+	st.logits = m.wo.Forward(st.comb, neural.NewVec(m.wo.Out))
 	st.pv = neural.Softmax(st.logits, neural.NewVec(len(st.logits)))
-	g := m.wg.Forward(st.comb)[0]
+	g := m.wg.Forward(st.comb, neural.NewVec(1))[0]
 	st.pgen = 1.0 / (1.0 + math.Exp(-g))
 	return st, hNew
 }
@@ -457,79 +464,99 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 	return loss
 }
 
-// arenas recycles inference scratch across decodes. Each decode holds
-// its own arena from get to put, so concurrent decodes never share one.
-var arenas = sync.Pool{New: func() any { return neural.NewArena() }}
+// buildPlans derives the encoder's and the decoder's decode plans from
+// the current weights.
+func (m *Seq2Seq) buildPlans() {
+	m.encPlan, m.decPlan = neural.NewGRUPlan(m.enc, m.emb), neural.NewGRUPlan(m.dec, m.emb)
+}
 
-func getArena() *neural.Arena { return arenas.Get().(*neural.Arena) }
+// inference is one decode on the plans: the input, the encoder's state
+// at every position (attention reads them all at every step) and the
+// decoder step's buffers, all cut from one allocation. It is
+// single-goroutine state.
+type inference struct {
+	m      *Seq2Seq
+	input  []string
+	states [][]float64
+	final  []float64 // the last encoder state, the decoder's first
+	// h is the encoder's zero first state, free once encoding is done.
+	h []float64
+	// step buffers, overwritten by every step
+	scratch, alpha, cat, comb, pv, g []float64
+}
 
-func putArena(a *neural.Arena) {
-	a.Reset()
-	arenas.Put(a)
+// newInference encodes the question and the schema through the encoder
+// plan, the same GRU pass as encode with no backprop cache.
+func (m *Seq2Seq) newInference(nl, schemaToks []string) *inference {
+	input := InputSequence(nl, schemaToks)
+	ids := m.vocab.Encode(input)
+	hid, n, v := m.cfg.HidDim, len(ids), m.vocab.Size()
+	buf := make([]float64, (n+1)*hid+m.decPlan.ScratchLen()+n+3*hid+v+1)
+	cut := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	d := &inference{m: m, input: input, states: make([][]float64, n)}
+	d.h, d.scratch = cut(hid), cut(m.decPlan.ScratchLen())
+	d.final = d.h
+	for t, id := range ids {
+		d.states[t] = cut(hid)
+		m.encPlan.Step(id, d.final, d.states[t], d.scratch)
+		d.final = d.states[t]
+	}
+	d.alpha, d.cat, d.comb, d.pv, d.g = cut(n), cut(2*hid), cut(hid), cut(v), cut(1)
+	return d
+}
+
+// step is one decoder step with no backprop cache, shared by greedy and
+// beam decoding: it advances state h by token prevID into hn (which may
+// be h, but not an encoder state) and returns the attention over the
+// input, the vocabulary softmax, which stay valid until the next step,
+// and the generate-vs-copy weight. Every value is forwardStep's, bit
+// for bit.
+func (d *inference) step(prevID int, h, hn []float64) (alpha, pv []float64, pgen float64) {
+	m, hid := d.m, d.m.cfg.HidDim
+	m.decPlan.Step(prevID, h, hn, d.scratch)
+	// Luong dot attention; [h; ctx] is assembled in place. Softmax and
+	// Tanh may write over their input.
+	for i, eh := range d.states {
+		d.alpha[i] = neural.Dot(hn, eh)
+	}
+	alpha = neural.Softmax(d.alpha, d.alpha)
+	copy(d.cat[:hid], hn)
+	ctx := d.cat[hid:]
+	clear(ctx)
+	for i, a := range alpha {
+		neural.Axpy(a, d.states[i], ctx)
+	}
+	neural.Tanh(m.wc.Forward(d.cat, d.comb), d.comb)
+	pv = neural.Softmax(m.wo.Forward(d.comb, d.pv), d.pv)
+	g := m.wg.Forward(d.comb, d.g)[0]
+	return alpha, pv, 1.0 / (1.0 + math.Exp(-g))
 }
 
 // Translate implements Translator: greedy decoding with the
-// generate/copy mixture, on the inference-only arena kernels
-// (neural.StepBatch, ForwardBatch, SoftmaxRows at k=1). Nothing is kept
-// for backprop and each step's scratch is recycled, yet every kernel
-// replays the training-path operation order, so the output is
-// bit-identical to greedy decoding through forwardStep.
+// generate/copy mixture through the decode plans. Nothing is kept for
+// backprop, yet every step replays the training path's operation
+// order, so the output is bit-identical to greedy decoding through
+// forwardStep.
 func (m *Seq2Seq) Translate(nl, schemaToks []string) []string {
 	if m.vocab == nil {
 		return nil
 	}
-	hid := m.cfg.HidDim
-	a := getArena()
-	defer putArena(a)
-	input := InputSequence(nl, schemaToks)
-	ids := m.vocab.Encode(input)
-	id := make([]int, 1)
-
-	// Encoder. Attention reads every position's state at every decode
-	// step, so the states persist for the whole call in one slab.
-	slab := make([]float64, len(ids)*hid)
-	states := make([][]float64, len(ids))
-	h := neural.NewBatch(1, hid)
-	for t, tok := range ids {
-		id[0] = tok
-		hn := m.enc.StepBatch(m.emb.LookupBatch(id, a), h, a)
-		states[t] = slab[t*hid : (t+1)*hid]
-		copy(states[t], hn.W)
-		copy(h.W, hn.W)
-		a.Reset()
-	}
-
-	// Decoder, seeded with the final encoder state.
+	d := m.newInference(nl, schemaToks)
+	copy(d.h, d.final)
 	var out []string
-	id[0] = tokens.BosID
+	prevID := tokens.BosID
 	for step := 0; step < m.cfg.MaxOutLen; step++ {
-		hn := m.dec.StepBatch(m.emb.LookupBatch(id, a), h, a)
-
-		// Luong dot attention; [h; ctx] is assembled in place.
-		scores := a.Vec(len(states))
-		for i, eh := range states {
-			scores[i] = neural.Dot(hn.W, eh)
-		}
-		alpha := neural.Softmax(scores, a.Vec(len(states)))
-		cat := a.Batch(1, 2*hid)
-		copy(cat.W[:hid], hn.W)
-		for i, al := range alpha {
-			neural.Axpy(al, states[i], cat.W[hid:])
-		}
-
-		comb := a.Batch(1, hid)
-		neural.TanhBatch(m.wc.ForwardBatch(cat, a), comb)
-		logits := m.wo.ForwardBatch(comb, a)
-		pv := neural.SoftmaxRows(logits, a.Batch(1, logits.N))
-		pgen := 1.0 / (1.0 + math.Exp(-m.wg.ForwardBatch(comb, a).W[0]))
-		tok := m.pickToken(pv.W, pgen, alpha, input)
+		alpha, pv, pgen := d.step(prevID, d.h, d.h)
+		tok := m.pickToken(pv, pgen, alpha, d.input)
 		if tok == tokens.EosToken {
 			break
 		}
 		out = append(out, tok)
-		copy(h.W, hn.W)
-		id[0] = m.vocab.ID(tok)
-		a.Reset()
+		prevID = m.vocab.ID(tok)
 	}
 	return out
 }

@@ -486,29 +486,17 @@ func (m *Sketch) encodeNL(nl []string) *encCache {
 }
 
 // encodeInfer is the inference-only encoder: the same GRU pass as
-// encodeNL, stepped through the decode plan, or through the arena
-// kernels at k=1 while there is none; neither builds a backprop cache.
-// The result is bit-identical to encodeNL(nl).final (GRUPlan.Step and
-// GRU.StepBatch replay Forward's operation order).
+// encodeNL, stepped through the decode plan with no backprop cache. The
+// result is bit-identical to encodeNL(nl).final (GRUPlan.Step replays
+// Forward's operation order).
 func (m *Sketch) encodeInfer(nl []string) []float64 {
-	ids := m.vocab.Encode(nl)
-	a := getArena()
-	defer putArena(a)
-	if p := m.plan; p != nil {
-		h, scratch := neural.NewVec(m.cfg.HidDim), a.Vec(p.ScratchLen())
-		for _, id := range ids {
-			p.Step(id, h, h, scratch)
-		}
-		return h
+	p, hid := m.plan, m.cfg.HidDim
+	buf := make([]float64, hid+p.ScratchLen())
+	h, scratch := buf[:hid:hid], buf[hid:]
+	for _, id := range m.vocab.Encode(nl) {
+		p.Step(id, h, h, scratch)
 	}
-	h := neural.NewBatch(1, m.cfg.HidDim)
-	id := make([]int, 1)
-	for _, tok := range ids {
-		id[0] = tok
-		copy(h.W, m.enc.StepBatch(m.emb.LookupBatch(id, a), h, a).W)
-		a.Reset()
-	}
-	return h.W
+	return h
 }
 
 // encBackward backpropagates a gradient on the final state through the
@@ -686,7 +674,7 @@ func (m *Sketch) step(ex Example) {
 	dEnc := neural.NewVec(m.cfg.HidDim)
 
 	// Sketch classification loss.
-	logits := m.clsW.Forward(enc)
+	logits := m.clsW.Forward(enc, neural.NewVec(m.clsW.Out))
 	probs := neural.Softmax(logits, neural.NewVec(len(logits)))
 	dLogits := neural.NewVec(len(logits))
 	copy(dLogits, probs)
@@ -768,7 +756,7 @@ func (m *Sketch) Loss(ex Example) float64 {
 	ec := m.encodeNL(ex.NL)
 	enc := ec.final
 	nlc := newNLContext(ex.NL)
-	logits := m.clsW.Forward(enc)
+	logits := m.clsW.Forward(enc, neural.NewVec(m.clsW.Out))
 	probs := neural.Softmax(logits, neural.NewVec(len(logits)))
 	loss := -math.Log(math.Max(probs[skID], 1e-12))
 	rolePos := map[int]int{}

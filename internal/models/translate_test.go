@@ -45,11 +45,12 @@ func referenceTranslate(m *Seq2Seq, nl, schemaToks []string) []string {
 	return out
 }
 
-// TestTranslateArenaGolden: Seq2Seq.Translate on the arena kernels is
+// TestSeq2SeqDecodeGolden: Seq2Seq.Translate on the decode plans is
 // bit-identical to greedy decoding through the training-path forward
-// pass, on both of the neural package's dispatches. The model is
-// trained once, on the default dispatch.
-func TestTranslateArenaGolden(t *testing.T) {
+// pass on both of the neural package's dispatches, and beam decoding
+// gives the same beams on both. The model is trained once, on the
+// default dispatch.
+func TestSeq2SeqDecodeGolden(t *testing.T) {
 	m := trainedSeq2Seq(t)
 	st := trainingExamples()[0].Schema
 	var outs [2][][]string
@@ -66,9 +67,10 @@ func TestTranslateArenaGolden(t *testing.T) {
 			for _, nl := range decodeQuestions() {
 				got, want := m.Translate(nl, st), referenceTranslate(m, nl, st)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("Translate diverged for %v:\n  arena:     %v\n  reference: %v", nl, got, want)
+					t.Fatalf("Translate diverged for %v:\n  plan:      %v\n  reference: %v", nl, got, want)
 				}
 				outs[di] = append(outs[di], got)
+				outs[di] = append(outs[di], m.TranslateBeam(nl, st, 3)...)
 			}
 		})
 	}
@@ -77,7 +79,7 @@ func TestTranslateArenaGolden(t *testing.T) {
 	}
 }
 
-// TestTranslateUnseenSchema: the copy path survives the arena decode —
+// TestTranslateUnseenSchema: the copy path survives the plan decode —
 // OOV schema tokens of a never-seen database still come out exactly as
 // the reference decode emits them.
 func TestTranslateUnseenSchema(t *testing.T) {
@@ -86,7 +88,7 @@ func TestTranslateUnseenSchema(t *testing.T) {
 	for _, q := range []string{"show the label of ship with tonnage @SHIPS.TONNAGE", "how many ship be there"} {
 		nl := strings.Fields(q)
 		if got, want := m.Translate(nl, st), referenceTranslate(m, nl, st); !reflect.DeepEqual(got, want) {
-			t.Fatalf("unseen-schema decode diverged for %q:\n  arena:     %v\n  reference: %v", q, got, want)
+			t.Fatalf("unseen-schema decode diverged for %q:\n  plan:      %v\n  reference: %v", q, got, want)
 		}
 	}
 }
@@ -101,7 +103,7 @@ func TestTranslateEdgeCases(t *testing.T) {
 	m := trainedSeq2Seq(t)
 	st := trainingExamples()[0].Schema
 	if got, want := m.Translate(nil, st), referenceTranslate(m, nil, st); !reflect.DeepEqual(got, want) {
-		t.Fatalf("empty question: arena %v, reference %v", got, want)
+		t.Fatalf("empty question: plan %v, reference %v", got, want)
 	}
 }
 
@@ -138,16 +140,17 @@ func TestEncodeInferMatchesEncodeNL(t *testing.T) {
 }
 
 // Allocation ceilings for one decode of the fixed question below. The
-// arena decoders reuse their scratch from token to token instead of
-// building a backprop cache per token, the sketch model scores slot
-// candidates from its memoized schema set into per-call scratch and
-// picks its top sketches without sorting them all: measured 27
-// allocations for the sketch model (also under -race) and 63 for
-// seq2seq (74 under -race), where the training-path forward pass took
-// 211 and 461 when the arena decoders replaced it, and the sketch
-// model took 88 before the schema sets were memoized and 49 before
-// the decode plan and the scratch scoring. The sketch ceiling is the
-// measured count; seq2seq's sits about a third above it.
+// decoders step through their decode plans into buffers cut from one
+// allocation per call instead of building a backprop cache per token,
+// the sketch model scores slot candidates from its memoized schema set
+// into per-call scratch and picks its top sketches without sorting
+// them all: measured 27 allocations for the sketch model and 63 for
+// seq2seq (both also under -race), where the training-path
+// forward pass took 211 and 461 when inference got its own cache-free
+// path, and the sketch model took 88 before the schema sets were
+// memoized and 49 before the decode plan and the scratch scoring. The
+// sketch ceiling is the measured count; seq2seq's sits about a third
+// above it.
 const (
 	sketchTranslateAllocsMax  = 27
 	seq2seqTranslateAllocsMax = 85

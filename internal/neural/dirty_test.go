@@ -43,7 +43,7 @@ func TestGradWritersMarkDirty(t *testing.T) {
 	requireDirty(t, "GRU.Backward", g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wh, g.Uh, g.Bh)
 
 	x := randVec(4, rng)
-	l.Forward(x)
+	l.Forward(x, NewVec(5))
 	l.Backward(x, randVec(5, rng))
 	requireDirty(t, "Linear.Backward", l.W, l.B)
 

@@ -218,12 +218,12 @@ func (l *Linear) Shadow(ps *ParamSet, prefix string) *Linear {
 	}
 }
 
-// Forward computes y = W x + b.
-func (l *Linear) Forward(x []float64) []float64 {
-	y := NewVec(l.Out)
+// Forward sets y = W x + b and returns y, which must hold Out values.
+func (l *Linear) Forward(x, y []float64) []float64 {
+	y = y[:l.Out]
 	l.W.MulVec(x, y)
-	for i := range y {
-		y[i] += l.B.W[i]
+	for i, b := range l.B.W {
+		y[i] += b
 	}
 	return y
 }

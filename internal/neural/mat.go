@@ -5,6 +5,11 @@
 // Adam optimizer. Modules implement explicit forward/backward passes
 // (no tape autograd), which keeps the hot loops allocation-light and
 // fast enough for the benchmark harness to retrain models many times.
+// Training runs the modules' Forward and Backward, which keep every
+// intermediate for backprop; inference steps a GRUPlan (plan.go) and
+// writes Linear.Forward, Softmax and the activations into caller
+// buffers, keeping nothing. Both sum through the same MulVec kernel,
+// so a decode gives the training path's forward bits.
 //
 // The paper trains its models in a mainstream deep-learning framework
 // on GPUs; this package is the substituted substrate (see DESIGN.md).
@@ -111,16 +116,109 @@ func (m *Mat) AddGrad(other *Mat) {
 // String summarizes the matrix shape.
 func (m *Mat) String() string { return fmt.Sprintf("Mat(%dx%d)", m.R, m.C) }
 
-// MulVec computes y = M v (len(v) == C, len(y) == R). It is the
-// one-row case of MulBatch, so training's forward pass and inference
-// run the same four-row sweep.
-func (m *Mat) MulVec(v, y []float64) {
-	m.mulBatch(&Batch{K: 1, N: len(v), W: v}, &Batch{K: 1, N: len(y), W: y}, false)
+// MulVec computes y = M v (len(v) >= C, len(y) >= R): each y[i] is one
+// accumulator summed from +0 over ascending columns, the plain row
+// loop's sum to the bit. Training's forward pass and every decode run
+// on it.
+func (m *Mat) MulVec(v, y []float64) { m.mulVec(v, y, false) }
+
+// MulVecAdd computes y += M v, each row's sum formed as MulVec forms it
+// and then added to y[i].
+func (m *Mat) MulVecAdd(v, y []float64) { m.mulVec(v, y, true) }
+
+// mulVec sweeps four weight rows at a time. Their four accumulators are
+// independent, so the CPU overlaps their adds instead of waiting on one
+// dependency chain; each accumulator still sees its own row's products
+// in ascending column order. With AVX2 the four-row blocks run through
+// mulBatch4AVX2 instead (mulVecAVX2); rows past the last whole block
+// always take the one-row loop.
+func (m *Mat) mulVec(x, y []float64, add bool) {
+	x = x[:m.C]
+	rows := m.R &^ 3
+	if hasAVX2 && m.C >= 4 {
+		m.mulVecAVX2(x, y, rows, add)
+	} else {
+		m.mulVec4(x, y, rows, add)
+	}
+	for i := rows; i < m.R; i++ {
+		s := 0.0
+		for j, rv := range m.Row(i) {
+			s += rv * x[j]
+		}
+		if add {
+			y[i] += s
+		} else {
+			y[i] = s
+		}
+	}
 }
 
-// MulVecAdd computes y += M v.
-func (m *Mat) MulVecAdd(v, y []float64) {
-	m.mulBatch(&Batch{K: 1, N: len(v), W: v}, &Batch{K: 1, N: len(y), W: y}, true)
+// mulVec4 is mulVec's four-row block in scalar form, over rows 0 to
+// rows-1 (rows is a multiple of four).
+func (m *Mat) mulVec4(x, y []float64, rows int, add bool) {
+	c := m.C
+	for i := 0; i < rows; i += 4 {
+		// Equal lengths let the compiler drop the bounds checks.
+		r0 := m.W[i*c : (i+1)*c][:len(x)]
+		r1 := m.W[(i+1)*c : (i+2)*c][:len(x)]
+		r2 := m.W[(i+2)*c : (i+3)*c][:len(x)]
+		r3 := m.W[(i+3)*c : (i+4)*c][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		out := y[i : i+4]
+		if add {
+			out[0] += s0
+			out[1] += s1
+			out[2] += s2
+			out[3] += s3
+		} else {
+			out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		}
+	}
+}
+
+// mulChunk is how many rows one mulBatch4AVX2 call sums in the
+// accumulate form, whose sums wait in a stack buffer until the tail
+// columns are added.
+const mulChunk = 64
+
+// mulVecAVX2 is mulVec4 on the AVX2 kernel: mulBatch4AVX2 sums the
+// first C&^3 columns of every row, one lane per row, and the scalar
+// loop below adds the last C%4 columns to the same running sums before
+// they are stored or added. Each output therefore sees exactly
+// mulVec4's operations in mulVec4's order. The plain form sums straight
+// into y: a float64 slot holds the running sum exactly.
+func (m *Mat) mulVecAVX2(x, y []float64, rows int, add bool) {
+	c := m.C
+	n := c &^ 3
+	var sums [mulChunk]float64
+	out := y[:rows]
+	for i0 := 0; i0 < rows; i0 += mulChunk {
+		i1 := min(i0+mulChunk, rows)
+		s := out[i0:i1]
+		if add {
+			s = sums[:i1-i0]
+		}
+		mulBatch4AVX2(m.W[i0*c:i1*c], x, s)
+		if n < c {
+			for k := range s {
+				row := m.W[(i0+k)*c+n : (i0+k+1)*c]
+				for j, rv := range row {
+					s[k] += rv * x[n+j]
+				}
+			}
+		}
+		if add {
+			for k, v := range s {
+				out[i0+k] += v
+			}
+		}
+	}
 }
 
 // BackwardVec is the backward pass of y = M x: it accumulates the

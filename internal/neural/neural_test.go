@@ -167,7 +167,7 @@ func TestAdamConvergence(t *testing.T) {
 	for step := 0; step < 600; step++ {
 		x := []float64{rng.Float64()*2 - 1, rng.Float64()*2 - 1}
 		want := 3*x[0] - 2*x[1] + 1
-		y := lin.Forward(x)
+		y := lin.Forward(x, NewVec(1))
 		d := y[0] - want
 		lin.Backward(x, []float64{2 * d})
 		opt.Step()

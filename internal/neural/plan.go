@@ -4,8 +4,9 @@ package neural
 // can work from layouts derived from them once. Everything here reads
 // weights that its owner promises not to write while the derived form
 // is in use: the owner builds it after the last write and drops it
-// before the next (models.Sketch does so in TrainContext and
-// LoadSketch). Every derived form gives the bits the live weights give.
+// before the next (models.Sketch and models.Seq2Seq do so in
+// TrainContext and their loaders). Every derived form gives the bits
+// the live weights give.
 
 // Panels is a row-packed copy of a matrix for the AVX2 matrix-vector
 // kernel: panel q holds rows 4q..4q+3 column by column, four values
@@ -55,11 +56,11 @@ func (p *Panels) MulAdd(x, y []float64) {
 
 // GRUPlan is a decode plan for a GRU fed by an embedding table. The
 // input projections Wz·e, Wr·e and Wh·e depend only on the token, so
-// the plan holds them for every vocabulary row, computed by the same
-// mulBatch sums StepBatch uses; a step copies its token's three rows
-// and adds the recurrent products, taken from Panels, then the biases.
-// MulBatchAdd forms U·h as its own sum before adding it to W·x, so
-// the split changes no rounding.
+// the plan holds them for every vocabulary row, computed by the MulVec
+// sums Forward uses; a step copies its token's three rows and adds the
+// recurrent products, taken from Panels, then the biases. MulVecAdd
+// forms U·h as its own sum before adding it to W·x, so the split
+// changes no rounding.
 type GRUPlan struct {
 	g          *GRU
 	vocab      int
@@ -70,14 +71,16 @@ type GRUPlan struct {
 // NewGRUPlan builds g's plan over the embedding table e. Neither may be
 // written while the plan is in use.
 func NewGRUPlan(g *GRU, e *Embedding) *GRUPlan {
-	x := &Batch{K: e.E.R, N: e.Dim, W: e.E.W}
+	vocab, hid := e.E.R, g.Hid
 	proj := func(w *Mat) []float64 {
-		y := NewBatch(x.K, g.Hid)
-		w.MulBatch(x, y)
-		return y.W
+		y := make([]float64, vocab*hid)
+		for id := 0; id < vocab; id++ {
+			w.MulVec(e.E.Row(id), y[id*hid:(id+1)*hid])
+		}
+		return y
 	}
 	return &GRUPlan{
-		g: g, vocab: e.E.R,
+		g: g, vocab: vocab,
 		wz: proj(g.Wz), wr: proj(g.Wr), wh: proj(g.Wh),
 		uz: NewPanels(g.Uz), ur: NewPanels(g.Ur), uh: NewPanels(g.Uh),
 	}
@@ -88,7 +91,7 @@ func (p *GRUPlan) ScratchLen() int { return 3 * p.g.Hid }
 
 // Step advances the hidden state h by token id (clamped to the table
 // as Embedding.Lookup clamps it), writing the new state to hn, which
-// may be h itself. The result is StepBatch's on the token's embedding,
+// may be h itself. The result is Forward's on the token's embedding,
 // bit for bit. scratch must hold ScratchLen values.
 func (p *GRUPlan) Step(id int, h, hn, scratch []float64) {
 	g, hid := p.g, p.g.Hid
@@ -99,12 +102,16 @@ func (p *GRUPlan) Step(id int, h, hn, scratch []float64) {
 
 	copy(z, p.wz[id*hid:(id+1)*hid])
 	p.uz.MulAdd(h, z)
-	(&Batch{K: 1, N: hid, W: z}).AddBias(g.Bz)
+	for i, b := range g.Bz.W {
+		z[i] += b
+	}
 	Sigmoid(z, z)
 
 	copy(r, p.wr[id*hid:(id+1)*hid])
 	p.ur.MulAdd(h, r)
-	(&Batch{K: 1, N: hid, W: r}).AddBias(g.Br)
+	for i, b := range g.Br.W {
+		r[i] += b
+	}
 	Sigmoid(r, r)
 
 	for i, hv := range h[:hid] {
@@ -112,7 +119,9 @@ func (p *GRUPlan) Step(id int, h, hn, scratch []float64) {
 	}
 	copy(c, p.wh[id*hid:(id+1)*hid])
 	p.uh.MulAdd(r, c)
-	(&Batch{K: 1, N: hid, W: c}).AddBias(g.Bh)
+	for i, b := range g.Bh.W {
+		c[i] += b
+	}
 	Tanh(c, c)
 
 	hn = hn[:hid]

@@ -1,7 +1,7 @@
 package neural
 
 // hasAVX2 selects the AVX2 kernels of Adam.Step, BackwardVec,
-// mulBatch, Panels, Sigmoid and Tanh. It is set once at init (false
+// mulVec, Panels, Sigmoid and Tanh. It is set once at init (false
 // off amd64); only SetAVX2ForTesting changes it afterwards.
 var hasAVX2 = cpuHasAVX2()
 

@@ -55,7 +55,7 @@ func adamAVX2(w, m, v, g []float64, k *adamConsts) (live bool)
 //go:noescape
 func backward4AVX2(d *[4]float64, w, g, x, dx []float64)
 
-// mulBatch4AVX2 is mulBatch's four-row block over the first
+// mulBatch4AVX2 is mulVec's four-row block over the first
 // len(x)&^3 columns: for each row r < len(s) of w (row stride len(x);
 // len(s) a multiple of four) it sets s[r] to the sum of w[r][j]*x[j]
 // from +0 in ascending j, as the scalar block sums it. A 4×4 register
@@ -66,7 +66,7 @@ func mulBatch4AVX2(w, x, s []float64)
 
 // panelMulAddAVX2 adds to each y[r] the product of row r and x, for
 // the len(y)/4 whole panels of p (see Panels): each row's sum runs
-// from +0 over ascending columns, as mulBatch sums it, and is then
+// from +0 over ascending columns, as mulVec sums it, and is then
 // added to y[r]. len(y) must be a multiple of four.
 //
 //go:noescape

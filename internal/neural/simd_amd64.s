@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// AVX2 kernels for Adam.Step, BackwardVec, mulBatch, Panels, Sigmoid
+// AVX2 kernels for Adam.Step, BackwardVec, mulVec, Panels, Sigmoid
 // and Tanh. Every packed instruction here rounds each lane exactly as
 // its scalar form does, and each lane sees the scalar code's
 // operations in the scalar code's order. The Go loops compile without
@@ -211,7 +211,7 @@ backDone:
 // func mulBatch4AVX2(w, x, s []float64)
 //
 // For each row r < len(s) of w (row stride len(x); len(s) a multiple
-// of four), as in mulBatch's four-row block:
+// of four), as in mulVec's four-row block:
 //   s[r] = (((+0 + w[r][0]*x[0]) + w[r][1]*x[1]) + ...) + w[r][n-1]*x[n-1]
 // over the first n = len(x)&^3 columns. Each lane of an accumulator is
 // one row's running sum. Four row blocks (sixteen rows) run
@@ -300,7 +300,7 @@ mulDone:
 // func panelMulAddAVX2(p, x, y []float64)
 //
 // For each whole panel q of p (len(x) groups of four: group j holds
-// column j of rows 4q..4q+3, one row per lane), as in mulBatch's
+// column j of rows 4q..4q+3, one row per lane), as in mulVec's
 // row loop followed by the add:
 //   y[4q+r] += (((+0 + w[4q+r][0]*x[0]) + w[4q+r][1]*x[1]) + ...) + w[4q+r][n-1]*x[n-1]
 // over all n = len(x) columns, for len(y)/4 panels. Each lane of an

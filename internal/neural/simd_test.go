@@ -205,11 +205,12 @@ func FuzzBackwardVecKernel(f *testing.F) {
 	})
 }
 
-// FuzzMulBatchKernel runs MulBatch and MulBatchAdd on both dispatches
-// from the same weights, inputs and outputs and requires identical
-// outputs. Rows run 1–72 and columns 1–14, so the seed corpus covers
-// every R%4 and C%4, the kernel's four-block and one-block loops, and
-// a row count past one mulChunk; K runs 1–3.
+// FuzzMulBatchKernel runs MulVec and MulVecAdd on both dispatches
+// from the same weights, input and output and requires identical
+// outputs: the AVX2 side sums through mulBatch4AVX2. Rows run 1–72 and
+// columns 1–14, so the seed corpus covers every R%4 and C%4, the
+// kernel's four-block and one-block loops, and a row count past one
+// mulChunk.
 func FuzzMulBatchKernel(f *testing.F) {
 	rng := rand.New(rand.NewSource(13))
 	for rm := 0; rm < 4; rm++ {
@@ -228,11 +229,11 @@ func FuzzMulBatchKernel(f *testing.F) {
 			t.Skip("CPU lacks AVX2")
 		}
 		nr, nc := 1+int(rows)%72, 1+int(cols)%14
-		k, add := 1+int(mode)%3, mode/3%2 == 1
+		add := mode/3%2 == 1
 		r := &fuzzBytes{data: data}
 		m := NewMat(nr, nc)
-		x, y := NewBatch(k, nc), NewBatch(k, nr)
-		for _, v := range [][]float64{m.W, x.W, y.W} {
+		x, y := NewVec(nc), NewVec(nr)
+		for _, v := range [][]float64{m.W, x, y} {
 			for i := range v {
 				v[i] = r.float()
 			}
@@ -240,16 +241,16 @@ func FuzzMulBatchKernel(f *testing.F) {
 		run := func(avx2 bool) []float64 {
 			restore, _ := SetAVX2ForTesting(avx2)
 			defer restore()
-			out := &Batch{K: k, N: nr, W: append([]float64(nil), y.W...)}
+			out := append([]float64(nil), y...)
 			if add {
-				m.MulBatchAdd(x, out)
+				m.MulVecAdd(x, out)
 			} else {
-				m.MulBatch(x, out)
+				m.MulVec(x, out)
 			}
-			return out.W
+			return out
 		}
 		if got, want := run(true), run(false); !sameFloats(got, want) {
-			t.Fatalf("%dx%d k=%d add=%v: kernel %v, scalar %v", nr, nc, k, add, got, want)
+			t.Fatalf("%dx%d add=%v: kernel %v, scalar %v", nr, nc, add, got, want)
 		}
 	})
 }
@@ -293,20 +294,20 @@ func FuzzPanelKernel(f *testing.F) {
 	})
 }
 
-// BenchmarkMulBatch times one K=1 matrix-vector product at the
-// decoders' and the GRU's shapes (rows x columns) on both dispatches:
+// BenchmarkMulVec times one matrix-vector product at the decoders'
+// and the GRU's shapes (rows x columns) on both dispatches:
 //
-//	go test -run '^$' -bench BenchmarkMulBatch ./internal/neural/
-func BenchmarkMulBatch(b *testing.B) {
+//	go test -run '^$' -bench BenchmarkMulVec ./internal/neural/
+func BenchmarkMulVec(b *testing.B) {
 	forEachDispatch(b, func(b *testing.B) {
 		for _, sh := range []struct{ r, c int }{{80, 40}, {80, 80}, {102, 80}} {
 			b.Run(fmt.Sprintf("%dx%d", sh.r, sh.c), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				m := NewMatRand(sh.r, sh.c, rng)
-				x, y := randBatch(1, sh.c, rng), NewBatch(1, sh.r)
+				x, y := randVec(sh.c, rng), NewVec(sh.r)
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
-					m.MulBatch(x, y)
+					m.MulVec(x, y)
 				}
 			})
 		}

@@ -19,6 +19,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -248,6 +249,46 @@ func TestOpenBreakerSkipsSlowTierWithoutPayingDeadline(t *testing.T) {
 	}
 	if !containsSkip(resp.TierErrors) {
 		t.Fatalf("trace lacks the skip note: %v", resp.TierErrors)
+	}
+}
+
+// TestHungPrimaryTripsItsBreaker: a primary that hangs on every
+// question, served with no per-tier deadline of its own. The tier gets
+// half the 50 ms request timeout, so each hang overruns it while the
+// request is still live: the fallback answers in the other half and
+// the hang is charged to the primary's breaker, which opens after
+// MinSamples asks and stops routing to it. Ended by the request's own
+// timeout instead, the hang would be charged nothing and every ask
+// would time out.
+func TestHungPrimaryTripsItsBreaker(t *testing.T) {
+	block := newBlockModel()
+	t.Cleanup(block.release)
+	tr := runtime.NewTranslator(testDB(t), block)
+	tr.Fallbacks = []models.Translator{oracleModel{}}
+	s := newServer(tr, Config{Workers: 1, Timeout: 50 * time.Millisecond, Breaker: BreakerConfig{Now: newFakeClock().Now}})
+	answered := map[string]int{}
+	for i := 0; i < 20; i++ {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/patients/ask?q="+urlQuery(goodQuestion), nil))
+		var resp askResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		answered[fmt.Sprintf("%d %s", rec.Code, resp.Tier)]++
+	}
+	if answered["200 oracle"] != 20 {
+		t.Fatalf("20 asks ended %v, want 200 from the oracle fallback for all", answered)
+	}
+	if got := tr.Deadline; got != 25*time.Millisecond {
+		t.Fatalf("tier deadline = %v, want half the request timeout", got)
+	}
+	if st := s.Snapshot().Tenants["patients"].Breakers["block"]; st != "open" {
+		t.Fatalf("primary breaker = %q, want open", st)
+	}
+	if calls := block.calls.Load(); calls != 4 {
+		t.Fatalf("primary ran %d times, want the default MinSamples of 4", calls)
 	}
 }
 

@@ -86,6 +86,8 @@ type Config struct {
 	// Spec is the build template for tenants onboarded through POST
 	// /schemas: the same settings the boot-time tenants were built
 	// with (model, seed, rows, per-tier deadline, fallback, critic).
+	// A zero per-tier deadline, here or on a pre-built tenant, becomes
+	// half of Timeout.
 	// The request's schema replaces Spec.Schema, its other fields
 	// override their counterparts when set, and LoadPath is ignored
 	// (saved weights belong to the schema they were trained on).
@@ -191,10 +193,18 @@ func NewMulti(units []*boot.Unit, cfg Config) *Server {
 //lint:allow deadcode test hook: serve tests onboard and inspect tenants through it
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// equip attaches a fresh breaker set — one breaker per tier, and one
-// for the critic when the unit was assembled with one — before the
-// registry makes the version visible.
+// equip prepares a version, boot-time or onboarded, before the
+// registry makes it visible. A tier with no deadline of its own gets
+// half the request timeout: a hung tier then overruns its deadline
+// while the request is still live, which charges its breaker and
+// leaves the other half to the fallback tiers; ended by the request's
+// own timeout, it would be charged nothing. Then it attaches a fresh
+// breaker set — one breaker per tier, and one for the critic when the
+// unit was assembled with one.
 func (s *Server) equip(_ string, v *registry.Version) {
+	if v.Unit.Translator.Deadline == 0 {
+		v.Unit.Translator.Deadline = s.cfg.Timeout / 2
+	}
 	if s.cfg.DisableBreakers {
 		return
 	}

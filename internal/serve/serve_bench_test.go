@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -242,27 +243,51 @@ func BenchmarkServe(b *testing.B) {
 // benchBaseline mirrors BENCH_serve.json.
 type benchBaseline struct {
 	Gates struct {
-		// CacheHitSpeedupMin is the floor on cold-p50 / warm-hit-p50.
-		CacheHitSpeedupMin float64 `json:"cache_hit_speedup_min"`
+		// ColdP50Units, HitP50Units and CriticP50Units are the recorded
+		// p50s, in host units (hostUnitNS), of a cold /translate with
+		// the critic off, a cache hit, and a cold /translate with the
+		// critic on. Each is gated on its own, so a faster path never
+		// pushes another path's gate toward its limit.
+		ColdP50Units   float64 `json:"cold_p50_units"`
+		HitP50Units    float64 `json:"hit_p50_units"`
+		CriticP50Units float64 `json:"critic_p50_units"`
 		// ColdAskAllocKiBMax is the ceiling on heap KiB allocated per
 		// cold /ask (coldAskAllocKiB).
 		ColdAskAllocKiBMax float64 `json:"cold_ask_alloc_kib_max"`
-		// CriticP50OverheadMax is the ceiling on critic-on cold p50 /
-		// critic-off cold p50: how much latency the execution-guided
-		// validation layer may add to an uncached decode.
-		CriticP50OverheadMax float64 `json:"critic_p50_overhead_max"`
-		// ToleranceFrac is the +-fraction applied to the floors, per
-		// the serving bench contract.
+		// ToleranceFrac is the fraction by which a measurement may
+		// exceed its baseline.
 		ToleranceFrac float64 `json:"tolerance_frac"`
 	} `json:"gates"`
 }
 
+// hostSink keeps hostUnitNS's work observable.
+var hostSink float64
+
+// hostUnitNS is the fastest of 25 timings of a fixed scalar loop that
+// no code in this repository runs: the unit the gated p50s are
+// expressed in, so a faster or slower host scales both sides of a gate
+// alike. The minimum is the timing other work on the host disturbs
+// least.
+func hostUnitNS() float64 {
+	best := math.Inf(1)
+	for r := 0; r < 25; r++ {
+		t0 := time.Now()
+		x := 1.0
+		for i := 0; i < 50000; i++ {
+			x = x*1.0000001 + 1e-9
+		}
+		hostSink += x
+		best = math.Min(best, float64(time.Since(t0).Nanoseconds()))
+	}
+	return best
+}
+
 // TestServeBenchGate is the CI serve-bench gate: a short-form
-// measurement of the hot path compared against the floors checked in
-// to BENCH_serve.json (with its tolerance). Machine-independent
-// ratios, not wall-clock, are gated. Opt in with DBPAL_BENCH_GATE=1 —
-// it measures latency distributions and would be noise under -race or
-// a loaded laptop.
+// measurement of the hot path compared against the baselines checked
+// in to BENCH_serve.json (with its tolerance). Latencies are gated in
+// host units, not wall-clock. Opt in with DBPAL_BENCH_GATE=1 — it
+// measures latency distributions and would be noise under -race or a
+// loaded laptop.
 func TestServeBenchGate(t *testing.T) {
 	if os.Getenv("DBPAL_BENCH_GATE") != "1" {
 		t.Skip("set DBPAL_BENCH_GATE=1 to run the serve bench gate")
@@ -275,47 +300,59 @@ func TestServeBenchGate(t *testing.T) {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		t.Fatalf("baseline unreadable: %v", err)
 	}
-	tol := base.Gates.ToleranceFrac
+	g := base.Gates
+	tol := g.ToleranceFrac
 	if tol <= 0 || tol >= 1 {
 		t.Fatalf("baseline tolerance_frac = %v, want (0,1)", tol)
 	}
 	model := benchSeq2Seq()
 	questions := benchWorkload()
 
-	// Cold decode p50: no cache, serial clients.
-	cold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, false, questions, 120, 1)
-	// Warm hit p50: cache on (measureServe pre-warms every key).
-	warm := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, CacheSize: 1024}, false, questions, 2000, 1)
-	if cold.Failed+warm.Failed > 0 {
-		t.Fatalf("failed requests: cold=%d warm=%d", cold.Failed, warm.Failed)
+	// Five rounds, each timing the host unit and then the p50s of a cold
+	// decode (no cache, serial clients), a warm hit (cache on;
+	// measureServe pre-warms every key) and a critic-on cold decode,
+	// which additionally pays the static checks and a sandboxed
+	// dry-run. Each path is gated on the median of its rounds, so one
+	// round slowed by other work on the host does not decide it.
+	const rounds = 5
+	var coldU, hitU, criticU [rounds]float64
+	for r := 0; r < rounds; r++ {
+		unit := hostUnitNS()
+		cold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, false, questions, 120, 1)
+		warm := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16, CacheSize: 1024}, false, questions, 600, 1)
+		criticCold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, true, questions, 120, 1)
+		if n := cold.Failed + warm.Failed + criticCold.Failed; n > 0 {
+			t.Fatalf("failed requests: cold=%d warm=%d critic=%d", cold.Failed, warm.Failed, criticCold.Failed)
+		}
+		coldU[r], hitU[r], criticU[r] = cold.P50NS/unit, warm.P50NS/unit, criticCold.P50NS/unit
 	}
-	speedup := cold.P50NS / warm.P50NS
-	if floor := base.Gates.CacheHitSpeedupMin * (1 - tol); speedup < floor {
-		t.Errorf("cache-hit speedup = %.1fx (cold p50 %.0fns / hit p50 %.0fns), below gate %.1fx",
-			speedup, cold.P50NS, warm.P50NS, floor)
+	median := func(v [rounds]float64) float64 {
+		sort.Float64s(v[:])
+		return v[rounds/2]
 	}
-
-	// Critic overhead: every cold decode additionally pays the static
-	// checks and a sandboxed dry-run. The ratio over the critic-off
-	// cold p50 is gated so the validation layer cannot quietly eat
-	// the hot path.
-	criticCold := measureServe(t, model, Config{Workers: 8, Queue: 1 << 16}, true, questions, 120, 1)
-	if criticCold.Failed > 0 {
-		t.Fatalf("failed requests with critic on: %d", criticCold.Failed)
-	}
-	overhead := criticCold.P50NS / cold.P50NS
-	if ceil := base.Gates.CriticP50OverheadMax * (1 + tol); overhead > ceil {
-		t.Errorf("critic p50 overhead = %.2fx (on %.0fns / off %.0fns), above gate %.2fx",
-			overhead, criticCold.P50NS, cold.P50NS, ceil)
-	}
-
 	// Cold-ask allocation: what a cache miss costs the garbage
 	// collector, which on a busy single CPU is what decides the heap
 	// goal and so the process's RSS.
 	kib := coldAskAllocKiB(t, model, questions, 200)
-	if ceil := base.Gates.ColdAskAllocKiBMax * (1 + tol); kib > ceil {
+	t.Logf("p50 in host units (rounds %v): cold %.3f, cache hit %.3f, critic-on cold %.3f; cold ask %.1f KiB",
+		rounds, median(coldU), median(hitU), median(criticU), kib)
+
+	for _, p := range []struct {
+		name       string
+		got, gated float64
+	}{
+		{"cold", median(coldU), g.ColdP50Units},
+		{"cache-hit", median(hitU), g.HitP50Units},
+		{"critic-on cold", median(criticU), g.CriticP50Units},
+	} {
+		if p.gated <= 0 {
+			t.Fatalf("baseline has no %s p50", p.name)
+		}
+		if ceil := p.gated * (1 + tol); p.got > ceil {
+			t.Errorf("%s p50 = %.3f host units, above gate %.3f", p.name, p.got, ceil)
+		}
+	}
+	if ceil := g.ColdAskAllocKiBMax * (1 + tol); kib > ceil {
 		t.Errorf("cold ask allocates %.1f KiB, above gate %.1f KiB", kib, ceil)
 	}
-	t.Logf("cache-hit speedup %.1fx (cold p50 %.0fns, hit p50 %.0fns); critic p50 overhead %.2fx; cold ask %.1f KiB",
-		speedup, cold.P50NS, warm.P50NS, overhead, kib)
 }
