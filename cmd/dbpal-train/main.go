@@ -82,9 +82,12 @@ func main() {
 	t0 := time.Now() //lint:allow determinism wall-clock timing is progress reporting only
 	pairs := dbpal.GenerateTrainingData(s, dbpal.DefaultParams(), *seed)
 	fmt.Printf("pipeline synthesized %d pairs for %q in %s\n", len(pairs), s.Name, time.Since(t0).Round(time.Millisecond))
-	exs := dbpal.TrainingExamples(pairs, s)
 
 	t1 := time.Now() //lint:allow determinism wall-clock timing is progress reporting only
+	exs := dbpal.TrainingExamples(pairs, s)
+	fmt.Printf("converted them to %d examples in %s\n", len(exs), time.Since(t1).Round(time.Millisecond))
+
+	t2 := time.Now() //lint:allow determinism wall-clock timing is progress reporting only
 	var (
 		save     func(io.Writer) error
 		trainErr error
@@ -119,7 +122,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("trained %s in %s\n", detail, time.Since(t1).Round(time.Millisecond))
+	fmt.Printf("trained %s in %s\n", detail, time.Since(t2).Round(time.Millisecond))
 
 	// The model file is written atomically: a crash mid-write cannot
 	// hand cmd/dbpal a truncated model.

@@ -115,8 +115,7 @@ func (s *trainSchedule) run(ctx context.Context, n int) error {
 					s.main.MergeGradsFrom(s.lanes[i])
 				}
 			}
-			s.main.ClipGrad(s.gradClip)
-			s.opt.Step()
+			s.opt.Step(s.main.ClipScale(s.gradClip))
 			step++
 			steps++
 			if s.checkpoint != nil && s.checkpointEvery > 0 && steps%s.checkpointEvery == 0 {

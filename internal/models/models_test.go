@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/patients"
 	"repro/internal/schema"
+	"repro/internal/spider"
+	"repro/internal/sqlast"
 	"repro/internal/tokens"
 )
 
@@ -77,6 +80,60 @@ func TestPairExamples(t *testing.T) {
 	}
 	if len(ex.Schema) == 0 {
 		t.Fatal("schema context missing")
+	}
+}
+
+// TestPairExamplesSharesParsedSQL: the memoized conversion gives the
+// examples a per-pair parse gives, on Patients and on a Spider-zoo
+// schema, with unparseable SQL (seen twice) skipped both times, and
+// every example with the same SQL string shares one token array.
+func TestPairExamplesSharesParsedSQL(t *testing.T) {
+	for _, s := range []*schema.Schema{patients.Schema(), spider.AllSchemas()[0]} {
+		pairs := core.New(s, core.DefaultParams(), 1).Run()
+		bad := core.Pair{NL: "broken sql", SQL: "NOT VALID SQL"}
+		pairs = append(append([]core.Pair{bad}, pairs...), bad)
+		st := SchemaTokens(s)
+		var want []Example
+		var sqls []string // the SQL string of each kept pair
+		for _, p := range pairs {
+			q, err := sqlast.Parse(p.SQL)
+			if err != nil {
+				continue
+			}
+			want = append(want, Example{NL: tokens.Tokenize(p.NL), SQL: NormalizeSQLTokens(q.Tokens()), Schema: st})
+			sqls = append(sqls, p.SQL)
+		}
+		got := PairExamples(pairs, s)
+		if len(want) != len(pairs)-2 {
+			t.Fatalf("%s: the reference kept %d of %d pairs", s.Name, len(want), len(pairs))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memoized examples differ from the per-pair conversion", s.Name)
+		}
+		first := map[string]*string{}
+		for i, sql := range sqls {
+			p := &got[i].SQL[0]
+			if f, ok := first[sql]; !ok {
+				first[sql] = p
+			} else if f != p {
+				t.Fatalf("%s: examples with SQL %q do not share one token array", s.Name, sql)
+			}
+		}
+		t.Logf("%s: %d examples, %d distinct SQL strings", s.Name, len(got), len(first))
+	}
+}
+
+// BenchmarkPairExamples times converting the Patients corpus's pairs
+// into examples, which dbpal-train and every server boot do once:
+//
+//	go test -run '^$' -bench BenchmarkPairExamples -benchmem ./internal/models/
+func BenchmarkPairExamples(b *testing.B) {
+	s := patients.Schema()
+	pairs := core.New(s, core.DefaultParams(), 1).Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PairExamples(pairs, s)
 	}
 }
 

@@ -51,7 +51,7 @@ func sameBits(a, b []float64) bool {
 // from the training path's encodeNL, not from the decode plan.
 func referenceTranslateK(m *Sketch, nl, schemaToks []string, k int) [][]string {
 	ss := m.sets.get(schemaToks)
-	enc := m.encodeNL(nl).final
+	enc := m.encodeNL(m.work(), nl)
 	nlc := newNLContext(nl)
 	var out [][]string
 	var sc slotScratch
@@ -83,7 +83,7 @@ func TestDecodePlanMatchesDirect(t *testing.T) {
 			}
 			defer restore()
 			for _, nl := range qs {
-				if got, want := m.encodeInfer(nl), m.encodeNL(nl).final; !sameBits(got, want) {
+				if got, want := m.encodeInfer(nl), m.encodeNL(m.work(), nl); !sameBits(got, want) {
 					t.Fatalf("%v: plan state %v, direct %v", nl, got, want)
 				}
 				if got, want := m.TranslateK(nl, st, 3), referenceTranslateK(m, nl, st, 3); !reflect.DeepEqual(got, want) {
@@ -129,7 +129,7 @@ func TestDecodePlanDroppedByTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, nl := range qs {
-			if got, want := m.encodeInfer(nl), fresh.encodeNL(nl).final; !sameBits(got, want) {
+			if got, want := m.encodeInfer(nl), fresh.encodeNL(fresh.work(), nl); !sameBits(got, want) {
 				t.Fatalf("%s, %v: encoder state %v, fresh load %v", stage, nl, got, want)
 			}
 			if got, want := m.TranslateK(nl, st, 2), fresh.TranslateK(nl, st, 2); !reflect.DeepEqual(got, want) {

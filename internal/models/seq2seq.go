@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/neural"
 	"repro/internal/tokens"
@@ -77,6 +78,9 @@ type Seq2Seq struct {
 	// starts and both build them once the weights are final, so
 	// non-nil plans always match the weights.
 	encPlan, decPlan *neural.GRUPlan
+	// tw is the training scratch, built on first use after build and
+	// dropped when TrainContext returns.
+	tw *s2sWork
 }
 
 // NewSeq2Seq returns an untrained model; parameters are allocated at
@@ -98,6 +102,7 @@ func (m *Seq2Seq) NumParams() int {
 }
 
 func (m *Seq2Seq) build(vocabSize int) {
+	m.tw = nil
 	m.ps = &neural.ParamSet{}
 	m.emb = neural.NewEmbedding(m.ps, "emb", vocabSize, m.cfg.EmbDim, m.rng)
 	applySynonymClusters(m.emb, m.vocab, m.rng)
@@ -134,6 +139,7 @@ func (m *Seq2Seq) TrainContext(ctx context.Context, examples []Example, opts Tra
 	}
 	m.encPlan, m.decPlan = nil, nil
 	defer m.buildPlans()
+	defer func() { m.tw = nil }()
 	m.vocab = BuildVocabs(examples, m.cfg.MinCount)
 	// build draws the same RNG sequence on fresh and resumed runs —
 	// that replay, not serialized RNG internals, is what puts the
@@ -212,88 +218,112 @@ func (m *Seq2Seq) workerClone() *Seq2Seq {
 	return c
 }
 
-// encState holds the encoder pass over one input.
-type encState struct {
-	ids    []int
-	toks   []string
-	states [][]float64
-	caches []*neural.GRUCache
-	final  []float64
+// s2sWork is a model's (or a worker clone's) training scratch, which
+// every example reuses: the encoder's and the decoder's GRU
+// workspaces, the input and its ids, the teacher-forced rollout's
+// per-step records, grown to the longest target, and the backward
+// pass's buffers. Nothing in it outlives an example.
+type s2sWork struct {
+	enc, dec *neural.GRUWork
+	input    []string
+	ids      []int
+	states   [][]float64 // the encoder state at each input position, in enc
+	final    []float64   // the last encoder state, the decoder's first
+	zero     []float64   // HidDim zeros
+	steps    []decStep
+	g        [1]float64 // the p_gen logit, then its gradient
+	// backward
+	dEnc                 [][]float64 // per input position, HidDim each
+	dAlpha               []float64   // per input position
+	dComb, dPre, dConcat []float64   // HidDim, HidDim, 2·HidDim
+	dLogits              []float64   // vocabulary
 }
 
-func (m *Seq2Seq) encode(input []string) *encState {
-	es := &encState{toks: input, ids: m.vocab.Encode(input)}
-	h := neural.NewVec(m.cfg.HidDim)
-	for _, id := range es.ids {
-		x := m.emb.Lookup(id)
-		hn, cache := m.enc.Forward(x, h)
-		es.states = append(es.states, hn)
-		es.caches = append(es.caches, cache)
-		h = hn
+// work returns the training scratch, building it for the current
+// parameters on first use.
+func (m *Seq2Seq) work() *s2sWork {
+	if m.tw == nil {
+		h := m.cfg.HidDim
+		m.tw = &s2sWork{
+			enc: m.enc.NewWork(), dec: m.dec.NewWork(),
+			zero: make([]float64, h), dComb: make([]float64, h), dPre: make([]float64, h),
+			dConcat: make([]float64, 2*h), dLogits: make([]float64, m.wo.Out),
+		}
 	}
-	es.final = h
-	return es
+	return m.tw
 }
 
-// decStep holds one decoder step's intermediates for backprop.
+// encode runs the encoder over the input sequence of nl and schemaToks
+// (see InputSequence), built in w, caching every step in w.
+func (m *Seq2Seq) encode(w *s2sWork, nl, schemaToks []string) {
+	w.input = append(append(append(w.input[:0], nl...), tokens.SepToken), schemaToks...)
+	w.ids, w.states = w.ids[:0], w.states[:0]
+	for _, t := range w.input {
+		w.ids = append(w.ids, m.vocab.ID(t))
+	}
+	h := w.zero
+	for t, id := range w.ids {
+		h = m.enc.Forward(w.enc, t, m.emb.Lookup(id), h)
+		w.states = append(w.states, h)
+	}
+	w.final = h
+}
+
+// decStep holds one decoder step's intermediates for backprop. Its
+// buffers belong to the workspace and are overwritten by the next
+// rollout.
 type decStep struct {
 	prevID   int
-	cache    *neural.GRUCache
-	hDec     []float64
-	alpha    []float64
-	ctx      []float64
-	concat   []float64
-	combPre  []float64 // wc output before tanh? stored as comb (post-tanh)
-	comb     []float64
-	logits   []float64
-	pv       []float64
+	hDec     []float64 // in the decoder's GRU workspace
+	alpha    []float64 // attention over the input
+	concat   []float64 // [hDec; ctx]
+	comb     []float64 // tanh(wc concat)
+	pv       []float64 // vocabulary softmax
 	pgen     float64
 	target   string
 	targetID int
 	prob     float64
 }
 
-// forwardStep runs one decoder step.
-func (m *Seq2Seq) forwardStep(prevID int, h []float64, es *encState) (*decStep, []float64) {
-	st := &decStep{prevID: prevID}
-	x := m.emb.Lookup(prevID)
-	hNew, cache := m.dec.Forward(x, h)
-	st.cache = cache
-	st.hDec = hNew
-
-	// Luong dot attention over encoder states.
-	T := len(es.states)
-	scores := neural.NewVec(T)
-	for i, eh := range es.states {
-		scores[i] = neural.Dot(hNew, eh)
+// forwardStep runs decoder step t from state h (an encoder state or the
+// previous step's hDec) over the input encode left in w.
+func (m *Seq2Seq) forwardStep(w *s2sWork, t, prevID int, h []float64) *decStep {
+	hid := m.cfg.HidDim
+	for len(w.steps) <= t {
+		buf := make([]float64, 3*hid+m.wo.Out)
+		w.steps = append(w.steps, decStep{concat: buf[:2*hid], comb: buf[2*hid : 3*hid], pv: buf[3*hid:]})
 	}
-	st.alpha = neural.Softmax(scores, neural.NewVec(T))
-	st.ctx = neural.NewVec(m.cfg.HidDim)
+	st := &w.steps[t]
+	st.prevID = prevID
+	st.hDec = m.dec.Forward(w.dec, t, m.emb.Lookup(prevID), h)
+
+	// Luong dot attention over encoder states; Softmax and Tanh may
+	// write over their input.
+	st.alpha = slices.Grow(st.alpha[:0], len(w.states))[:len(w.states)]
+	for i, eh := range w.states {
+		st.alpha[i] = neural.Dot(st.hDec, eh)
+	}
+	neural.Softmax(st.alpha, st.alpha)
+	copy(st.concat[:hid], st.hDec)
+	ctx := st.concat[hid:]
+	clear(ctx)
 	for i, a := range st.alpha {
-		neural.Axpy(a, es.states[i], st.ctx)
+		neural.Axpy(a, w.states[i], ctx)
 	}
-
-	st.concat = make([]float64, 0, 2*m.cfg.HidDim)
-	st.concat = append(st.concat, hNew...)
-	st.concat = append(st.concat, st.ctx...)
-	pre := m.wc.Forward(st.concat, neural.NewVec(m.cfg.HidDim))
-	st.comb = neural.NewVec(m.cfg.HidDim)
-	neural.Tanh(pre, st.comb)
-
-	st.logits = m.wo.Forward(st.comb, neural.NewVec(m.wo.Out))
-	st.pv = neural.Softmax(st.logits, neural.NewVec(len(st.logits)))
-	g := m.wg.Forward(st.comb, neural.NewVec(1))[0]
+	neural.Tanh(m.wc.Forward(st.concat, st.comb), st.comb)
+	neural.Softmax(m.wo.Forward(st.comb, st.pv), st.pv)
+	g := m.wg.Forward(st.comb, w.g[:])[0]
 	st.pgen = 1.0 / (1.0 + math.Exp(-g))
-	return st, hNew
+	return st
 }
 
-// prob computes the mixture probability of emitting token t.
-func (st *decStep) probOf(t string, vocab *tokens.Vocab, es *encState) (p, copySum float64, inVocab bool) {
+// probOf computes the mixture probability of emitting token t.
+func (st *decStep) probOf(t string, vocab *tokens.Vocab, input []string) (p, copySum float64, inVocab bool) {
 	inVocab = vocab.Has(t)
 	if inVocab {
 		p = st.pgen * st.pv[vocab.ID(t)]
 	}
-	for i, tok := range es.toks {
+	for i, tok := range input {
 		if tok == t {
 			copySum += st.alpha[i]
 		}
@@ -302,34 +332,35 @@ func (st *decStep) probOf(t string, vocab *tokens.Vocab, es *encState) (p, copyS
 	return p, copySum, inVocab
 }
 
-// rollout runs the teacher-forced forward pass and returns the
-// encoder state, the decoder steps, and the summed negative
+// rollout runs the teacher-forced forward pass into w and returns the
+// number of decoder steps (the target and EOS) and the summed negative
 // log-likelihood.
-func (m *Seq2Seq) rollout(ex Example) (*encState, []*decStep, float64) {
-	input := InputSequence(ex.NL, ex.Schema)
-	es := m.encode(input)
+func (m *Seq2Seq) rollout(w *s2sWork, ex Example) (int, float64) {
+	m.encode(w, ex.NL, ex.Schema)
 
-	target := append(append([]string{}, ex.SQL...), tokens.EosToken)
-	h := es.final
+	h := w.final
 	prevID := tokens.BosID
-	steps := make([]*decStep, 0, len(target))
+	n := len(ex.SQL) + 1
 	loss := 0.0
-	for _, t := range target {
-		st, hNew := m.forwardStep(prevID, h, es)
+	for k := 0; k < n; k++ {
+		t := tokens.EosToken
+		if k < len(ex.SQL) {
+			t = ex.SQL[k]
+		}
+		st := m.forwardStep(w, k, prevID, h)
 		st.target = t
 		st.targetID = m.vocab.ID(t)
-		p, _, _ := st.probOf(t, m.vocab, es)
+		p, _, _ := st.probOf(t, m.vocab, w.input)
 		st.prob = p
 		pc := p
 		if pc < 1e-12 {
 			pc = 1e-12
 		}
 		loss += -math.Log(pc)
-		steps = append(steps, st)
-		h = hNew
+		h = st.hDec
 		prevID = st.targetID // teacher forcing (OOV -> UNK embedding)
 	}
-	return es, steps, loss
+	return n, loss
 }
 
 // Loss returns the teacher-forced NLL of one example without touching
@@ -337,23 +368,27 @@ func (m *Seq2Seq) rollout(ex Example) (*encState, []*decStep, float64) {
 //
 //lint:allow deadcode reference implementation: the gradient checks difference it against the analytic gradient
 func (m *Seq2Seq) Loss(ex Example) float64 {
-	_, _, loss := m.rollout(ex)
+	_, loss := m.rollout(m.work(), ex)
 	return loss
 }
 
 // backprop accumulates gradients for one example and returns its loss.
 func (m *Seq2Seq) backprop(ex Example) float64 {
-	es, steps, loss := m.rollout(ex)
+	w := m.work()
+	n, loss := m.rollout(w, ex)
 
 	// Backward.
-	hid := m.cfg.HidDim
-	dEnc := make([][]float64, len(es.states))
-	for i := range dEnc {
-		dEnc[i] = neural.NewVec(hid)
+	hid, T := m.cfg.HidDim, len(w.states)
+	for len(w.dEnc) < T {
+		w.dEnc = append(w.dEnc, make([]float64, hid))
 	}
-	dh := neural.NewVec(hid) // recurrent grad into decoder step t
-	for k := len(steps) - 1; k >= 0; k-- {
-		st := steps[k]
+	dEnc := w.dEnc[:T]
+	for _, d := range dEnc {
+		clear(d)
+	}
+	dh := w.zero // recurrent grad into decoder step k; never written
+	for k := n - 1; k >= 0; k-- {
+		st := &w.steps[k]
 		p := st.prob
 		if p < 1e-12 {
 			p = 1e-12
@@ -362,7 +397,7 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 
 		inVocab := m.vocab.Has(st.target)
 		copySum := 0.0
-		for i, tok := range es.toks {
+		for i, tok := range w.input {
 			if tok == st.target {
 				copySum += st.alpha[i]
 			}
@@ -378,19 +413,25 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 		}
 		dpgen -= dP * copySum
 
-		dAlpha := neural.NewVec(len(st.alpha))
-		for i, tok := range es.toks {
+		w.dAlpha = slices.Grow(w.dAlpha[:0], T)[:T]
+		dAlpha := w.dAlpha
+		clear(dAlpha)
+		for i, tok := range w.input {
 			if tok == st.target {
 				dAlpha[i] += dP * (1 - st.pgen)
 			}
 		}
 
-		dComb := neural.NewVec(hid)
+		// Both output layers add into dComb. A sum from +0 is never -0,
+		// so adding each layer's input gradient straight into it gives
+		// the bits of forming each separately and adding it.
+		dComb := w.dComb
+		clear(dComb)
 
 		// Vocabulary softmax backward (single nonzero dPv row).
 		if dPvT != 0 {
 			pvT := st.pv[st.targetID]
-			dLogits := neural.NewVec(len(st.pv))
+			dLogits := w.dLogits
 			for j := range dLogits {
 				d := -pvT * st.pv[j]
 				if j == st.targetID {
@@ -398,35 +439,29 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 				}
 				dLogits[j] = dPvT * d
 			}
-			dc := m.wo.Backward(st.comb, dLogits)
-			for i := range dComb {
-				dComb[i] += dc[i]
-			}
+			m.wo.Backward(st.comb, dLogits, dComb)
 		}
 
 		// p_gen sigmoid backward.
 		if dpgen != 0 {
-			dg := dpgen * st.pgen * (1 - st.pgen)
-			dc := m.wg.Backward(st.comb, []float64{dg})
-			for i := range dComb {
-				dComb[i] += dc[i]
-			}
+			w.g[0] = dpgen * st.pgen * (1 - st.pgen)
+			m.wg.Backward(st.comb, w.g[:], dComb)
 		}
 
 		// comb = tanh(wc [h;ctx]) backward.
-		dPre := neural.NewVec(hid)
+		dPre := w.dPre
 		for i := range dPre {
 			dPre[i] = dComb[i] * (1 - st.comb[i]*st.comb[i])
 		}
-		dConcat := m.wc.Backward(st.concat, dPre)
-		dHdec := neural.NewVec(hid)
-		copy(dHdec, dConcat[:hid])
-		dCtx := dConcat[hid:]
+		dConcat := w.dConcat
+		clear(dConcat)
+		m.wc.Backward(st.concat, dPre, dConcat)
+		dHdec, dCtx := dConcat[:hid], dConcat[hid:]
 
 		// ctx = Σ α_i enc_i backward.
 		for i, a := range st.alpha {
 			neural.Axpy(a, dCtx, dEnc[i])
-			dAlpha[i] += neural.Dot(dCtx, es.states[i])
+			dAlpha[i] += neural.Dot(dCtx, w.states[i])
 		}
 		// Attention softmax backward.
 		sumAD := 0.0
@@ -438,7 +473,7 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 			if ds == 0 {
 				continue
 			}
-			neural.Axpy(ds, es.states[i], dHdec)
+			neural.Axpy(ds, w.states[i], dHdec)
 			neural.Axpy(ds, st.hDec, dEnc[i])
 		}
 
@@ -446,19 +481,19 @@ func (m *Seq2Seq) backprop(ex Example) float64 {
 		for i := range dHdec {
 			dHdec[i] += dh[i]
 		}
-		dx, dhPrev := m.dec.Backward(st.cache, dHdec)
+		dx, dhPrev := m.dec.Backward(w.dec, k, dHdec)
 		m.emb.AccumGrad(st.prevID, dx)
 		dh = dhPrev
 	}
 
 	// Encoder backward: decoder initial state was the encoder final
-	// state, so dh chains straight in.
-	for i := len(es.caches) - 1; i >= 0; i-- {
+	// state, so dh (now the decoder workspace's) chains straight in.
+	for i := T - 1; i >= 0; i-- {
 		for j := range dh {
 			dh[j] += dEnc[i][j]
 		}
-		dx, dhPrev := m.enc.Backward(es.caches[i], dh)
-		m.emb.AccumGrad(es.ids[i], dx)
+		dx, dhPrev := m.enc.Backward(w.enc, i, dh)
+		m.emb.AccumGrad(w.ids[i], dx)
 		dh = dhPrev
 	}
 	return loss

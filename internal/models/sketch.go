@@ -165,6 +165,9 @@ type Sketch struct {
 	// plan when it starts and both build it once the weights are final,
 	// so a non-nil plan always matches the weights.
 	plan *neural.GRUPlan
+	// tw is the training scratch, built on first use after buildParams
+	// and dropped when TrainContext returns.
+	tw *sketchWork
 }
 
 // NewSketch returns an untrained sketch model.
@@ -346,18 +349,8 @@ func (m *Sketch) TrainContext(ctx context.Context, examples []Example, opts Trai
 	defer m.buildPlan()
 	m.vocab = BuildVocabs(examples, m.cfg.MinCount)
 
-	// Pass 1: build the sketch inventory. Deterministic in the example
-	// list, so a resumed run reconstructs the same inventory.
-	m.sketches = nil
-	m.byKey = map[string]int{}
-	for _, ex := range examples {
-		ss := m.sets.get(ex.Schema)
-		sk, _ := sketchOf(ex.SQL, ss)
-		if _, ok := m.byKey[sk.key]; !ok {
-			m.byKey[sk.key] = len(m.sketches)
-			m.sketches = append(m.sketches, sk)
-		}
-	}
+	defer func() { m.tw = nil }()
+	inv := m.inventory(examples)
 
 	// buildParams draws the same RNG sequence on fresh and resumed
 	// runs, putting the generator back in position without serializing
@@ -383,9 +376,9 @@ func (m *Sketch) TrainContext(ctx context.Context, examples []Example, opts Trai
 			lanes[i] = m.workerClone()
 			sched.lanes[i] = lanes[i].ps
 		}
-		sched.accum = func(lane, exIdx int) { lanes[lane].step(examples[exIdx]) }
+		sched.accum = func(lane, exIdx int) { lanes[lane].step(examples[exIdx], inv[exIdx]) }
 	} else {
-		sched.accum = func(_, exIdx int) { m.step(examples[exIdx]) }
+		sched.accum = func(_, exIdx int) { m.step(examples[exIdx], inv[exIdx]) }
 	}
 
 	if r := opts.Resume; r != nil {
@@ -400,6 +393,53 @@ func (m *Sketch) TrainContext(ctx context.Context, examples []Example, opts Trai
 		return snapshot(m.Name(), epoch, step, m.SaveFull, opt)
 	})
 	return sched.run(ctx, len(examples))
+}
+
+// exSketch is one training example's place in the sketch inventory:
+// its sketch's index in m.sketches and its gold slot fillers in order.
+type exSketch struct {
+	id   int
+	gold []string
+}
+
+// inventory builds the sketch inventory from the examples and returns
+// each example's entry. It is deterministic in the example list, so a
+// resumed run reconstructs the same inventory. Examples that share
+// their SQL and schema token slices, as PairExamples' do, share one
+// sketchOf result.
+func (m *Sketch) inventory(examples []Example) []exSketch {
+	// A slice is identified by its first element's address and length.
+	type sliceID struct {
+		first *string
+		n     int
+	}
+	id := func(s []string) sliceID {
+		if len(s) == 0 {
+			return sliceID{}
+		}
+		return sliceID{&s[0], len(s)}
+	}
+	seen := map[[2]sliceID]exSketch{}
+	m.sketches = nil
+	m.byKey = map[string]int{}
+	inv := make([]exSketch, len(examples))
+	for i, ex := range examples {
+		key := [2]sliceID{id(ex.SQL), id(ex.Schema)}
+		e, ok := seen[key]
+		if !ok {
+			sk, gold := sketchOf(ex.SQL, m.sets.get(ex.Schema))
+			skID, known := m.byKey[sk.key]
+			if !known {
+				skID = len(m.sketches)
+				m.byKey[sk.key] = skID
+				m.sketches = append(m.sketches, sk)
+			}
+			e = exSketch{id: skID, gold: gold}
+			seen[key] = e
+		}
+		inv[i] = e
+	}
+	return inv
 }
 
 // restoreCheckpoint copies a checkpoint's weights into the
@@ -447,6 +487,7 @@ func (m *Sketch) workerClone() *Sketch {
 // buildParams allocates the model parameters for the current
 // vocabulary and sketch inventory.
 func (m *Sketch) buildParams() {
+	m.tw = nil
 	m.ps = &neural.ParamSet{}
 	m.emb = neural.NewEmbedding(m.ps, "emb", m.vocab.Size(), m.cfg.EmbDim, m.rng)
 	applySynonymClusters(m.emb, m.vocab, m.rng)
@@ -465,29 +506,55 @@ func (m *Sketch) buildParams() {
 // buildPlan derives the decode plan from the current weights.
 func (m *Sketch) buildPlan() { m.plan = neural.NewGRUPlan(m.enc, m.emb) }
 
-// encCache holds the GRU pass for backprop.
-type encCache struct {
-	ids    []int
-	caches []*neural.GRUCache
-	final  []float64
+// sketchWork is a model's (or a worker clone's) training scratch, which
+// every step reuses: the encoder's GRU workspace and token ids, and the
+// classifier, slot-scoring and linking buffers. Nothing in it outlives
+// a step.
+type sketchWork struct {
+	enc               *neural.GRUWork
+	ids               []int
+	zero, dEnc        []float64 // HidDim each
+	probs             []float64 // one per sketch
+	proj, dProj, gEmb []float64 // EmbDim each
+	scores            []float64 // one per candidate
+	embs              []float64 // EmbDim per candidate
+	feats             [][numSlotFeatures]float64
+	nlc               nlContext
 }
 
-// encodeNL runs the GRU encoder over the NL tokens.
-func (m *Sketch) encodeNL(nl []string) *encCache {
-	ec := &encCache{ids: m.vocab.Encode(nl)}
-	h := neural.NewVec(m.cfg.HidDim)
-	for _, id := range ec.ids {
-		hn, cache := m.enc.Forward(m.emb.Lookup(id), h)
-		ec.caches = append(ec.caches, cache)
-		h = hn
+// work returns the training scratch, building it for the current
+// parameters on first use.
+func (m *Sketch) work() *sketchWork {
+	if m.tw == nil {
+		e, h := m.cfg.EmbDim, m.cfg.HidDim
+		m.tw = &sketchWork{
+			enc:  m.enc.NewWork(),
+			zero: make([]float64, h), dEnc: make([]float64, h),
+			probs: make([]float64, m.clsW.Out),
+			proj:  make([]float64, e), dProj: make([]float64, e),
+			gEmb: make([]float64, e),
+		}
 	}
-	ec.final = h
-	return ec
+	return m.tw
+}
+
+// encodeNL runs the GRU encoder over the NL tokens, caching every step
+// in w for encBackward, and returns the final state, which lives in w.
+func (m *Sketch) encodeNL(w *sketchWork, nl []string) []float64 {
+	w.ids = w.ids[:0]
+	for _, t := range nl {
+		w.ids = append(w.ids, m.vocab.ID(t))
+	}
+	h := w.zero
+	for t, id := range w.ids {
+		h = m.enc.Forward(w.enc, t, m.emb.Lookup(id), h)
+	}
+	return h
 }
 
 // encodeInfer is the inference-only encoder: the same GRU pass as
 // encodeNL, stepped through the decode plan with no backprop cache. The
-// result is bit-identical to encodeNL(nl).final (GRUPlan.Step replays
+// result is bit-identical to encodeNL's (GRUPlan.Step replays
 // Forward's operation order).
 func (m *Sketch) encodeInfer(nl []string) []float64 {
 	p, hid := m.plan, m.cfg.HidDim
@@ -500,12 +567,12 @@ func (m *Sketch) encodeInfer(nl []string) []float64 {
 }
 
 // encBackward backpropagates a gradient on the final state through the
-// GRU and embeddings.
-func (m *Sketch) encBackward(ec *encCache, dFinal []float64) {
+// GRU pass encodeNL left in w and the embeddings.
+func (m *Sketch) encBackward(w *sketchWork, dFinal []float64) {
 	dh := dFinal
-	for i := len(ec.caches) - 1; i >= 0; i-- {
-		dx, dhPrev := m.enc.Backward(ec.caches[i], dh)
-		m.emb.AccumGrad(ec.ids[i], dx)
+	for i := len(w.ids) - 1; i >= 0; i-- {
+		dx, dhPrev := m.enc.Backward(w.enc, i, dh)
+		m.emb.AccumGrad(w.ids[i], dx)
 		dh = dhPrev
 	}
 }
@@ -523,16 +590,16 @@ func (m *Sketch) candEmb(c string, parts []string, out []float64) []float64 {
 }
 
 // candEmbGrad backpropagates a gradient into the constituent
-// embeddings of the candidate with subtokens parts.
+// embeddings of the candidate with subtokens parts. It divides g in
+// place.
 func (m *Sketch) candEmbGrad(c string, parts []string, g []float64) {
 	n := float64(len(parts)) + 1
-	scaled := neural.NewVec(len(g))
 	for i := range g {
-		scaled[i] = g[i] / n
+		g[i] /= n
 	}
-	m.emb.AccumGrad(m.vocab.ID(c), scaled)
+	m.emb.AccumGrad(m.vocab.ID(c), g)
 	for _, p := range parts {
-		m.emb.AccumGrad(m.vocab.ID(p), scaled)
+		m.emb.AccumGrad(m.vocab.ID(p), g)
 	}
 }
 
@@ -558,8 +625,18 @@ type nlContext struct {
 	length int
 }
 
-func newNLContext(nl []string) *nlContext {
-	c := &nlContext{set: map[string]bool{}, phSet: map[string]bool{}, pos: map[string]int{}, length: len(nl)}
+func newNLContext(nl []string) *nlContext { return new(nlContext).reset(nl) }
+
+// reset fills c for the question nl, reusing its maps.
+func (c *nlContext) reset(nl []string) *nlContext {
+	if c.set == nil {
+		c.set, c.phSet, c.pos = map[string]bool{}, map[string]bool{}, map[string]int{}
+	} else {
+		clear(c.set)
+		clear(c.phSet)
+		clear(c.pos)
+	}
+	c.length = len(nl)
 	for i, t := range nl {
 		lt := strings.ToLower(strings.TrimPrefix(t, "@"))
 		ll := lemma.Lemmatize(lt)
@@ -609,19 +686,24 @@ func (c *nlContext) features(parts []string) [numSlotFeatures]float64 {
 	return f
 }
 
-// slotScores scores every candidate for the (clause, kind) scorer k,
-// keeping each candidate's embedding and features for backprop.
-func (m *Sketch) slotScores(k int, enc []float64, cands candList, nlc *nlContext) (scores []float64, embs [][]float64, proj []float64, feats [][numSlotFeatures]float64) {
-	proj = neural.NewVec(m.cfg.EmbDim)
+// slotScores scores every candidate for the (clause, kind) scorer k
+// into w, keeping the projected encoding and each candidate's
+// embedding (EmbDim values from embs[i*EmbDim]) and features for
+// backprop. The results stay valid until the next call on w.
+func (m *Sketch) slotScores(w *sketchWork, k int, enc []float64, cands candList, nlc *nlContext) (scores, embs, proj []float64, feats [][numSlotFeatures]float64) {
+	n, e := len(cands.toks), m.cfg.EmbDim
+	proj = w.proj
 	m.slotW[k].MulVec(enc, proj)
-	scores = neural.NewVec(len(cands.toks))
-	embs = make([][]float64, len(cands.toks))
-	feats = make([][numSlotFeatures]float64, len(cands.toks))
+	w.scores = slices.Grow(w.scores[:0], n)[:n]
+	w.embs = slices.Grow(w.embs[:0], n*e)[:n*e]
+	w.feats = slices.Grow(w.feats[:0], n)[:n]
+	scores, embs, feats = w.scores, w.embs, w.feats
+	clear(embs)
 	fr := m.slotF.Row(k)
 	for i, c := range cands.toks {
-		embs[i] = m.candEmb(c, cands.subs[i], neural.NewVec(m.cfg.EmbDim))
+		emb := m.candEmb(c, cands.subs[i], embs[i*e:(i+1)*e])
 		feats[i] = nlc.features(cands.subs[i])
-		scores[i] = candScore(embs[i], proj, fr, &feats[i])
+		scores[i] = candScore(emb, proj, fr, &feats[i])
 	}
 	return scores, embs, proj, feats
 }
@@ -659,45 +741,39 @@ func (m *Sketch) scoreSlot(k int, enc []float64, cands candList, nlc *nlContext,
 	return sc.scores
 }
 
-// step trains on one example: sketch classification + slot filling.
-func (m *Sketch) step(ex Example) {
+// step trains on one example, with its sketch and gold slot fillers
+// from the inventory: sketch classification + slot filling.
+func (m *Sketch) step(ex Example, es exSketch) {
+	w := m.work()
 	ss := m.sets.get(ex.Schema)
-	sk, gold := sketchOf(ex.SQL, ss)
-	skID, ok := m.byKey[sk.key]
-	if !ok {
-		return // sketch not in inventory (defensive)
-	}
-	ec := m.encodeNL(ex.NL)
-	enc := ec.final
-	nlc := newNLContext(ex.NL)
+	sk := &m.sketches[es.id]
+	enc := m.encodeNL(w, ex.NL)
+	nlc := w.nlc.reset(ex.NL)
 
-	dEnc := neural.NewVec(m.cfg.HidDim)
-
-	// Sketch classification loss.
-	logits := m.clsW.Forward(enc, neural.NewVec(m.clsW.Out))
-	probs := neural.Softmax(logits, neural.NewVec(len(logits)))
-	dLogits := neural.NewVec(len(logits))
-	copy(dLogits, probs)
-	dLogits[skID] -= 1
-	d := m.clsW.Backward(enc, dLogits)
-	for i := range dEnc {
-		dEnc[i] += d[i]
-	}
+	// Sketch classification loss. The softmax becomes its own gradient,
+	// which Backward adds into the zeroed dEnc.
+	dEnc := w.dEnc
+	clear(dEnc)
+	dLogits := neural.Softmax(m.clsW.Forward(enc, w.probs), w.probs)
+	dLogits[es.id] -= 1
+	m.clsW.Backward(enc, dLogits, dEnc)
 
 	// Slot-filling losses.
-	rolePos := map[int]int{}
+	var rolePos [int(numClauses) * int(numKinds)]int
+	e := m.cfg.EmbDim
 	for si, kind := range sk.kinds {
 		cands := ss.byKind[kind]
-		goldIdx := indexOf(cands.toks, gold[si])
+		goldIdx := indexOf(cands.toks, es.gold[si])
 		role := int(sk.clauses[si])*int(numKinds) + int(kind)
 		k := scorerIndex(sk.clauses[si], kind, rolePos[role])
 		rolePos[role]++
 		if goldIdx < 0 || len(cands.toks) < 2 {
 			continue
 		}
-		scores, embs, proj, feats := m.slotScores(k, enc, cands, nlc)
-		sp := neural.Softmax(scores, neural.NewVec(len(scores)))
-		dProj := neural.NewVec(m.cfg.EmbDim)
+		scores, embs, proj, feats := m.slotScores(w, k, enc, cands, nlc)
+		sp := neural.Softmax(scores, scores)
+		dProj := w.dProj
+		clear(dProj)
 		frG := m.slotF.GradRow(k)
 		for i, c := range cands.toks {
 			ds := sp[i]
@@ -707,8 +783,9 @@ func (m *Sketch) step(ex Example) {
 			if ds == 0 {
 				continue
 			}
-			neural.Axpy(ds, embs[i], dProj)
-			gEmb := neural.NewVec(m.cfg.EmbDim)
+			neural.Axpy(ds, embs[i*e:(i+1)*e], dProj)
+			gEmb := w.gEmb
+			clear(gEmb)
 			neural.Axpy(ds, proj, gEmb)
 			m.candEmbGrad(c, cands.subs[i], gEmb)
 			for j := 0; j < numSlotFeatures; j++ {
@@ -718,7 +795,7 @@ func (m *Sketch) step(ex Example) {
 		m.slotW[k].BackwardVec(dProj, enc, dEnc)
 	}
 
-	m.encBackward(ec, dEnc)
+	m.encBackward(w, dEnc)
 }
 
 func indexOf(list []string, x string) int {
@@ -753,8 +830,8 @@ func (m *Sketch) Loss(ex Example) float64 {
 	if !ok {
 		return 0
 	}
-	ec := m.encodeNL(ex.NL)
-	enc := ec.final
+	w := m.work()
+	enc := m.encodeNL(w, ex.NL)
 	nlc := newNLContext(ex.NL)
 	logits := m.clsW.Forward(enc, neural.NewVec(m.clsW.Out))
 	probs := neural.Softmax(logits, neural.NewVec(len(logits)))
@@ -769,7 +846,7 @@ func (m *Sketch) Loss(ex Example) float64 {
 		if goldIdx < 0 || len(cands.toks) < 2 {
 			continue
 		}
-		scores, _, _, _ := m.slotScores(k, enc, cands, nlc)
+		scores, _, _, _ := m.slotScores(w, k, enc, cands, nlc)
 		sp := neural.Softmax(scores, neural.NewVec(len(scores)))
 		loss += -math.Log(math.Max(sp[goldIdx], 1e-12))
 	}

@@ -41,7 +41,7 @@ func TestSketchOverfitAndGrad(t *testing.T) {
 	m2.Train(exs) // epochs=0: builds vocab/params only
 	ex := exs[0]
 	m2.ps.ZeroGrad()
-	m2.step(ex)
+	m2.step(ex, m2.inventory(exs)[0])
 	const eps = 1e-5
 	checked := 0
 	for mi, mat := range m2.ps.Mats() {

@@ -30,17 +30,18 @@ func decodeQuestions() [][]string {
 // forward pass (encode and forwardStep, with their backprop caches):
 // the decoder Translate must reproduce bit for bit.
 func referenceTranslate(m *Seq2Seq, nl, schemaToks []string) []string {
-	es := m.encode(InputSequence(nl, schemaToks))
-	h, prevID := es.final, tokens.BosID
+	w := m.work()
+	m.encode(w, nl, schemaToks)
+	h, prevID := w.final, tokens.BosID
 	var out []string
 	for step := 0; step < m.cfg.MaxOutLen; step++ {
-		st, hNew := m.forwardStep(prevID, h, es)
-		tok := m.pickToken(st.pv, st.pgen, st.alpha, es.toks)
+		st := m.forwardStep(w, step, prevID, h)
+		tok := m.pickToken(st.pv, st.pgen, st.alpha, w.input)
 		if tok == tokens.EosToken {
 			break
 		}
 		out = append(out, tok)
-		h, prevID = hNew, m.vocab.ID(tok)
+		h, prevID = st.hDec, m.vocab.ID(tok)
 	}
 	return out
 }
@@ -127,7 +128,7 @@ func TestEncodeInferMatchesEncodeNL(t *testing.T) {
 		nls = append(nls, ex.NL)
 	}
 	for _, nl := range append(nls, nil) {
-		got, want := m.encodeInfer(nl), m.encodeNL(nl).final
+		got, want := m.encodeInfer(nl), m.encodeNL(m.work(), nl)
 		if len(got) != len(want) {
 			t.Fatalf("%v: length %d, want %d", nl, len(got), len(want))
 		}

@@ -69,18 +69,32 @@ func SchemaTokens(s *schema.Schema) []string {
 
 // PairExamples converts pipeline pairs for one schema into model
 // examples. Pairs whose SQL fails to parse are skipped (the pipeline
-// validates SQL, so this is defensive).
+// validates SQL, so this is defensive). Each distinct SQL string is
+// parsed, tokenized and normalized once, and every example with that
+// SQL shares the one token slice, as all of them share the schema
+// tokens: Example.SQL, like Example.Schema, is read-only.
 func PairExamples(pairs []core.Pair, s *schema.Schema) []Example {
 	st := SchemaTokens(s)
+	type parsed struct {
+		toks []string
+		ok   bool
+	}
+	bySQL := map[string]parsed{}
 	out := make([]Example, 0, len(pairs))
 	for _, p := range pairs {
-		q, err := sqlast.Parse(p.SQL)
-		if err != nil {
+		sql, seen := bySQL[p.SQL]
+		if !seen {
+			if q, err := sqlast.Parse(p.SQL); err == nil {
+				sql = parsed{NormalizeSQLTokens(q.Tokens()), true}
+			}
+			bySQL[p.SQL] = sql
+		}
+		if !sql.ok {
 			continue
 		}
 		out = append(out, Example{
 			NL:     tokens.Tokenize(p.NL),
-			SQL:    NormalizeSQLTokens(q.Tokens()),
+			SQL:    sql.toks,
 			Schema: st,
 		})
 	}

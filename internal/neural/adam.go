@@ -67,21 +67,16 @@ func (p *ParamSet) GradNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// ClipGrad scales gradients so the global norm is at most maxNorm.
-func (p *ParamSet) ClipGrad(maxNorm float64) {
+// ClipScale returns the factor that brings the global gradient norm to
+// at most maxNorm: 1 when the norm is already within it (or zero), and
+// maxNorm/norm otherwise. Adam.Step applies it as it reads each
+// gradient.
+func (p *ParamSet) ClipScale(maxNorm float64) float64 {
 	n := p.GradNorm()
 	if n <= maxNorm || n == 0 {
-		return
+		return 1
 	}
-	scale := maxNorm / n
-	for _, m := range p.mats {
-		if !m.dirty {
-			continue
-		}
-		for i := range m.G {
-			m.G[i] *= scale
-		}
-	}
+	return maxNorm / n
 }
 
 // DropGrads releases every matrix's gradient buffer, for a parameter
@@ -169,35 +164,56 @@ func (a *Adam) Restore(st AdamState) error {
 }
 
 // adamConsts are one step's constants, in the layout adamAVX2 reads.
+// scale is broadcast to four lanes so the kernel can take it as a
+// memory operand; unbias is 0 once b1c has rounded to 1.
 type adamConsts struct {
 	b1, c1, b2, c2, b1c, b2c, lr, eps float64
+	scale                             [4]float64
+	unbias                            int64
 }
 
-// Step applies one Adam update from the accumulated gradients and
-// clears them. Matrices that are clean and not live are skipped whole;
-// within the rest, elements with a zero gradient and zero moments are
-// skipped one by one (untouched embedding rows, unused slot scorers).
-// Both skips leave exactly the state the full update would: such an
-// element's update is a no-op. What remains is bound by the divides
-// and the square root on live elements, which cannot be rewritten as
-// multiplications without changing the rounding. With AVX2 the
-// elements go four at a time through adamAVX2, which performs each
-// element's operations in this loop's order and keeps a skipped
-// element's bits, so results are bit-identical; the scalar loop below
+// Step applies one Adam update from the accumulated gradients, each
+// multiplied by scale as it is read (ParamSet.ClipScale's factor, or 1
+// for no clipping), and clears them. The product is the gradient a
+// separate scaling pass would have stored, so the update is the one
+// that pass followed by an unscaled step gives, bit for bit; a clean
+// matrix is read unscaled, as such a pass would have left it.
+//
+// Matrices that are clean and not live are skipped whole; within the
+// rest, elements whose scaled gradient and both moments are zero are
+// skipped one by one (untouched embedding rows, unused slot scorers),
+// keeping the scaled gradient, a signed zero. Both skips leave exactly
+// the state the full update would: such an element's update is a
+// no-op. Once the first bias correction 1-β₁ᵗ rounds to 1 (from
+// t = 356 at β₁ = 0.9) its divide is skipped, since x/1 is x. What
+// remains is bound by the other divides and the square root on live
+// elements, which cannot be rewritten as multiplications without
+// changing the rounding. With AVX2 the elements go four at a time
+// through adamAVX2, which performs each element's operations in this
+// loop's order, so results are bit-identical; the scalar loop below
 // runs the last len%4 elements, or all of them without AVX2.
-func (a *Adam) Step() {
+func (a *Adam) Step(scale float64) {
 	a.t++
 	b1, b2 := a.Beta1, a.Beta2
 	c1, c2 := 1-b1, 1-b2
 	b1c := 1 - math.Pow(b1, float64(a.t))
 	b2c := 1 - math.Pow(b2, float64(a.t))
 	lr, eps := a.LR, a.Eps
-	consts := adamConsts{b1, c1, b2, c2, b1c, b2c, lr, eps}
+	unbias := b1c != 1
+	consts := adamConsts{b1: b1, c1: c1, b2: b2, c2: c2, b1c: b1c, b2c: b2c, lr: lr, eps: eps}
+	if unbias {
+		consts.unbias = 1
+	}
 	for k, mat := range a.params.mats {
 		if !mat.dirty && !a.live[k] {
 			continue
 		}
+		s := scale
+		if !mat.dirty {
+			s = 1
+		}
 		mat.dirty = false
+		consts.scale = [4]float64{s, s, s, s}
 		grad := mat.G
 		live, n := false, 0
 		if hasAVX2 {
@@ -210,15 +226,21 @@ func (a *Adam) Step() {
 		grad = grad[n:]
 		w, mbuf, vbuf := mat.W[n:][:len(grad)], a.m[k][n:][:len(grad)], a.v[k][n:][:len(grad)]
 		for i, g := range grad {
+			g *= s
 			m, v := mbuf[i], vbuf[i]
 			if g == 0 && m == 0 && v == 0 {
+				grad[i] = g
 				continue
 			}
 			live = true
 			m = b1*m + c1*g
 			v = b2*v + c2*g*g
 			mbuf[i], vbuf[i] = m, v
-			w[i] -= lr * (m / b1c) / (math.Sqrt(v/b2c) + eps)
+			mh := m
+			if unbias {
+				mh = m / b1c
+			}
+			w[i] -= lr * mh / (math.Sqrt(v/b2c) + eps)
 			grad[i] = 0
 		}
 		a.live[k] = live

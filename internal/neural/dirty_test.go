@@ -38,13 +38,14 @@ func TestGradWritersMarkDirty(t *testing.T) {
 		}
 	}
 
-	_, cache := g.Forward(randVec(3, rng), randVec(4, rng))
-	g.Backward(cache, randVec(4, rng))
+	w := g.NewWork()
+	g.Forward(w, 0, randVec(3, rng), randVec(4, rng))
+	g.Backward(w, 0, randVec(4, rng))
 	requireDirty(t, "GRU.Backward", g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wh, g.Uh, g.Bh)
 
 	x := randVec(4, rng)
 	l.Forward(x, NewVec(5))
-	l.Backward(x, randVec(5, rng))
+	l.Backward(x, randVec(5, rng), NewVec(4))
 	requireDirty(t, "Linear.Backward", l.W, l.B)
 
 	e.AccumGrad(2, randVec(3, rng))
@@ -78,14 +79,14 @@ func TestAdamStepLeavesEverythingClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ps, g, l, e := cleanSet(rng)
 	opt := NewAdam(ps, 0.01)
+	w := g.NewWork()
 	for step := 0; step < 5; step++ {
-		_, cache := g.Forward(randVec(3, rng), randVec(4, rng))
-		g.Backward(cache, randVec(4, rng))
+		g.Forward(w, 0, randVec(3, rng), randVec(4, rng))
+		g.Backward(w, 0, randVec(4, rng))
 		x := randVec(4, rng)
-		l.Backward(x, randVec(5, rng))
+		l.Backward(x, randVec(5, rng), NewVec(4))
 		e.AccumGrad(step, randVec(3, rng))
-		ps.ClipGrad(1)
-		opt.Step()
+		opt.Step(ps.ClipScale(1))
 		for _, m := range ps.Mats() {
 			if m.dirty {
 				t.Fatalf("step %d: %v dirty after Step", step, m)
@@ -165,8 +166,8 @@ func sameBits(a, b []float64) bool {
 	return len(a) == len(b)
 }
 
-// TestSparseStepsMatchFullScan drives the dirty-tracked ClipGrad and
-// Adam.Step and the full-scan reference through 1000 steps of seeded
+// TestSparseStepsMatchFullScan drives the dirty-tracked clip scale and
+// Adam.Step and the full-scan clip-then-step reference through 1000 steps of seeded
 // random sparse gradient writes and requires W, m and v to agree bit
 // for bit after every step. The writes touch a random subset of
 // matrices per step (most stay clean), include explicit zeros, and
@@ -227,9 +228,8 @@ func TestSparseStepsMatchFullScan(t *testing.T) {
 					wm.AddGrad(ws)
 				}
 			}
-			got.ClipGrad(1)
+			opt.Step(got.ClipScale(1))
 			ref.clip(want, 1)
-			opt.Step()
 			ref.step(want)
 			for k, gm := range got.Mats() {
 				wm := want.Mats()[k]
@@ -240,6 +240,74 @@ func TestSparseStepsMatchFullScan(t *testing.T) {
 					t.Fatalf("step %d: matrix %d gradient not cleared", step, k)
 				}
 			}
+		}
+	})
+}
+
+// TestClipFusedMatchesClipThenStep: Adam.Step given the clip scale
+// leaves W, m, v, G and liveness exactly as a separate pass that
+// scales every dirty gradient, followed by an unscaled step, does.
+// 800 steps of sparse row writes, clipped on most steps, cross t = 356,
+// where the first bias correction rounds to 1 and Step drops its
+// divide; some written values are so small that the scale rounds them
+// to zero, which must leave a fresh element skipped. Both dispatches.
+func TestClipFusedMatchesClipThenStep(t *testing.T) {
+	if 1-math.Pow(0.9, 355) == 1 || 1-math.Pow(0.9, 356) != 1 {
+		t.Fatal("1-0.9^t no longer first rounds to 1 at t = 356")
+	}
+	forEachDispatch(t, func(t *testing.T) {
+		build := func() (*ParamSet, *Adam) {
+			rng := rand.New(rand.NewSource(9))
+			ps := &ParamSet{}
+			for k := 0; k < 6; k++ {
+				ps.Register(fmt.Sprintf("m%d", k), NewMatRand(2+k, 5+k%3, rng))
+			}
+			ps.ZeroGrad()
+			return ps, NewAdam(ps, 0.01)
+		}
+		fused, fopt := build()
+		split, sopt := build()
+		rng := rand.New(rand.NewSource(10))
+		clipped := 0
+		for step := 1; step <= 800; step++ {
+			for n := rng.Intn(3); n >= 0; n-- {
+				k := rng.Intn(len(fused.Mats()))
+				fm, sm := fused.Mats()[k], split.Mats()[k]
+				i := rng.Intn(fm.R)
+				fr, sr := fm.GradRow(i), sm.GradRow(i)
+				for j := range fr {
+					v := 3 * rng.NormFloat64()
+					if rng.Intn(3) == 0 {
+						v = math.Copysign(math.SmallestNonzeroFloat64, v)
+					}
+					fr[j] += v
+					sr[j] += v
+				}
+			}
+			fopt.Step(fused.ClipScale(1))
+			if s := split.ClipScale(1); s != 1 {
+				clipped++
+				for _, m := range split.Mats() {
+					if m.dirty {
+						for i := range m.G {
+							m.G[i] *= s
+						}
+					}
+				}
+			}
+			sopt.Step(1)
+			for k, fm := range fused.Mats() {
+				sm := split.Mats()[k]
+				if !sameBits(fm.W, sm.W) || !sameBits(fopt.m[k], sopt.m[k]) || !sameBits(fopt.v[k], sopt.v[k]) {
+					t.Fatalf("step %d: matrix %d: fused W/m/v differ from clip then step", step, k)
+				}
+				if !sameBits(fm.G, sm.G) || fopt.live[k] != sopt.live[k] {
+					t.Fatalf("step %d: matrix %d: fused G or liveness differ from clip then step", step, k)
+				}
+			}
+		}
+		if clipped < 400 {
+			t.Fatalf("only %d of 800 steps clipped", clipped)
 		}
 	})
 }
@@ -334,7 +402,7 @@ func BenchmarkBackwardVec(b *testing.B) {
 	})
 }
 
-// BenchmarkAdamStep times ClipGrad + Adam.Step on the parameter set of
+// BenchmarkAdamStep times the clip scale + Adam.Step on the parameter set of
 // the sketch model trained on Patients (embedding 257×40, GRU 40→80, a
 // 102-way classifier, 48 slot scorers of 40×80), where each step writes
 // what one training example does: a dozen embedding rows, the whole
@@ -375,8 +443,7 @@ func BenchmarkAdamStep(b *testing.B) {
 					write(s, r)
 				}
 			}
-			ps.ClipGrad(5)
-			opt.Step()
+			opt.Step(ps.ClipScale(5))
 		}
 		for n := 0; n < 200; n++ {
 			step(n)
@@ -400,7 +467,8 @@ func TestDropGrads(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	want, _ := g.Forward(x, h)
+	w := g.NewWork()
+	want := append([]float64(nil), g.Forward(w, 0, x, h)...)
 	ps.DropGrads()
 	for i, m := range ps.Mats() {
 		if m.G != nil || m.dirty {
@@ -408,11 +476,13 @@ func TestDropGrads(t *testing.T) {
 		}
 	}
 	ps.ZeroGrad()
-	ps.ClipGrad(1)
+	if s := ps.ClipScale(1); s != 1 {
+		t.Fatalf("ClipScale = %v, want 1", s)
+	}
 	if n := ps.GradNorm(); n != 0 {
 		t.Fatalf("GradNorm = %v, want 0", n)
 	}
-	if got, _ := g.Forward(x, h); !sameFloats(got, want) {
+	if got := g.Forward(w, 0, x, h); !sameFloats(got, want) {
 		t.Fatalf("forward after DropGrads %v, before %v", got, want)
 	}
 }

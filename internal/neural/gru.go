@@ -51,103 +51,139 @@ func (g *GRU) Shadow(ps *ParamSet, prefix string) *GRU {
 	}
 }
 
-// GRUCache holds the intermediates of one forward step needed by the
-// backward pass.
-type GRUCache struct {
-	X, H        []float64 // inputs
-	Z, R, C, RH []float64 // gates, candidate, r⊙h
-	HNew        []float64
+// GRUWork is a caller-owned workspace for one GRU's training pass over
+// a sequence: every timestep's cache (inputs, gates, candidate, r⊙h
+// and new state), grown to the longest sequence seen, the backward
+// pass's gate temporaries, and its dx and dh buffers. Forward and
+// Backward write only into it, so a pass over sequences no longer than
+// ones seen before allocates nothing. A workspace serves one goroutine
+// and one GRU.
+type GRUWork struct {
+	hid   int
+	steps []gruStep
+	// Backward's temporaries: the pre-activation gradients of the
+	// candidate, update and reset paths, and the gradient of r⊙h.
+	dac, daz, dar, drh []float64
+	dx                 []float64
+	dh                 [2][]float64 // ping-pong: a returned dh may feed the next call
+	flip               int
 }
 
-// Forward computes one step and returns the new hidden state with the
-// cache for backprop. x has length In, h length Hid.
-func (g *GRU) Forward(x, h []float64) ([]float64, *GRUCache) {
+// gruStep holds the intermediates of one forward step that the backward
+// pass needs. x and h are the caller's; the rest is the workspace's.
+type gruStep struct {
+	x, h        []float64
+	z, r, c, rh []float64 // gates, candidate, r⊙h
+	hNew        []float64
+}
+
+// NewWork returns an empty workspace for g.
+func (g *GRU) NewWork() *GRUWork {
 	hid := g.Hid
-	cache := &GRUCache{
-		X: x, H: h,
-		Z: NewVec(hid), R: NewVec(hid), C: NewVec(hid),
-		RH: NewVec(hid), HNew: NewVec(hid),
+	buf := make([]float64, 6*hid+g.In)
+	cut := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
 	}
-	az := NewVec(hid)
-	g.Wz.MulVec(x, az)
-	g.Uz.MulVecAdd(h, az)
-	for i := range az {
-		az[i] += g.Bz.W[i]
-	}
-	Sigmoid(az, cache.Z)
-
-	ar := NewVec(hid)
-	g.Wr.MulVec(x, ar)
-	g.Ur.MulVecAdd(h, ar)
-	for i := range ar {
-		ar[i] += g.Br.W[i]
-	}
-	Sigmoid(ar, cache.R)
-
-	for i := range cache.RH {
-		cache.RH[i] = cache.R[i] * h[i]
-	}
-	ac := NewVec(hid)
-	g.Wh.MulVec(x, ac)
-	g.Uh.MulVecAdd(cache.RH, ac)
-	for i := range ac {
-		ac[i] += g.Bh.W[i]
-	}
-	Tanh(ac, cache.C)
-
-	for i := range cache.HNew {
-		cache.HNew[i] = (1-cache.Z[i])*h[i] + cache.Z[i]*cache.C[i]
-	}
-	return cache.HNew, cache
+	w := &GRUWork{hid: hid}
+	w.dac, w.daz, w.dar, w.drh = cut(hid), cut(hid), cut(hid), cut(hid)
+	w.dh[0], w.dh[1], w.dx = cut(hid), cut(hid), cut(g.In)
+	return w
 }
 
-// Backward accumulates parameter gradients for one step given the
+// step returns timestep t's cache, growing the workspace to hold it.
+func (w *GRUWork) step(t int) *gruStep {
+	for len(w.steps) <= t {
+		buf := make([]float64, 5*w.hid)
+		s := gruStep{}
+		s.z, s.r, s.c, s.rh, s.hNew = buf[:w.hid], buf[w.hid:2*w.hid], buf[2*w.hid:3*w.hid], buf[3*w.hid:4*w.hid], buf[4*w.hid:]
+		w.steps = append(w.steps, s)
+	}
+	return &w.steps[t]
+}
+
+// Forward computes timestep t of a sequence from input x (length In)
+// and previous state h (length Hid), caching the step in w for
+// Backward. The returned new state lives in w and
+// stays valid until timestep t is computed again, so it may be the
+// next step's h. x and h must not change before Backward has run on t.
+func (g *GRU) Forward(w *GRUWork, t int, x, h []float64) []float64 {
+	s := w.step(t)
+	s.x, s.h = x, h
+	// Each pre-activation is formed in its gate's buffer and the
+	// activation applied in place.
+	g.Wz.MulVec(x, s.z)
+	g.Uz.MulVecAdd(h, s.z)
+	for i, b := range g.Bz.W {
+		s.z[i] += b
+	}
+	Sigmoid(s.z, s.z)
+
+	g.Wr.MulVec(x, s.r)
+	g.Ur.MulVecAdd(h, s.r)
+	for i, b := range g.Br.W {
+		s.r[i] += b
+	}
+	Sigmoid(s.r, s.r)
+
+	for i := range s.rh {
+		s.rh[i] = s.r[i] * h[i]
+	}
+	g.Wh.MulVec(x, s.c)
+	g.Uh.MulVecAdd(s.rh, s.c)
+	for i, b := range g.Bh.W {
+		s.c[i] += b
+	}
+	Tanh(s.c, s.c)
+
+	for i := range s.hNew {
+		s.hNew[i] = (1-s.z[i])*h[i] + s.z[i]*s.c[i]
+	}
+	return s.hNew
+}
+
+// Backward accumulates parameter gradients for timestep t given the
 // gradient dHNew w.r.t. the step's output, and returns (dx, dh), the
-// gradients w.r.t. the step's inputs.
-func (g *GRU) Backward(cache *GRUCache, dHNew []float64) (dx, dh []float64) {
+// gradients w.r.t. the step's inputs. Both live in w: dx until the
+// next Backward on w, dh until the one after, so dh may be passed
+// (even modified) as the next call's dHNew.
+func (g *GRU) Backward(w *GRUWork, t int, dHNew []float64) (dx, dh []float64) {
+	s := &w.steps[t]
 	hid := g.Hid
-	dx = NewVec(g.In)
-	dh = NewVec(hid)
-
-	dc := NewVec(hid)
-	dz := NewVec(hid)
+	dx = w.dx
+	dh = w.dh[w.flip]
+	w.flip ^= 1
+	clear(dx)
+	clear(dh)
+	dac, daz, dar, drh := w.dac, w.daz, w.dar, w.drh
 	for i := 0; i < hid; i++ {
-		dc[i] = dHNew[i] * cache.Z[i]
-		dz[i] = dHNew[i] * (cache.C[i] - cache.H[i])
-		dh[i] += dHNew[i] * (1 - cache.Z[i])
+		dc := dHNew[i] * s.z[i]
+		dz := dHNew[i] * (s.c[i] - s.h[i])
+		dh[i] += dHNew[i] * (1 - s.z[i])
+		dac[i] = dc * (1 - s.c[i]*s.c[i]) // c = tanh(ac)
+		daz[i] = dz * s.z[i] * (1 - s.z[i])
 	}
 
-	// Candidate path: c = tanh(ac).
-	dac := NewVec(hid)
-	for i := 0; i < hid; i++ {
-		dac[i] = dc[i] * (1 - cache.C[i]*cache.C[i])
-	}
-	g.Wh.BackwardVec(dac, cache.X, dx)
-	dRH := NewVec(hid)
-	g.Uh.BackwardVec(dac, cache.RH, dRH)
+	// Candidate path.
+	g.Wh.BackwardVec(dac, s.x, dx)
+	clear(drh)
+	g.Uh.BackwardVec(dac, s.rh, drh)
 	g.Bh.addBiasGrad(dac)
-	dr := NewVec(hid)
 	for i := 0; i < hid; i++ {
-		dr[i] = dRH[i] * cache.H[i]
-		dh[i] += dRH[i] * cache.R[i]
+		dr := drh[i] * s.h[i]
+		dh[i] += drh[i] * s.r[i]
+		dar[i] = dr * s.r[i] * (1 - s.r[i])
 	}
 
 	// Update gate path.
-	daz := NewVec(hid)
-	for i := 0; i < hid; i++ {
-		daz[i] = dz[i] * cache.Z[i] * (1 - cache.Z[i])
-	}
-	g.Wz.BackwardVec(daz, cache.X, dx)
-	g.Uz.BackwardVec(daz, cache.H, dh)
+	g.Wz.BackwardVec(daz, s.x, dx)
+	g.Uz.BackwardVec(daz, s.h, dh)
 	g.Bz.addBiasGrad(daz)
 
 	// Reset gate path.
-	dar := NewVec(hid)
-	for i := 0; i < hid; i++ {
-		dar[i] = dr[i] * cache.R[i] * (1 - cache.R[i])
-	}
-	g.Wr.BackwardVec(dar, cache.X, dx)
-	g.Ur.BackwardVec(dar, cache.H, dh)
+	g.Wr.BackwardVec(dar, s.x, dx)
+	g.Ur.BackwardVec(dar, s.h, dh)
 	g.Br.addBiasGrad(dar)
 
 	return dx, dh
@@ -229,10 +265,8 @@ func (l *Linear) Forward(x, y []float64) []float64 {
 }
 
 // Backward accumulates gradients given dY and the cached input x, and
-// returns dX.
-func (l *Linear) Backward(x, dY []float64) []float64 {
-	dx := NewVec(l.In)
+// adds Wᵀ dY into dx (length In).
+func (l *Linear) Backward(x, dY, dx []float64) {
 	l.W.BackwardVec(dY, x, dx)
 	l.B.addBiasGrad(dY)
-	return dx
 }

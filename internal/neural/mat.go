@@ -28,9 +28,9 @@ import (
 // known to be zero. Every method that writes G (BackwardVec, GradRow,
 // AddGrad, Embedding.AccumGrad and the bias updates of GRU and Linear)
 // marks it dirty; ZeroGrad and Adam.Step, which zero G, mark it clean.
-// GradNorm, ClipGrad, MergeGradsFrom, ZeroGrad and Adam.Step skip clean
-// matrices, which is exact: a zero gradient adds nothing to the norm
-// and is unchanged by scaling. Outside this package G must therefore
+// GradNorm, MergeGradsFrom, ZeroGrad and Adam.Step skip clean matrices
+// (Step also leaves their gradients unscaled), which is exact: a zero
+// gradient adds nothing to the norm and is unchanged by scaling. Outside this package G must therefore
 // be written only through those methods; a direct write to G of a
 // clean matrix would be silently dropped.
 type Mat struct {

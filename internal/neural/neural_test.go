@@ -103,18 +103,19 @@ func TestGRUGradient(t *testing.T) {
 	h := []float64{0.1, 0.4, -0.3, 0.2}
 
 	// Loss = sum(hNew).
+	w := g.NewWork()
 	loss := func() float64 {
-		hn, _ := g.Forward(x, h)
+		hn := g.Forward(w, 0, x, h)
 		s := 0.0
 		for _, v := range hn {
 			s += v
 		}
 		return s
 	}
-	_, cache := g.Forward(x, h)
+	g.Forward(w, 0, x, h)
 	dH := []float64{1, 1, 1, 1}
 	ps.ZeroGrad()
-	dx, dh := g.Backward(cache, dH)
+	dx, dh := g.Backward(w, 0, dH)
 
 	const eps = 1e-6
 	for mi, mat := range ps.Mats() {
@@ -169,28 +170,31 @@ func TestAdamConvergence(t *testing.T) {
 		want := 3*x[0] - 2*x[1] + 1
 		y := lin.Forward(x, NewVec(1))
 		d := y[0] - want
-		lin.Backward(x, []float64{2 * d})
-		opt.Step()
+		lin.Backward(x, []float64{2 * d}, NewVec(2))
+		opt.Step(1)
 	}
 	if math.Abs(lin.W.W[0]-3) > 0.05 || math.Abs(lin.W.W[1]+2) > 0.05 || math.Abs(lin.B.W[0]-1) > 0.05 {
 		t.Fatalf("regression did not converge: W=%v B=%v", lin.W.W, lin.B.W)
 	}
 }
 
+// TestClipGrad: the clip scale brings the gradient norm to the bound,
+// and is 1 when the norm is within it or zero.
 func TestClipGrad(t *testing.T) {
 	ps := &ParamSet{}
 	m := ps.Register("m", NewMat(1, 2))
 	m.G[0] = 3
 	m.G[1] = 4 // norm 5
-	ps.ClipGrad(1)
-	if math.Abs(ps.GradNorm()-1) > 1e-9 {
-		t.Fatalf("clipped norm = %v", ps.GradNorm())
+	if s := ps.ClipScale(1); math.Abs(s*ps.GradNorm()-1) > 1e-9 {
+		t.Fatalf("clip scale %v on norm %v", s, ps.GradNorm())
 	}
-	// No-op when already within bounds.
 	m.G[0], m.G[1] = 0.3, 0.4
-	ps.ClipGrad(1)
-	if math.Abs(m.G[0]-0.3) > 1e-12 {
-		t.Fatal("clip changed small grads")
+	if s := ps.ClipScale(1); s != 1 {
+		t.Fatalf("clip scale %v within bounds, want 1", s)
+	}
+	ps.ZeroGrad()
+	if s := ps.ClipScale(1); s != 1 {
+		t.Fatalf("clip scale %v on zero gradients, want 1", s)
 	}
 }
 

@@ -38,9 +38,9 @@ func TestGRUPlanMatchesForward(t *testing.T) {
 		g, e := planFixture(rand.New(rand.NewSource(17)))
 		p := NewGRUPlan(g, e)
 		h, want := NewVec(10), NewVec(10)
-		scratch := NewVec(p.ScratchLen())
+		w, scratch := g.NewWork(), NewVec(p.ScratchLen())
 		for step, id := range []int{3, 0, 11, -1, 12, 7, 7, 40, 2} {
-			want, _ = g.Forward(e.Lookup(id), want)
+			want = g.Forward(w, step, e.Lookup(id), want)
 			p.Step(id, h, h, scratch)
 			if !sameBits(h, want) {
 				t.Fatalf("step %d (id %d): plan %v, Forward %v", step, id, h, want)
@@ -83,11 +83,12 @@ func BenchmarkDecodeStep(b *testing.B) {
 	g := NewGRU(ps, "g", 48, 96, rng)
 	p := NewGRUPlan(g, e)
 	h, scratch := randVec(96, rng), NewVec(p.ScratchLen())
+	w := g.NewWork()
 	forEachDispatch(b, func(b *testing.B) {
 		b.Run("forward", func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				g.Forward(e.Lookup(n%512), h)
+				g.Forward(w, 0, e.Lookup(n%512), h)
 			}
 		})
 		b.Run("plan", func(b *testing.B) {

@@ -38,10 +38,12 @@ func xgetbv() (eax uint32)
 // adamAVX2 runs Adam.Step's element update on the first len(g)&^3
 // elements, four at a time, with the scalar loop's operations in the
 // scalar loop's order and no fused multiply-add, so every lane rounds
-// exactly as the scalar code does. Lanes the scalar loop skips (zero
-// gradient and zero moments) keep their old W, m, v and G bits. It
-// reports whether any lane was updated. w, m and v must be at least
-// as long as g.
+// exactly as the scalar code does: the gradient times k.scale, then
+// the moments and the weight, dividing by k.b1c only when k.unbias is
+// set. Lanes the scalar loop skips (zero scaled gradient and zero
+// moments) keep their old W, m and v bits and get the scaled gradient
+// in G. It reports whether any lane was updated. w, m and v must be at
+// least as long as g.
 //
 //go:noescape
 func adamAVX2(w, m, v, g []float64, k *adamConsts) (live bool)

@@ -29,12 +29,14 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 // func adamAVX2(w, m, v, g []float64, k *adamConsts) (live bool)
 //
 // Per lane, as in Adam.Step:
+//   g    = g*scale
 //   live = g != 0 || m != 0 || v != 0   (NaN counts as nonzero)
 //   m'   = b1*m + c1*g
 //   v'   = b2*v + (c2*g)*g
-//   w'   = w - lr*(m'/b1c) / (sqrt(v'/b2c) + eps)
+//   w'   = w - lr*(m'/b1c) / (sqrt(v'/b2c) + eps)   (lr*m' when unbias is 0)
 //   g'   = 0
-// and a blend on the live mask keeps the old bits on the other lanes.
+// and a blend on the live mask keeps the old W, m and v bits and the
+// scaled g on the other lanes.
 TEXT ·adamAVX2(SB), NOSPLIT, $0-105
 	MOVQ w_base+0(FP), AX
 	MOVQ m_base+24(FP), BX
@@ -50,15 +52,17 @@ TEXT ·adamAVX2(SB), NOSPLIT, $0-105
 	VBROADCASTSD 40(DI), Y5 // b2c
 	VBROADCASTSD 48(DI), Y6 // lr
 	VBROADCASTSD 56(DI), Y7 // eps
+	MOVQ 96(DI), R8         // unbias
 	VXORPD Y8, Y8, Y8       // +0
 	VXORPD Y9, Y9, Y9       // OR of the live masks
 	SHRQ $2, SI
 	JZ   adamDone
 
 adamLoop:
-	VMOVUPD (DX), Y10 // g
-	VMOVUPD (BX), Y11 // m
-	VMOVUPD (CX), Y12 // v
+	VMOVUPD (DX), Y10     // g
+	VMULPD  64(DI), Y10, Y10 // g*scale
+	VMOVUPD (BX), Y11     // m
+	VMOVUPD (CX), Y12     // v
 
 	// Live mask: predicate 4 is NEQ_UQ, true for a NaN lane.
 	VCMPPD $4, Y8, Y10, Y13
@@ -83,9 +87,19 @@ adamLoop:
 	VBLENDVPD Y13, Y14, Y12, Y12
 	VMOVUPD   Y12, (CX)
 
-	// w' = w - lr*(m'/b1c) / (sqrt(v'/b2c) + eps)
-	VDIVPD    Y4, Y11, Y14
-	VMULPD    Y14, Y6, Y14
+	// w' = w - lr*(m'/b1c) / (sqrt(v'/b2c) + eps); the m'/b1c divide
+	// is skipped once b1c is 1. The branch goes the same way on every
+	// iteration of a call.
+	TESTQ  R8, R8
+	JZ     adamNoUnbias
+	VDIVPD Y4, Y11, Y14
+	VMULPD Y14, Y6, Y14
+	JMP    adamUnbiased
+
+adamNoUnbias:
+	VMULPD Y11, Y6, Y14
+
+adamUnbiased:
 	VDIVPD    Y5, Y12, Y15
 	VSQRTPD   Y15, Y15
 	VADDPD    Y7, Y15, Y15
@@ -95,7 +109,7 @@ adamLoop:
 	VBLENDVPD Y13, Y14, Y15, Y15
 	VMOVUPD   Y15, (AX)
 
-	// g' = +0 on live lanes
+	// g' = +0 on live lanes, the scaled g on the others
 	VBLENDVPD Y13, Y8, Y10, Y10
 	VMOVUPD   Y10, (DX)
 

@@ -114,20 +114,39 @@ func fuzzSeeds(f *testing.F, seed int64) {
 }
 
 // FuzzAdamKernel runs Adam.Step over one matrix of 0–13 elements on
-// both dispatches from the same state and requires identical W, m, v,
-// G and liveness. About a quarter of the elements are untouched (zero
-// gradient and moments, with random signs), which both paths must
-// leave exactly as they were, and another quarter have a zero gradient
-// but live moments.
+// both dispatches from the same state and requires W, m, v, G and
+// liveness identical to a reference: a pass that multiplies every
+// gradient by the clip scale, as a separate clip did, then the
+// textbook step, first bias-correction divide included. The step
+// count falls on both sides of t = 356, where that correction rounds
+// to 1 and Step drops its divide. The scale is 1 in half the inputs;
+// otherwise it is a fuzzed value or one so small that it rounds
+// moderate gradients to zero, and an element whose scaled gradient
+// and moments are all zero must stay skipped. About a quarter of the
+// elements are untouched (zero gradient and moments, with random
+// signs), a quarter have a zero gradient but live moments, and a
+// quarter a fresh gradient with zero moments.
 func FuzzAdamKernel(f *testing.F) {
 	fuzzSeeds(f, 11)
 	f.Fuzz(func(t *testing.T, data []byte, lo, hi uint8) {
-		if !cpuHasAVX2() {
-			t.Skip("CPU lacks AVX2")
-		}
 		n := (int(lo) + 9*int(hi)) % 14
 		r := &fuzzBytes{data: data}
-		step := 4 * int(r.byte()) // the bias corrections' step count, less one
+		var step int // the step count Step reaches
+		switch b := r.byte(); b % 3 {
+		case 0:
+			step = 1 + int(b/3)
+		case 1:
+			step = 314 + int(b/3) // 314..399, across t = 356
+		default:
+			step = 356 + 16*int(b/3)
+		}
+		scale := 1.0
+		switch r.byte() % 4 {
+		case 0:
+			scale = 0x1p-1090 // rounds |g| < 2⁸ to zero
+		case 1:
+			scale = math.Abs(r.float())
+		}
 		w, m, v, g := NewVec(n), NewVec(n), NewVec(n), NewVec(n)
 		for i := range g {
 			switch r.byte() % 4 {
@@ -135,36 +154,54 @@ func FuzzAdamKernel(f *testing.F) {
 				g[i], m[i], v[i] = r.zero(), r.zero(), r.zero()
 			case 1: // no gradient this step, but live moments
 				g[i], m[i], v[i] = r.zero(), r.float(), r.float()
+			case 2: // a first gradient: skipped if the scale zeroes it
+				g[i], m[i], v[i] = r.float(), r.zero(), r.zero()
 			default:
 				g[i], m[i], v[i] = r.float(), r.float(), r.float()
 			}
 			w[i] = r.float()
 		}
-		run := func(avx2 bool) (*Mat, *Adam) {
-			restore, _ := SetAVX2ForTesting(avx2)
-			defer restore()
+
+		// The reference: scale, then the textbook step.
+		rw, rm, rv, rg := append([]float64(nil), w...), append([]float64(nil), m...), append([]float64(nil), v...), append([]float64(nil), g...)
+		for i := range rg {
+			rg[i] *= scale
+		}
+		b1, b2, lr, eps := 0.9, 0.999, 0.01, 1e-8
+		c1, c2 := 1-b1, 1-b2
+		b1c, b2c := 1-math.Pow(b1, float64(step)), 1-math.Pow(b2, float64(step))
+		rlive := false
+		for i, gi := range rg {
+			if gi == 0 && rm[i] == 0 && rv[i] == 0 {
+				continue
+			}
+			rlive = true
+			rm[i] = b1*rm[i] + c1*gi
+			rv[i] = b2*rv[i] + c2*gi*gi
+			rw[i] -= lr * (rm[i] / b1c) / (math.Sqrt(rv[i]/b2c) + eps)
+			rg[i] = 0
+		}
+
+		forEachDispatch(t, func(t *testing.T) {
 			ps := &ParamSet{}
 			mat := ps.Register("w", NewMat(1, n))
 			copy(mat.W, w)
 			copy(mat.G, g)
-			a := NewAdam(ps, 0.01)
+			a := NewAdam(ps, lr)
 			copy(a.m[0], m)
 			copy(a.v[0], v)
-			a.t = step
-			a.Step()
-			return mat, a
-		}
-		km, ka := run(true)
-		sm, sa := run(false)
-		if !sameFloats(km.W, sm.W) || !sameFloats(ka.m[0], sa.m[0]) || !sameFloats(ka.v[0], sa.v[0]) {
-			t.Fatalf("n=%d: kernel W/m/v %v %v %v, scalar %v %v %v", n, km.W, ka.m[0], ka.v[0], sm.W, sa.m[0], sa.v[0])
-		}
-		if !sameFloats(km.G, sm.G) {
-			t.Fatalf("n=%d: kernel G %v, scalar %v", n, km.G, sm.G)
-		}
-		if ka.live[0] != sa.live[0] {
-			t.Fatalf("n=%d: kernel live %v, scalar %v (g %v m %v v %v)", n, ka.live[0], sa.live[0], g, m, v)
-		}
+			a.t = step - 1
+			a.Step(scale)
+			if !sameFloats(mat.W, rw) || !sameFloats(a.m[0], rm) || !sameFloats(a.v[0], rv) {
+				t.Fatalf("n=%d t=%d scale=%v: W/m/v %v %v %v, reference %v %v %v", n, step, scale, mat.W, a.m[0], a.v[0], rw, rm, rv)
+			}
+			if !sameFloats(mat.G, rg) {
+				t.Fatalf("n=%d t=%d scale=%v: G %v, reference %v", n, step, scale, mat.G, rg)
+			}
+			if a.live[0] != rlive {
+				t.Fatalf("n=%d t=%d scale=%v: live %v, reference %v (g %v m %v v %v)", n, step, scale, a.live[0], rlive, g, m, v)
+			}
+		})
 	})
 }
 
