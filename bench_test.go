@@ -86,30 +86,32 @@ func BenchmarkAblationParams(b *testing.B) {
 // ---------------------------------------------------------------------
 
 // BenchmarkPipeline measures the streaming stage pipeline on the
-// Patients schema: the end-to-end default composition (sequential and
-// with the full worker pool) and each stage in isolation, fed from a
-// pre-computed slice so per-stage numbers exclude upstream cost.
+// Patients schema: the end-to-end default composition, and each stage
+// in isolation, fed from a pre-computed slice so per-stage numbers
+// exclude upstream cost. The end-to-end case also reports each stage's
+// self time per run (the Stats WallNS), which add up to the run.
 // BENCH_pipeline.json records the baseline run.
 func BenchmarkPipeline(b *testing.B) {
 	s := patients.Schema()
 	params := core.DefaultParams()
 	params.Instantiation.SizeSlotFills = 4
 
-	endToEnd := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := core.New(s, params, int64(i))
-				p.Workers = workers
-				pairs := p.Run()
-				if len(pairs) == 0 {
-					b.Fatal("no pairs")
-				}
+	b.Run("end-to-end", func(b *testing.B) {
+		b.ReportAllocs()
+		self := map[string]int64{}
+		for i := 0; i < b.N; i++ {
+			g := core.New(s, params, int64(i)).Graph()
+			if out := g.Collect(); len(out) == 0 {
+				b.Fatal("no pairs")
+			}
+			for _, st := range g.Stats() {
+				self[st.Stage] += st.WallNS
 			}
 		}
-	}
-	b.Run("end-to-end/seq", endToEnd(1))
-	b.Run("end-to-end/par", endToEnd(0))
+		for stage, ns := range self {
+			b.ReportMetric(float64(ns)/float64(b.N), stage+"-ns/op")
+		}
+	})
 
 	// Stage inputs: what the default composition hands each stage.
 	mk := func(stages func(p *core.Pipeline) []pipeline.Stage) []core.Pair {
@@ -136,8 +138,7 @@ func BenchmarkPipeline(b *testing.B) {
 						emit(q)
 					}
 				})
-				g := pipeline.New(0, src, stage(p))
-				if out := g.Collect(); len(out) == 0 {
+				if out := pipeline.New(src, stage(p)).Collect(); len(out) == 0 {
 					b.Fatal("no pairs")
 				}
 			}

@@ -2,7 +2,7 @@
 // and streams the synthesized NL–SQL pairs as tab-separated lines
 // (NL, SQL, template id, class; -prov appends stage and origin) to
 // stdout or a file — the corpus any pluggable model can train on.
-// Pairs are written as the stage graph produces them, so memory stays
+// Pairs are written as the stage chain produces them, so memory stays
 // constant no matter the corpus size.
 //
 //	dbpal-generate -schema patients -size 8 > pairs.tsv
@@ -30,7 +30,6 @@ func main() {
 		out        = flag.String("o", "", "output file (default stdout)")
 		seed       = flag.Int64("seed", 1, "generation seed")
 		size       = flag.Int("size", 0, "override sizeSlotFills (instances per template)")
-		workers    = flag.Int("workers", 0, "parallel stage workers, 0 = all cores (output is identical at any value)")
 		noAugment  = flag.Bool("no-augment", false, "drop the augmentation stage")
 		noLemma    = flag.Bool("no-lemmatize", false, "drop the lemmatization stage")
 		noDedup    = flag.Bool("no-dedup", false, "drop the final exact-duplicate filter")
@@ -52,7 +51,6 @@ func main() {
 	// Structural choices are stage-list edits: each -no-* flag removes
 	// a stage from the default composition.
 	p := dbpal.NewPipeline(s, params, *seed)
-	p.Workers = *workers
 	stages := []dbpal.Stage{p.GenerateStage()}
 	if !*noAugment {
 		stages = append(stages, p.AugmentStage())
@@ -77,7 +75,7 @@ func main() {
 		w = bufio.NewWriter(f)
 	}
 
-	// SIGINT/SIGTERM cancel the stage graph; pairs already emitted by
+	// SIGINT/SIGTERM cancel the stage chain; pairs already emitted by
 	// the final stage are still flushed, so an interrupted run leaves a
 	// valid (deterministic-prefix) partial corpus.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

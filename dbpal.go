@@ -32,11 +32,13 @@
 //
 //	p := dbpal.NewPipeline(s, dbpal.DefaultParams(), 1)
 //	g := p.Graph(p.GenerateStage(), p.AugmentStage(), dbpal.LemmaStage(), dbpal.DedupStage())
-//	err := g.Stream(func(pair dbpal.Pair) error { return write(pair) })
-//	stats := g.Stats() // per-stage pairs in/out, wall time, dedup hits
+//	err := g.Run(ctx, func(pair dbpal.Pair) error { return write(pair) })
+//	stats := g.Stats() // per-stage pairs in/out, self time, dedup hits
 package dbpal
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/models"
@@ -120,8 +122,7 @@ func DefaultSketchConfig() SketchConfig { return models.DefaultSketchConfig() }
 
 // GenerateTrainingData runs the full DBPal pipeline (generate ->
 // augment -> lemmatize -> dedup) for the schema and returns the
-// synthesized training pairs. Deterministic given seed, at any worker
-// count.
+// synthesized training pairs. Deterministic given seed.
 func GenerateTrainingData(s *Schema, p Params, seed int64) []Pair {
 	return core.New(s, p, seed).Run()
 }
@@ -130,7 +131,7 @@ func GenerateTrainingData(s *Schema, p Params, seed int64) []Pair {
 // in corpus order without materializing the corpus — constant memory
 // at any size. It returns the first error emit returns.
 func StreamTrainingData(s *Schema, p Params, seed int64, emit func(Pair) error) error {
-	return core.New(s, p, seed).Stream(emit)
+	return core.New(s, p, seed).Graph().Run(context.Background(), emit)
 }
 
 // NewPipeline returns a configured pipeline whose stage list can be

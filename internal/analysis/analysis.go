@@ -4,7 +4,7 @@
 // deterministic diagnostic reporting. cmd/dbpal-lint drives it over
 // the whole module; the shipped analyzers (Suite) machine-check the
 // invariants DESIGN.md only prose-checks: explicit seeds, sorted map
-// iteration, all concurrency through internal/par / internal/pipeline,
+// iteration, all concurrency through internal/par,
 // no silently dropped errors, SplitSeed-derived RNGs inside parallel
 // callbacks, context.Context first in exported signatures, the serving
 // stack's concurrency contracts, and no function that no binary

@@ -216,7 +216,7 @@ func TestAnalyzerConfiguration(t *testing.T) {
 		{MapOrder, "repro/internal/models", true},
 		{MapOrder, "repro/internal/engine", false},
 		{RawGo, "repro/internal/par", false},
-		{RawGo, "repro/internal/pipeline", false},
+		{RawGo, "repro/internal/pipeline", true},
 		{RawGo, "repro/internal/core", true},
 		{RawGo, "repro/cmd/dbpal-bench", true},
 		{LockHeld, "repro/internal/serve", true},

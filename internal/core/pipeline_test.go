@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/patients"
 	"repro/internal/schema"
 	"repro/internal/sqlast"
 	"repro/internal/templates"
@@ -154,5 +157,29 @@ func TestPipelineWithTemplateSubset(t *testing.T) {
 		if !allowed[pr.TemplateID] {
 			t.Fatalf("pair from excluded template %s", pr.TemplateID)
 		}
+	}
+}
+
+// TestStageSelfTimesSumToRun checks the Stats contract on the Patients
+// corpus: each stage's WallNS is its self time, so the four add up to
+// the run's wall time (within 5%; the rest is the caller's emit and
+// the run's own set-up).
+func TestStageSelfTimesSumToRun(t *testing.T) {
+	g := New(patients.Schema(), DefaultParams(), 1).Graph()
+	pairs := 0
+	start := time.Now()
+	if err := g.Run(context.Background(), func(Pair) error { pairs++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Nanoseconds()
+	var sum int64
+	for _, st := range g.Stats() {
+		if st.WallNS <= 0 {
+			t.Fatalf("stage %q has no self time: %+v", st.Stage, g.Stats())
+		}
+		sum += st.WallNS
+	}
+	if pairs == 0 || sum > wall || float64(sum) < 0.95*float64(wall) {
+		t.Fatalf("stage self times sum to %d ns, run took %d ns (%d pairs): %+v", sum, wall, pairs, g.Stats())
 	}
 }

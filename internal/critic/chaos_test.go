@@ -21,6 +21,7 @@ type chaosExec struct {
 	inj     *fault.Injector
 	kind    fault.Kind
 	calls   atomic.Uint64
+	parked  atomic.Int64 // Delay calls currently blocked on release
 	release chan struct{}
 }
 
@@ -41,7 +42,9 @@ func (ce *chaosExec) exec(q *sqlast.Query, budget int) (*engine.Result, error) {
 	case fault.Panic:
 		panic(fmt.Sprintf("injected engine panic at call %d", i))
 	case fault.Delay:
+		ce.parked.Add(1)
 		<-ce.release // hang until the test releases it
+		ce.parked.Add(-1)
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("injected engine error at call %d", i)
@@ -88,11 +91,22 @@ func TestChaosHangAbandonedNoLeak(t *testing.T) {
 		t.Fatalf("Snapshot = %+v, want %d sandbox failures", s, hangs)
 	}
 
-	// Each abandoned dry-run holds one goroutine while the engine hangs.
-	if n := gorun.NumGoroutine(); n < before+hangs {
-		t.Fatalf("expected >= %d goroutines parked in hung engine calls, have %d (baseline %d)", hangs, n-before, n)
+	// Each abandoned dry-run stays parked in the engine while it hangs.
+	// The count is the exec's own, so goroutines of other work starting
+	// or exiting meanwhile cannot hide a parked call.
+	waitParked := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for ce.parked.Load() != want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := ce.parked.Load(); got != want {
+			t.Fatalf("%d engine calls parked, want %d", got, want)
+		}
 	}
+	waitParked(hangs)
 	close(ce.release)
+	waitParked(0)
 	deadline := time.Now().Add(5 * time.Second)
 	for gorun.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -76,11 +76,10 @@ type Scale struct {
 	// hyperopt trial (each trial trains a full model, so trials run on
 	// a reduced corpus — the time-boxed regime of the paper's §6.3.3).
 	HyperoptTrialCap int
-	// Workers bounds the worker pool of every parallel stage (config
-	// training fan-out, evaluation, hyperopt trials, minibatch
-	// backprop); 0 = runtime.NumCPU, 1 = fully sequential. Results are
-	// identical for every value — the knob trades wall-clock for cores
-	// only.
+	// Workers bounds every worker pool (config training fan-out,
+	// evaluation, hyperopt trials, minibatch backprop); 0 =
+	// runtime.NumCPU, 1 = fully sequential. Results are identical for
+	// every value — the knob trades wall-clock for cores only.
 	Workers int
 	Seed    int64
 }
@@ -172,8 +171,8 @@ func sqlTokensNormalized(q *sqlast.Query) []string {
 // the SQL strings of the kept pairs (for pattern-coverage analysis).
 // cache may be nil; when shared across calls it memoizes the generate
 // stage for repeated (schema, instantiation, seed) keys.
-func pipelineData(s *schema.Schema, params core.Params, cap int, seed int64, workers int, cache *core.GenCache) ([]models.Example, []string) {
-	pairs := pipelinePairs(s, params, seed, workers, cache, nil)
+func pipelineData(s *schema.Schema, params core.Params, cap int, seed int64, cache *core.GenCache) ([]models.Example, []string) {
+	pairs := pipelinePairs(s, params, seed, cache, nil)
 	pairs = subsamplePairs(pairs, cap, seed+17)
 	exs := models.PairExamples(pairs, s)
 	sqls := make([]string, len(pairs))
@@ -188,9 +187,8 @@ func pipelineData(s *schema.Schema, params core.Params, cap int, seed int64, wor
 // to run; nil selects the default generate→augment→lemmatize→dedup
 // composition). This is how the ablations drop whole steps instead of
 // zeroing their parameters.
-func pipelinePairs(s *schema.Schema, params core.Params, seed int64, workers int, cache *core.GenCache, stages stageEdit) []core.Pair {
+func pipelinePairs(s *schema.Schema, params core.Params, seed int64, cache *core.GenCache, stages stageEdit) []core.Pair {
 	p := core.New(s, params, seed)
-	p.Workers = workers
 	p.Cache = cache
 	if stages == nil {
 		return p.Run()
@@ -236,13 +234,13 @@ func RunSpider(s Scale) *SpiderExperiment {
 	var dbpalTrain []models.Example
 	var dbpalSQLs []string
 	for i, sch := range spider.TrainSchemas() {
-		exs, sqls := pipelineData(sch, s.Pipeline, s.PipelinePerSchema, s.Seed+int64(i)*31, s.Workers, nil)
+		exs, sqls := pipelineData(sch, s.Pipeline, s.PipelinePerSchema, s.Seed+int64(i)*31, nil)
 		dbpalTrain = append(dbpalTrain, exs...)
 		dbpalSQLs = append(dbpalSQLs, sqls...)
 	}
 	var dbpalTest []models.Example
 	for i, sch := range spider.TestSchemas() {
-		exs, sqls := pipelineData(sch, s.Pipeline, s.PipelinePerSchema, s.Seed+5000+int64(i)*31, s.Workers, nil)
+		exs, sqls := pipelineData(sch, s.Pipeline, s.PipelinePerSchema, s.Seed+5000+int64(i)*31, nil)
 		dbpalTest = append(dbpalTest, exs...)
 		dbpalSQLs = append(dbpalSQLs, sqls...)
 	}
@@ -331,10 +329,10 @@ func RunPatients(s Scale) *PatientsExperiment {
 
 	var dbpalTrain []models.Example
 	for i, sch := range spider.TrainSchemas() {
-		exs, _ := pipelineData(sch, s.Pipeline, s.PipelinePerSchema, s.Seed+int64(i)*31, s.Workers, nil)
+		exs, _ := pipelineData(sch, s.Pipeline, s.PipelinePerSchema, s.Seed+int64(i)*31, nil)
 		dbpalTrain = append(dbpalTrain, exs...)
 	}
-	patientsExs, _ := pipelineData(patients.Schema(), s.Pipeline, 2*s.PipelinePerSchema, s.Seed+777, s.Workers, nil)
+	patientsExs, _ := pipelineData(patients.Schema(), s.Pipeline, 2*s.PipelinePerSchema, s.Seed+777, nil)
 
 	datasets := map[Config][]models.Example{
 		Baseline:   base,

@@ -52,7 +52,6 @@ func RunFigure3(s Scale) *Figure3Result {
 		if frac > 0 {
 			p := core.New(patients.Schema(), s.Pipeline, s.Seed+777)
 			p.Templates = core.TemplateFraction(frac, s.Seed+99)
-			p.Workers = s.Workers
 			pairs := subsamplePairs(p.Run(), 2*s.PipelinePerSchema, s.Seed+17)
 			exs = balance(base, models.PairExamples(pairs, patients.Schema()))
 		}
@@ -129,7 +128,6 @@ func RunFigure4(s Scale) *Figure4Result {
 		total := 0
 		for i, sch := range trainSchemas {
 			pipe := core.New(sch, p, s.Seed+int64(i)*31)
-			pipe.Workers = 1 // trials, not stages, are the parallel unit here
 			pipe.Cache = cache
 			pairs := pipe.Run()
 			total += len(pairs)
@@ -235,7 +233,7 @@ func RunAblations(s Scale) *AblationResult {
 	cache := core.NewGenCache(4)
 	res := &AblationResult{Scale: s}
 	for _, v := range variants {
-		pairs := pipelinePairs(patients.Schema(), v.params, s.Seed+777, s.Workers, cache, v.stages)
+		pairs := pipelinePairs(patients.Schema(), v.params, s.Seed+777, cache, v.stages)
 		pairs = subsamplePairs(pairs, 2*s.PipelinePerSchema, s.Seed+777+17)
 		m := s.newModel(s.Seed)
 		m.Train(balance(base, models.PairExamples(pairs, patients.Schema())))
@@ -247,7 +245,7 @@ func RunAblations(s Scale) *AblationResult {
 	// Critic over a beam (a runtime-side ablation: same model as
 	// "defaults", 3 ranked candidates per question reranked
 	// validity-first by a default-budget critic).
-	exs, _ := pipelineData(patients.Schema(), s.Pipeline, 2*s.PipelinePerSchema, s.Seed+777, s.Workers, cache)
+	exs, _ := pipelineData(patients.Schema(), s.Pipeline, 2*s.PipelinePerSchema, s.Seed+777, cache)
 	m := s.newModel(s.Seed)
 	m.Train(balance(base, exs))
 	rt := runtime.NewTranslator(db, m)
@@ -261,7 +259,7 @@ func RunAblations(s Scale) *AblationResult {
 	// paper §4.1): the training pairs carry concrete values, so at
 	// runtime — where the Parameter Handler anonymizes the question —
 	// the model faces placeholder tokens it never trained on.
-	litPairs := literalizePairs(subsamplePairs(pipelinePairs(patients.Schema(), s.Pipeline, s.Seed+777, s.Workers, cache, nil), 2*s.PipelinePerSchema, s.Seed+17), db, s.Seed+5)
+	litPairs := literalizePairs(subsamplePairs(pipelinePairs(patients.Schema(), s.Pipeline, s.Seed+777, cache, nil), 2*s.PipelinePerSchema, s.Seed+17), db, s.Seed+5)
 	mLit := s.newModel(s.Seed)
 	mLit.Train(balance(base, models.PairExamples(litPairs, patients.Schema())))
 	repLit, _ := eval.EvalPatients(context.Background(), runtime.NewTranslator(db, mLit), cases, 0)

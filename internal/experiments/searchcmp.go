@@ -49,7 +49,6 @@ func RunSearchComparison(s Scale) *SearchComparison {
 		total := 0
 		for i, sch := range trainSchemas {
 			pipe := core.New(sch, p, s.Seed+int64(i)*31)
-			pipe.Workers = 1
 			pipe.Cache = cache
 			pairs := pipe.Run()
 			total += len(pairs)

@@ -21,8 +21,7 @@ import (
 )
 
 // waitForGoroutines retries until the goroutine count drops to the
-// baseline (transient watchers and pool workers need a moment to
-// exit), failing with a full stack dump if it never does — the
+// baseline (goroutines of earlier work may still be exiting), failing with a full stack dump if it never does — the
 // stdlib-only goleak check.
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
@@ -52,7 +51,7 @@ func makePairs(n int) []pipeline.Pair {
 
 // Tier 1+4: an injected stage panic surfaces as a typed *StageError
 // (never a crash), the delivered pairs are the exact prefix before the
-// fault at every worker count, and no goroutines are left behind.
+// fault, and no goroutines are left behind.
 func TestInjectedStagePanicBecomesStageError(t *testing.T) {
 	const n = 60
 	inj := fault.NewInjector(7, 10)
@@ -65,53 +64,44 @@ func TestInjectedStagePanicBecomesStageError(t *testing.T) {
 	}
 	baseline := goruntime.NumGoroutine()
 
-	run := func(workers int) ([]pipeline.Pair, error) {
-		g := pipeline.New(workers,
-			pipeline.Source("src", func(emit func(pipeline.Pair)) {
-				for _, p := range makePairs(n) {
-					emit(p)
-				}
-			}),
-			fault.Stage(pipeline.Map("xform", func(p pipeline.Pair) pipeline.Pair { return p }),
-				fault.NewInjector(7, 10), fault.Panic, 0),
-		)
-		return g.CollectContext(context.Background())
+	pairs := makePairs(n)
+	g := pipeline.New(
+		pipeline.Source("src", func(emit func(pipeline.Pair)) {
+			for _, p := range pairs {
+				emit(p)
+			}
+		}),
+		fault.Stage(pipeline.FuncWithCounters("xform", func(p pipeline.Pair, emit func(pipeline.Pair)) { emit(p) }, nil),
+			fault.NewInjector(7, 10), fault.Panic, 0),
+	)
+	var got []pipeline.Pair
+	err := g.Run(context.Background(), func(p pipeline.Pair) error {
+		got = append(got, p)
+		return nil
+	})
+	var se *pipeline.StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("error = %v, want *pipeline.StageError", err)
 	}
-
-	got1, err1 := run(1)
-	got8, err8 := run(8)
-	for _, tc := range []struct {
-		workers int
-		got     []pipeline.Pair
-		err     error
-	}{{1, got1, err1}, {8, got8, err8}} {
-		var se *pipeline.StageError
-		if !errors.As(tc.err, &se) {
-			t.Fatalf("workers=%d: error = %v, want *pipeline.StageError", tc.workers, tc.err)
-		}
-		if se.Stage != "xform+fault" {
-			t.Errorf("workers=%d: StageError.Stage = %q", tc.workers, se.Stage)
-		}
-		if se.Index != int64(k) {
-			t.Errorf("workers=%d: StageError.Index = %d, want %d", tc.workers, se.Index, k)
-		}
-		if !strings.Contains(fmt.Sprint(se.Recovered), "injected panic") {
-			t.Errorf("workers=%d: Recovered = %v", tc.workers, se.Recovered)
-		}
-		if len(tc.got) != k {
-			t.Errorf("workers=%d: delivered %d pairs before the fault, want %d", tc.workers, len(tc.got), k)
-		}
-		if k > 0 && (se.Last == nil || se.Last.NL != tc.got[k-1].NL) {
-			t.Errorf("workers=%d: StageError.Last = %+v", tc.workers, se.Last)
+	if se.Stage != "xform+fault" {
+		t.Errorf("StageError.Stage = %q", se.Stage)
+	}
+	if se.Index != int64(k) {
+		t.Errorf("StageError.Index = %d, want %d", se.Index, k)
+	}
+	if !strings.Contains(fmt.Sprint(se.Recovered), "injected panic") {
+		t.Errorf("Recovered = %v", se.Recovered)
+	}
+	if len(got) != k {
+		t.Errorf("delivered %d pairs before the fault, want %d", len(got), k)
+	}
+	for i := range got {
+		if got[i] != pairs[i] {
+			t.Fatalf("delivered pairs are not the canonical prefix at %d: %+v", i, got[i])
 		}
 	}
-	if len(got1) != len(got8) {
-		t.Fatalf("prefix length differs by worker count: %d vs %d", len(got1), len(got8))
-	}
-	for i := range got1 {
-		if got1[i] != got8[i] {
-			t.Fatalf("prefix diverges at %d: %+v vs %+v", i, got1[i], got8[i])
-		}
+	if k > 0 && (se.Last == nil || se.Last.NL != got[k-1].NL) {
+		t.Errorf("StageError.Last = %+v", se.Last)
 	}
 	waitForGoroutines(t, baseline)
 }

@@ -107,7 +107,7 @@ func Stage(inner pipeline.Stage, inj *Injector, kind Kind, delay time.Duration) 
 func (s *faultStage) Name() string { return s.inner.Name() + "+fault" }
 
 // Run implements pipeline.Stage.
-func (s *faultStage) Run(in <-chan pipeline.Pair, emit func(pipeline.Pair), workers int) {
+func (s *faultStage) Run(in func(func(pipeline.Pair)), emit func(pipeline.Pair)) {
 	i := 0
 	s.inner.Run(in, func(p pipeline.Pair) {
 		if s.inj.Fires(i) {
@@ -120,7 +120,7 @@ func (s *faultStage) Run(in <-chan pipeline.Pair, emit func(pipeline.Pair), work
 		}
 		i++
 		emit(p)
-	}, workers)
+	})
 }
 
 // ---------------------------------------------------------------------

@@ -32,9 +32,26 @@ func fromSlice(pairs []Pair) Stage {
 	})
 }
 
-func collect(workers int, stages ...Stage) []Pair {
-	return New(workers, stages...).Collect()
+func collect(stages ...Stage) []Pair {
+	return New(stages...).Collect()
 }
+
+// collectErr runs g and returns the pairs delivered and the run error.
+func collectErr(ctx context.Context, g *Graph) ([]Pair, error) {
+	var out []Pair
+	err := g.Run(ctx, func(p Pair) error {
+		out = append(out, p)
+		return nil
+	})
+	return out, err
+}
+
+// perPair builds a stage that maps each pair through fn.
+func perPair(name string, fn func(Pair) Pair) Stage {
+	return FuncWithCounters(name, func(p Pair, emit func(Pair)) { emit(fn(p)) }, nil)
+}
+
+func identity(p Pair) Pair { return p }
 
 func equalPairs(a, b []Pair) bool {
 	if len(a) != len(b) {
@@ -48,22 +65,19 @@ func equalPairs(a, b []Pair) bool {
 	return true
 }
 
-func TestMapOrderPreservedAtAnyWorkerCount(t *testing.T) {
+func TestPerPairStepsPreserveOrder(t *testing.T) {
 	in := mk(500)
 	upper := func(p Pair) Pair {
 		p.NL = strings.ToUpper(p.NL)
 		return p
 	}
-	want := collect(1, fromSlice(in), Map("upper", upper))
-	for i, p := range want {
-		if p.NL != strings.ToUpper(in[i].NL) {
-			t.Fatalf("pair %d = %q, want uppercase of %q", i, p.NL, in[i].NL)
-		}
+	got := collect(fromSlice(in), perPair("upper", upper), perPair("id", identity))
+	if len(got) != len(in) {
+		t.Fatalf("%d pairs out, want %d", len(got), len(in))
 	}
-	for _, w := range []int{2, 3, 8, 16} {
-		got := collect(w, fromSlice(in), Map("upper", upper))
-		if !equalPairs(got, want) {
-			t.Fatalf("workers=%d output differs from workers=1", w)
+	for i, p := range got {
+		if p.NL != strings.ToUpper(in[i].NL) || p.SQL != in[i].SQL {
+			t.Fatalf("pair %d = %+v, want uppercase of %+v", i, p, in[i])
 		}
 	}
 }
@@ -76,7 +90,7 @@ func TestFuncExpandsInOrder(t *testing.T) {
 		v.Origin = "copy"
 		emit(v)
 	}
-	got := collect(4, fromSlice(in), FuncWithCounters("expand", expand, nil))
+	got := collect(fromSlice(in), FuncWithCounters("expand", expand, nil))
 	if len(got) != 2*len(in) {
 		t.Fatalf("expanded to %d pairs, want %d", len(got), 2*len(in))
 	}
@@ -94,7 +108,7 @@ func TestDedupDropsExactDuplicates(t *testing.T) {
 	alt := in[7]
 	alt.Origin = "paraphrase"
 	dups = append(dups, alt)
-	g := New(1, fromSlice(dups), Dedup())
+	g := New(fromSlice(dups), Dedup())
 	got := g.Collect()
 	if !equalPairs(got, in) {
 		t.Fatalf("dedup output = %d pairs, want the %d originals in order", len(got), len(in))
@@ -107,14 +121,14 @@ func TestDedupDropsExactDuplicates(t *testing.T) {
 
 func TestStatsCountsAndLinks(t *testing.T) {
 	in := mk(30)
-	g := New(2,
+	g := New(
 		fromSlice(in),
 		FuncWithCounters("keep", func(p Pair, emit func(Pair)) {
 			if p.TemplateID != "T0" {
 				emit(p)
 			}
 		}, nil),
-		Map("id", func(p Pair) Pair { return p }),
+		perPair("id", identity),
 	)
 	out := g.Collect()
 	st := g.Stats()
@@ -127,13 +141,58 @@ func TestStatsCountsAndLinks(t *testing.T) {
 	if st[1].Out >= st[1].In {
 		t.Fatal("filter stats did not record drops")
 	}
+	for _, s := range st {
+		if s.WallNS <= 0 {
+			t.Fatalf("stage %q has no self time: %+v", s.Stage, st)
+		}
+	}
+}
+
+// TestStatsChargeEachStageItsOwnTime checks that WallNS is each stage's own time:
+// a stage that busy-waits per pair is charged for it, and its
+// neighbours are not.
+func TestStatsChargeEachStageItsOwnTime(t *testing.T) {
+	const spinTime = 400 * time.Microsecond
+	spin := func(p Pair) Pair {
+		start := time.Now()
+		for time.Since(start) < spinTime {
+		}
+		return p
+	}
+	g := New(fromSlice(mk(50)), perPair("id", identity), perPair("spin", spin), perPair("id2", identity))
+	start := time.Now()
+	g.Collect()
+	wall := time.Since(start).Nanoseconds()
+	st := g.Stats()
+	var sum int64
+	for _, s := range st {
+		sum += s.WallNS
+	}
+	spent := st[2].WallNS
+	if spent < int64(50*spinTime) {
+		t.Fatalf("spin stage self time %d ns, want >= %d: %+v", spent, int64(50*spinTime), st)
+	}
+	for i, s := range st {
+		if i != 2 && s.WallNS > spent/2 {
+			t.Fatalf("stage %q was charged %d ns of the spin stage's %d: %+v", s.Stage, s.WallNS, spent, st)
+		}
+	}
+	if sum > wall {
+		t.Fatalf("self times sum to %d ns, more than the run's %d ns", sum, wall)
+	}
 }
 
 func TestStreamStopsOnEmitError(t *testing.T) {
 	in := mk(1000)
 	wantErr := errors.New("disk full")
-	n := 0
-	err := New(4, fromSlice(in), Map("id", func(p Pair) Pair { return p })).Stream(func(p Pair) error {
+	n, produced := 0, 0
+	src := Source("src", func(emit func(Pair)) {
+		for _, p := range in {
+			produced++
+			emit(p)
+		}
+	})
+	err := New(src, perPair("id", identity)).Run(context.Background(), func(p Pair) error {
 		n++
 		if n == 10 {
 			return wantErr
@@ -145,6 +204,9 @@ func TestStreamStopsOnEmitError(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("emit called %d times after error", n)
+	}
+	if produced != 10 {
+		t.Fatalf("source produced %d pairs, want it stopped at the failed emit (10)", produced)
 	}
 }
 
@@ -161,16 +223,20 @@ func TestStagePanicPropagates(t *testing.T) {
 		}()
 		f()
 	}
-	check("sequential", func() {
-		collect(1, fromSlice(mk(10)), FuncWithCounters("bad", func(p Pair, emit func(Pair)) { panic("boom") }, nil))
+	check("step", func() {
+		collect(fromSlice(mk(10)), FuncWithCounters("bad", func(p Pair, emit func(Pair)) { panic("boom") }, nil))
 	})
-	check("parallel", func() {
-		collect(8, fromSlice(mk(100)), Map("bad", func(p Pair) Pair { panic("boom") }))
+	check("source", func() {
+		collect(Source("bad", func(emit func(Pair)) { panic("boom") }), perPair("id", identity))
+	})
+	check("emit", func() {
+		New(fromSlice(mk(10))).Run(context.Background(), func(Pair) error { panic("boom") })
 	})
 }
 
-// drainGoroutines waits for transient graph goroutines to exit, then
-// fails with a stack dump if the count never returns to the baseline.
+// drainGoroutines waits for goroutines started by other tests to exit,
+// then fails with a stack dump if the count never returns to the
+// baseline: a graph run must leave none behind.
 func drainGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	for i := 0; i < 100; i++ {
@@ -187,7 +253,7 @@ func drainGoroutines(t *testing.T, baseline int) {
 func TestRunReturnsStageErrorNotPanic(t *testing.T) {
 	in := mk(50)
 	var fired bool
-	g := New(4,
+	g := New(
 		fromSlice(in),
 		FuncWithCounters("explode", func(p Pair, emit func(Pair)) {
 			if p.SQL == "SELECT 7" {
@@ -197,7 +263,7 @@ func TestRunReturnsStageErrorNotPanic(t *testing.T) {
 			emit(p)
 		}, nil),
 	)
-	got, err := g.CollectContext(context.Background())
+	got, err := collectErr(context.Background(), g)
 	if !fired {
 		t.Fatal("fault never fired")
 	}
@@ -221,7 +287,7 @@ func TestRunCancelledReturnsPrefix(t *testing.T) {
 	in := mk(5000)
 	ctx, cancel := context.WithCancel(context.Background())
 	var got []Pair
-	err := New(4, fromSlice(in), Map("id", func(p Pair) Pair { return p })).Run(ctx, func(p Pair) error {
+	err := New(fromSlice(in), perPair("id", identity)).Run(ctx, func(p Pair) error {
 		got = append(got, p)
 		if len(got) == 25 {
 			cancel()
@@ -231,8 +297,10 @@ func TestRunCancelledReturnsPrefix(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
-	if len(got) < 25 || len(got) >= len(in) {
-		t.Fatalf("delivered %d pairs, want a partial prefix >= 25", len(got))
+	// The source's next emit sees the cancellation, so nothing past the
+	// pair that cancelled is delivered.
+	if len(got) != 25 {
+		t.Fatalf("delivered %d pairs, want the 25 before the cancel", len(got))
 	}
 	for i, p := range got {
 		if p != in[i] {
@@ -245,7 +313,7 @@ func TestRunCancelledReturnsPrefix(t *testing.T) {
 func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := New(2, fromSlice(mk(100))).CollectContext(ctx)
+	got, err := collectErr(ctx, New(fromSlice(mk(100))))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -256,58 +324,51 @@ func TestRunPreCancelled(t *testing.T) {
 
 func TestFailingStageLeaksNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	// The fault sits behind a busy parallel upstream (many more pairs
-	// than chanBuf) with a parallel stage downstream, so a stage left
-	// blocked on a full channel would leak deterministically, and the
-	// sentinel/drain interplay of both neighbours is exercised.
-	for _, workers := range []int{1, 8} {
-		g := New(workers,
-			fromSlice(mk(4000)),
-			Map("id", func(p Pair) Pair { return p }),
-			FuncWithCounters("bad", func(p Pair, emit func(Pair)) {
-				if p.SQL == "SELECT 100" {
-					panic("boom")
-				}
-				emit(p)
-			}, nil),
-			Map("down", func(p Pair) Pair { return p }),
-		)
-		_, err := g.CollectContext(context.Background())
-		var se *StageError
-		if !errors.As(err, &se) {
-			t.Fatalf("workers=%d: err = %v, want *StageError", workers, err)
-		}
-		if se.Stage != "bad" {
-			t.Fatalf("workers=%d: failing stage = %q", workers, se.Stage)
-		}
+	// The fault sits between two other per-pair stages, so the error
+	// must name the stage that was running, not its upstream or its
+	// downstream.
+	g := New(
+		fromSlice(mk(4000)),
+		perPair("id", identity),
+		FuncWithCounters("bad", func(p Pair, emit func(Pair)) {
+			if p.SQL == "SELECT 100" {
+				panic("boom")
+			}
+			emit(p)
+		}, nil),
+		perPair("down", identity),
+	)
+	got, err := collectErr(context.Background(), g)
+	var se *StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want *StageError", err)
+	}
+	if se.Stage != "bad" || se.Index != 100 || len(got) != 100 {
+		t.Fatalf("StageError = %+v after %d pairs, want stage bad at 100", se, len(got))
 	}
 	drainGoroutines(t, baseline)
 }
 
-func TestStageErrorPrefixWorkerInvariant(t *testing.T) {
-	run := func(workers int) ([]Pair, *StageError) {
-		g := New(workers,
-			fromSlice(mk(300)),
-			Map("bad", func(p Pair) Pair {
-				if p.SQL == "SELECT 123" {
-					panic("boom")
-				}
-				return p
-			}),
-		)
-		got, err := g.CollectContext(context.Background())
-		var se *StageError
-		if !errors.As(err, &se) {
-			t.Fatalf("workers=%d: err = %v", workers, err)
-		}
-		return got, se
+func TestStageErrorPrefix(t *testing.T) {
+	in := mk(300)
+	g := New(
+		fromSlice(in),
+		perPair("bad", func(p Pair) Pair {
+			if p.SQL == "SELECT 123" {
+				panic("boom")
+			}
+			return p
+		}),
+	)
+	got, err := collectErr(context.Background(), g)
+	var se *StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v", err)
 	}
-	got1, se1 := run(1)
-	got16, se16 := run(16)
-	if se1.Index != 123 || se16.Index != se1.Index {
-		t.Fatalf("fault index not worker-invariant: %d vs %d", se1.Index, se16.Index)
+	if se.Index != 123 || se.Last == nil || *se.Last != in[122] {
+		t.Fatalf("StageError = %+v, want index 123 after pair 122", se)
 	}
-	if !equalPairs(got1, got16) {
-		t.Fatalf("prefix not worker-invariant: %d vs %d pairs", len(got1), len(got16))
+	if !equalPairs(got, in[:123]) {
+		t.Fatalf("delivered %d pairs, want the canonical prefix of 123", len(got))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Special vocabulary tokens. Their ids are fixed by NewVocab.
@@ -38,51 +39,64 @@ func IsPlaceholder(tok string) bool {
 // Placeholders (@TABLE.COL) survive as single tokens with their case
 // preserved (placeholder names are canonically upper-case); other
 // punctuation separates tokens and is dropped, except that numbers stay
-// intact (including decimals).
+// intact (including decimals). Tokens are slices of text wherever case
+// mapping leaves them unchanged.
 func Tokenize(text string) []string {
 	var out []string
-	runes := []rune(text)
-	n := len(runes)
+	n := len(text)
 	i := 0
 	for i < n {
-		r := runes[i]
+		r, w := runeAt(text, i)
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += w
 		case r == '@':
 			start := i
-			i++
-			for i < n && (runes[i] == '.' || runes[i] == '_' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
-				i++
+			for i += w; i < n; i += w {
+				if r, w = runeAt(text, i); r != '.' && r != '_' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+					break
+				}
 			}
-			tok := string(runes[start:i])
 			// Trim a trailing '.' that is sentence punctuation, not a
 			// qualifier separator.
-			tok = strings.TrimRight(tok, ".")
-			if tok != "@" {
-				out = append(out, strings.ToUpper(tok[1:]))
-				out[len(out)-1] = "@" + out[len(out)-1]
+			if tok := strings.TrimRight(text[start:i], "."); tok != "@" {
+				out = append(out, strings.ToUpper(tok))
 			}
 		case unicode.IsLetter(r):
 			start := i
-			for i < n && (runes[i] == '_' || runes[i] == '\'' || unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i])) {
-				i++
+			for ; i < n; i += w {
+				if r, w = runeAt(text, i); r != '_' && r != '\'' && !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+					break
+				}
 			}
-			w := strings.Trim(string(runes[start:i]), "'")
-			if w != "" {
-				out = append(out, strings.ToLower(w))
+			if tok := strings.Trim(text[start:i], "'"); tok != "" {
+				out = append(out, strings.ToLower(tok))
 			}
 		case unicode.IsDigit(r):
 			start := i
-			for i < n && (unicode.IsDigit(runes[i]) || (runes[i] == '.' && i+1 < n && unicode.IsDigit(runes[i+1]))) {
-				i++
+			for ; i < n; i += w {
+				r, w = runeAt(text, i)
+				if r == '.' && i+1 < n {
+					r, _ = runeAt(text, i+1) // a '.' stays only before a digit
+				}
+				if !unicode.IsDigit(r) {
+					break
+				}
 			}
-			out = append(out, string(runes[start:i]))
+			out = append(out, text[start:i])
 		default:
-			i++ // punctuation
+			i += w // punctuation
 		}
 	}
 	return out
+}
+
+// runeAt decodes the rune at byte offset i of s and its width.
+func runeAt(s string, i int) (rune, int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(s[i:])
 }
 
 // Vocab is a bidirectional token-id mapping with the five special
