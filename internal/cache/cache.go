@@ -7,12 +7,19 @@
 // variation of a query shape; only the cheap per-request
 // post-processing (constant restoration) differs.
 //
+// A value may be a failure. A loader error is an accident of one load
+// (the leader's cancellation, an infrastructure fault) and is never
+// cached. A failure that is the key's settled answer is instead
+// returned by the loader as a value with a nil error: it is cached and
+// served to later calls as a Hit like any other value, so a key that
+// always fails stops paying its loader.
+//
 // Concurrency contract:
 //
 //   - A hit returns the cached value without running the loader.
 //   - N concurrent misses for one key pay exactly one loader call: the
 //     first caller becomes the flight leader, the rest coalesce onto
-//     its result (success or failure alike, so a failing key cannot
+//     its result (value or loader error alike, so a failing key cannot
 //     thundering-herd the model).
 //   - A leader cancelled mid-load never strands its waiters: the dead
 //     flight is published as retryable, every waiter re-enters the
@@ -145,8 +152,10 @@ func (c *Cache[V]) shard(key string) *shard[V] {
 // concurrent callers. The loader runs with the leader's ctx; see the
 // package comment for the coalescing and leader-cancellation
 // contract. A loader error is returned to the leader and every
-// coalesced waiter, and nothing is cached. A waiter whose own ctx
-// expires gives up with ctx.Err() without disturbing the flight.
+// coalesced waiter, and nothing is cached; a failure the loader
+// returns as a value is cached like any other (see the package
+// comment). A waiter whose own ctx expires gives up with ctx.Err()
+// without disturbing the flight.
 func (c *Cache[V]) Do(ctx context.Context, key string, load func(ctx context.Context) (V, error)) (V, Outcome, error) {
 	sh := c.shard(key)
 	for {

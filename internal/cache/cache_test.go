@@ -225,6 +225,29 @@ func TestDoSharedFailure(t *testing.T) {
 	}
 }
 
+// TestFailureValueIsCached: a failure the loader returns as a value is
+// the key's answer: it is cached, and later calls get it as a Hit
+// without loading again.
+func TestFailureValueIsCached(t *testing.T) {
+	type answer struct{ err error }
+	c := New[answer](Config{Capacity: 8})
+	boom := errors.New("no tier answers this question")
+	var calls atomic.Int64
+	load := func(context.Context) (answer, error) {
+		calls.Add(1)
+		return answer{err: boom}, nil
+	}
+	for i, want := range []Outcome{Miss, Hit, Hit} {
+		v, o, err := c.Do(context.Background(), "q", load)
+		if err != nil || o != want || !errors.Is(v.err, boom) {
+			t.Fatalf("call %d = (%v, %v, %v), want the failure value as a %v", i, v, o, err, want)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("loader ran %d times, want 1", calls.Load())
+	}
+}
+
 // TestWaiterDeadlineLeavesFlight: a waiter whose own context expires
 // abandons the flight with ctx.Err() without disturbing the leader.
 func TestWaiterDeadlineLeavesFlight(t *testing.T) {

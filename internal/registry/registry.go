@@ -71,12 +71,13 @@ type Status struct {
 }
 
 // Version is one immutable model slot value: the assembled unit plus
-// the per-version result cache (a fresh cache per version keeps hits
-// coherent with the model that decoded them across swaps).
+// the per-version result cache of question shapes (a fresh cache per
+// version keeps hits, decodes and recorded verdicts alike, coherent
+// with the model that produced them across swaps).
 type Version struct {
 	Seq      int
 	Unit     *boot.Unit
-	Cache    *cache.Cache[*runtime.DecodeResult]
+	Cache    *cache.Cache[*runtime.Shape]
 	Accuracy float64
 	// Equipment is whatever Config.Equip attached (the serving layer's
 	// per-version breakers); opaque to the registry.
@@ -262,7 +263,7 @@ func (r *Registry) newVersion(t *Tenant, u *boot.Unit, acc float64) *Version {
 	t.mu.Unlock()
 	v := &Version{Seq: seq, Unit: u, Accuracy: acc}
 	if r.cfg.CacheSize > 0 {
-		v.Cache = cache.New[*runtime.DecodeResult](cache.Config{Capacity: r.cfg.CacheSize})
+		v.Cache = cache.New[*runtime.Shape](cache.Config{Capacity: r.cfg.CacheSize})
 	}
 	if r.cfg.Equip != nil {
 		r.cfg.Equip(t.Name, v)

@@ -491,11 +491,11 @@ type Translator struct {
 	Hook Hook
 	// Critic, when non-nil, is the execution-guided
 	// validation-and-repair layer: every finalized candidate passes
-	// through it before it can become the answer — including cache
-	// replays, whose re-bound constants are validated too. The beam is
-	// reranked validity-first: a valid candidate beats a repaired one
-	// at any rank, and both beat everything else; when the critic
-	// rejects every candidate, finalization fails with a typed
+	// through it before it can become the answer — including a cached
+	// decode finalized under new constants, which are validated too.
+	// The beam is reranked validity-first: a valid candidate beats a
+	// repaired one at any rank, and both beat everything else; when the
+	// critic rejects every candidate, finalization fails with a typed
 	// *RejectedError.
 	Critic *critic.Critic
 }
@@ -550,6 +550,16 @@ type Trace struct {
 	// question ("hit", "miss", "coalesced"); empty when no cache is in
 	// front of the translator.
 	Cache string
+	// Replayed marks a cache hit answered from the shape's recorded
+	// Verdict for equal bindings: nothing was finalized, reviewed or
+	// decoded for this request.
+	Replayed bool
+	// Infra marks that a stage failed for a reason other than the
+	// question: a tier panicked or overran Translator.Deadline, a Hook
+	// skipped a tier or the critic, or the critic's sandbox panicked
+	// or timed out. Such an outcome is no verdict on the question, and
+	// the serving layer remembers none of it.
+	Infra bool
 	// CriticVerdicts records the critic's ruling per candidate in beam
 	// order ("valid", "repaired(identifier)", "invalid: ...",
 	// "skipped: ..."); empty when no critic is configured.
@@ -582,6 +592,9 @@ func (t *Trace) String() string {
 	}
 	if t.Cache != "" {
 		fmt.Fprintf(&b, "cache:      %s\n", t.Cache)
+	}
+	if t.Replayed {
+		fmt.Fprintf(&b, "replayed:   true\n")
 	}
 	for _, cv := range t.CriticVerdicts {
 		fmt.Fprintf(&b, "  critic:   %s\n", cv)
@@ -663,14 +676,18 @@ func (tr *Translator) CacheKey(nl []string) string {
 
 // DecodeResult is the binding-independent product of one translation:
 // the ranked candidate token sequences a tier decoded for a prepared
-// (anonymized + lemmatized) question, and the tier that produced
-// them. Because constants were anonymized away before decoding, a
-// DecodeResult is shared safely across every request whose question
-// canonicalizes to the same nl — that is what the serving layer's
-// result cache stores. Candidates must be treated as immutable.
+// (anonymized + lemmatized) question, the tier that produced them, and
+// why each tier ahead of it failed. Because constants were anonymized
+// away before decoding, a DecodeResult is shared safely across every
+// request whose question canonicalizes to the same nl — that is what
+// the serving layer's result cache stores. Candidates and TierErrors
+// must be treated as immutable.
 type DecodeResult struct {
 	Tier       string
 	Candidates [][]string
+	// TierErrors is what the decoding request recorded in
+	// Trace.TierErrors: the failures ahead of Tier, in chain order.
+	TierErrors []string
 }
 
 // TranslatePrepared is the post-preprocessing half of a translation:
@@ -689,6 +706,7 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 	if trace == nil {
 		trace = &Trace{}
 	}
+	tierErrs := len(trace.TierErrors)
 	var firstErr error
 	for _, model := range tr.chain() {
 		if err := ctx.Err(); err != nil {
@@ -700,6 +718,7 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 		name := model.Name()
 		if tr.Hook != nil {
 			if herr := tr.Hook.Allow(name); herr != nil {
+				trace.Infra = true
 				trace.TierErrors = append(trace.TierErrors, name+": skipped: "+herr.Error())
 				if firstErr == nil {
 					firstErr = fmt.Errorf("runtime: tier %q skipped: %w", name, herr)
@@ -711,9 +730,12 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 		if tr.Hook != nil {
 			tr.Hook.Record(name, infra)
 		}
+		if infra != nil {
+			trace.Infra = true
+		}
 		if err == nil {
 			trace.Tier = name
-			return q, &DecodeResult{Tier: name, Candidates: candidates}, nil
+			return q, &DecodeResult{Tier: name, Candidates: candidates, TierErrors: slices.Clone(trace.TierErrors[tierErrs:])}, nil
 		}
 		trace.TierErrors = append(trace.TierErrors, name+": "+err.Error())
 		if firstErr == nil {
@@ -728,13 +750,14 @@ func (tr *Translator) TranslatePrepared(ctx context.Context, nl []string, bindin
 
 // Finalize is the binding-dependent tail of a translation: it turns a
 // DecodeResult — typically one decoded for another request's
-// constants and replayed from the serving layer's result cache — into
+// constants and read from the serving layer's result cache — into
 // this request's query, without consulting the model or the Hook for
-// any tier (tier breakers meter model decodes, and a replay performs
+// any tier (tier breakers meter model decodes, and finalizing performs
 // none); the critic still reports to the Hook under CriticStage.
-// On success trace records dec's tier and top candidate. Errors are
-// finalize's own, so errors.As still finds a *RejectedError; the
-// caller decides whether to fall back to a fresh decode.
+// On success trace records dec's tier, its top candidate and the tier
+// errors its decode recorded. Errors are finalize's own, so errors.As
+// still finds a *RejectedError; the caller decides whether to fall
+// back to a fresh decode.
 //
 // trace may be nil when no lifecycle report is wanted.
 func (tr *Translator) Finalize(ctx context.Context, dec *DecodeResult, bindings []Binding, trace *Trace) (*sqlast.Query, error) {
@@ -752,6 +775,7 @@ func (tr *Translator) Finalize(ctx context.Context, dec *DecodeResult, bindings 
 		trace.ModelOut = dec.Candidates[0]
 	}
 	trace.Tier = dec.Tier
+	trace.TierErrors = append(trace.TierErrors, dec.TierErrors...)
 	return q, nil
 }
 
@@ -857,6 +881,7 @@ func (tr *Translator) finalize(ctx context.Context, candidates [][]string, bindi
 	crit := tr.Critic
 	if crit != nil && tr.Hook != nil {
 		if herr := tr.Hook.Allow(CriticStage); herr != nil {
+			trace.Infra = true
 			trace.CriticVerdicts = append(trace.CriticVerdicts, "skipped: "+herr.Error())
 			crit = nil
 		}
@@ -916,11 +941,12 @@ func (tr *Translator) finalizeCritic(ctx context.Context, crit *critic.Critic, c
 			continue
 		}
 		out, outcome := crit.Review(ctx, pq)
+		var infra error
+		if outcome.Err != nil && outcome.Err.Infra() {
+			infra = outcome.Err
+			trace.Infra = true
+		}
 		if tr.Hook != nil {
-			var infra error
-			if outcome.Err != nil && outcome.Err.Infra() {
-				infra = outcome.Err
-			}
 			tr.Hook.Record(CriticStage, infra)
 		}
 		trace.CriticNS += outcome.DryRunNS

@@ -81,7 +81,8 @@ type Config struct {
 	// many entries per model version (0 = no cache). Keys are the
 	// schema name plus the lemmatized anonymized question, so every
 	// constant variation of a query shape shares one cached decode and
-	// no two tenants can ever share an entry.
+	// no two tenants can ever share an entry; a repeat with the same
+	// constants replays the answer or failure recorded for them.
 	CacheSize int
 	// Spec is the build template for tenants onboarded through POST
 	// /schemas: the same settings the boot-time tenants were built
@@ -198,28 +199,46 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // half the request timeout: a hung tier then overruns its deadline
 // while the request is still live, which charges its breaker and
 // leaves the other half to the fallback tiers; ended by the request's
-// own timeout, it would be charged nothing. Then it attaches a fresh
-// breaker set — one breaker per tier, and one for the critic when the
-// unit was assembled with one.
+// own timeout, it would be charged nothing. Then it attaches the
+// version's equipment: a fresh breaker set — one breaker per tier, and
+// one for the critic when the unit was assembled with one — and
+// zeroed verdict-replay counters.
 func (s *Server) equip(_ string, v *registry.Version) {
 	if v.Unit.Translator.Deadline == 0 {
 		v.Unit.Translator.Deadline = s.cfg.Timeout / 2
 	}
+	e := &equipment{}
+	v.Equipment = e
 	if s.cfg.DisableBreakers {
 		return
 	}
-	b := NewBreakers(s.cfg.Breaker)
-	v.Unit.Translator.Hook = b
-	v.Equipment = b
+	e.breakers = NewBreakers(s.cfg.Breaker)
+	v.Unit.Translator.Hook = e.breakers
+}
+
+// equipment is the serving layer's per-version state, swapped in and
+// out with the model: the breakers (nil when disabled) and how many
+// cache hits replayed a recorded answer or failure.
+type equipment struct {
+	breakers                        *Breakers
+	verdictAnswers, verdictFailures atomic.Int64
+}
+
+// versionEquipment returns what equip attached (nil-safe).
+func versionEquipment(v *registry.Version) *equipment {
+	if v == nil {
+		return nil
+	}
+	e, _ := v.Equipment.(*equipment)
+	return e
 }
 
 // versionBreakers returns the breaker set equip attached (nil-safe).
 func versionBreakers(v *registry.Version) *Breakers {
-	if v == nil {
-		return nil
+	if e := versionEquipment(v); e != nil {
+		return e.breakers
 	}
-	b, _ := v.Equipment.(*Breakers)
-	return b
+	return nil
 }
 
 // state returns the serving-side state for a tenant, creating it on
@@ -445,15 +464,25 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 
 // translate runs one question through the version's inference hot
 // path. With no cache configured it is exactly the translator's
-// Translate. With a cache, the pipeline splits: the
-// deterministic pre-processing runs first, its schema-qualified
-// lemmatized output keys the version's result cache, and only a leader
-// that misses pays a decode — concurrent misses for the same key
-// coalesce onto that one decode, and each request then finalizes the
-// shared binding-independent candidates under its own constants. A cached
-// decode that no longer finalizes for this request's bindings falls
-// back to one fresh full-strength decode rather than failing the
-// request.
+// Translate. With a cache, the pipeline splits: the deterministic
+// pre-processing runs first, and its schema-qualified lemmatized
+// output keys the version's result cache of question shapes. Only a
+// leader that misses pays a decode; concurrent misses for the same key
+// coalesce onto it. The leader caches the shape's binding-independent
+// decode or, when every tier failed the question deterministically,
+// the failure itself. An outcome that was no verdict on the question
+// (trace.Infra: a tier fault, a breaker, a sandbox fault; or a request
+// that ended) is not remembered: a failure caches nothing, and an
+// answer caches a shape with no decode.
+//
+// Every other request reads the shape's verdict slot first: when its
+// bindings equal those the slot's outcome was reached for, it replays
+// that answer or failure and neither finalizes, reviews nor decodes.
+// Otherwise it finalizes the shared decode under its own constants; a
+// decode that no longer finalizes for them, or a shape with no decode,
+// falls back to one fresh full-strength decode. A deterministic
+// outcome then replaces the verdict slot, and a fresh decode fills an
+// empty decode slot.
 func (s *Server) translate(ctx context.Context, v *registry.Version, question string) (*sqlast.Query, *runtime.Trace, error) {
 	tr := v.Unit.Translator
 	if v.Cache == nil {
@@ -469,26 +498,57 @@ func (s *Server) translate(ctx context.Context, v *registry.Version, question st
 	trace.Lemmatized = nl
 
 	// The leader finalizes inside the loader (its decode and bindings
-	// belong to the same request); leaderQ carries that answer past
-	// the cache, which only stores the binding-independent decode.
+	// belong to the same request); leaderQ and leaderErr carry its
+	// outcome past the cache.
 	var leaderQ *sqlast.Query
-	dec, outcome, err := v.Cache.Do(ctx, tr.CacheKey(nl), func(lctx context.Context) (*runtime.DecodeResult, error) {
-		q, d, lerr := tr.TranslatePrepared(lctx, nl, anon.Bindings, trace)
-		leaderQ = q
-		return d, lerr
+	var leaderErr error
+	shape, outcome, err := v.Cache.Do(ctx, tr.CacheKey(nl), func(lctx context.Context) (*runtime.Shape, error) {
+		q, dec, lerr := tr.TranslatePrepared(lctx, nl, anon.Bindings, trace)
+		leaderQ, leaderErr = q, lerr
+		// An answer a fault shaped keeps no decode; a failure it
+		// shaped caches nothing.
+		settled := !trace.Infra && lctx.Err() == nil
+		switch {
+		case lerr == nil && settled:
+			return runtime.NewShape(dec), nil
+		case lerr == nil:
+			return runtime.NewShape(nil), nil
+		case settled:
+			return runtime.FailedShape(anon.Bindings, lerr), nil
+		}
+		return nil, lerr
 	})
 	trace.Cache = outcome.String()
 	if err != nil {
 		return nil, trace, err
 	}
-	if outcome == cache.Miss && leaderQ != nil {
-		return leaderQ, trace, nil
+	if outcome == cache.Miss {
+		return leaderQ, trace, leaderErr
 	}
-	if q, ferr := tr.Finalize(ctx, dec, anon.Bindings, trace); ferr == nil {
-		return q, trace, nil
+	if vd := shape.Lookup(anon.Bindings); vd != nil {
+		q, err := vd.Replay(trace)
+		if e := versionEquipment(v); e != nil {
+			if err != nil {
+				e.verdictFailures.Add(1)
+			} else {
+				e.verdictAnswers.Add(1)
+			}
+		}
+		return q, trace, err
 	}
-	// Stale for these bindings: re-decode at full strength.
-	q, _, err := tr.TranslatePrepared(ctx, nl, anon.Bindings, trace)
+	var q *sqlast.Query
+	var fresh *runtime.DecodeResult
+	dec := shape.Decode()
+	if dec != nil {
+		q, err = tr.Finalize(ctx, dec, anon.Bindings, trace)
+	}
+	if dec == nil || err != nil {
+		// No decode yet, or one stale for these bindings.
+		q, fresh, err = tr.TranslatePrepared(ctx, nl, anon.Bindings, trace)
+	}
+	if !trace.Infra && ctx.Err() == nil {
+		shape.Record(anon.Bindings, q, fresh, trace, err)
+	}
 	return q, trace, err
 }
 

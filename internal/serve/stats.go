@@ -66,8 +66,19 @@ type TenantStats struct {
 
 	Tiers    map[string]int64  `json:"tiers,omitempty"`
 	Breakers map[string]string `json:"breakers,omitempty"`
-	Cache    *cache.Stats      `json:"cache,omitempty"`
+	Cache    *CacheStats       `json:"cache,omitempty"`
 	Critic   *critic.Stats     `json:"critic,omitempty"`
+}
+
+// CacheStats is a tenant's result-cache section: the serving
+// version's cache counters, and how many of its hits replayed a
+// recorded answer (VerdictAnswers) or failure (VerdictFailures)
+// instead of finalizing. A replayed answer still counts in Tiers under
+// the tier that first produced it.
+type CacheStats struct {
+	cache.Stats
+	VerdictAnswers  int64 `json:"verdict_answers"`
+	VerdictFailures int64 `json:"verdict_failures"`
 }
 
 // Snapshot assembles the Stats for /statsz: a row per tenant, with the
@@ -133,8 +144,11 @@ func (s *Server) tenantStats(t *registry.Tenant) TenantStats {
 			row.Breakers = b.States()
 		}
 		if v.Cache != nil {
-			cs := v.Cache.Snapshot()
-			row.Cache = &cs
+			row.Cache = &CacheStats{Stats: v.Cache.Snapshot()}
+			if e := versionEquipment(v); e != nil {
+				row.Cache.VerdictAnswers = e.verdictAnswers.Load()
+				row.Cache.VerdictFailures = e.verdictFailures.Load()
+			}
 		}
 		if c := v.Unit.Translator.Critic; c != nil {
 			cs := c.Snapshot()
