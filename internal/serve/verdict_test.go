@@ -215,9 +215,10 @@ func TestVerdictReplayConcurrentConstants(t *testing.T) {
 	}
 	sharedSQL, sharedRows := q.String(), renderRows(trace.Result)
 
+	const clients = 8
 	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for g := 0; g < 8; g++ {
+	errs := make(chan string, clients) // each client reports at most once
+	for g := 0; g < clients; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -408,14 +409,10 @@ func TestVerdictSkipsInfraFailures(t *testing.T) {
 
 	t.Run("cancelled leader", func(t *testing.T) {
 		s, m := setup(t, Config{Workers: 2}, nil)
-		gate := make(chan struct{})
-		released := false
-		t.Cleanup(func() {
-			if !released {
-				close(gate)
-			}
-		})
-		clear := m.inject(func() { <-gate })
+		gate, started := make(chan struct{}), make(chan struct{})
+		release := sync.OnceFunc(func() { close(gate) })
+		t.Cleanup(release)
+		clear := m.inject(func() { close(started); <-gate })
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan int)
 		go func() {
@@ -423,16 +420,13 @@ func TestVerdictSkipsInfraFailures(t *testing.T) {
 			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/patients/ask?q="+urlQuery(q), nil).WithContext(ctx))
 			done <- rec.Code
 		}()
-		for m.calls.Load() == 0 {
-			time.Sleep(time.Millisecond)
-		}
+		<-started
 		cancel()
 		if code := <-done; code != http.StatusGatewayTimeout {
 			t.Fatalf("cancelled leader answered %d, want 504", code)
 		}
 		clear()
-		close(gate)
-		released = true
+		release()
 		retried(t, s, m)
 	})
 }
