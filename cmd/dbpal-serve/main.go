@@ -4,7 +4,8 @@
 // deadlines, circuit breakers around each tier and the critic that
 // trip only on infrastructure failures, graceful drain, and an
 // anonymization-keyed result cache (-cache-size) in front of the
-// decoder. A cache miss decodes at once, with no
+// decoder, behind a question index that replays the recorded response
+// to a repeated question. A cache miss decodes at once, with no
 // cross-request batching (DESIGN.md, "Why there is no batcher").
 //
 //	dbpal-serve -schema patients,flights -model nn -addr :8080
@@ -70,7 +71,7 @@ func main() {
 		rowBudget = flag.Int("critic-budget", 0, "critic dry-run row budget (0 = default)")
 		criticTO  = flag.Duration("critic-timeout", 0, "critic dry-run deadline (0 = default)")
 
-		cacheSize = flag.Int("cache-size", 1024, "anonymization-keyed result cache entries per model version (0 = no cache)")
+		cacheSize = flag.Int("cache-size", 1024, "entries per model version in each of the anonymization-keyed result cache and the question index of recorded responses (0 = neither)")
 
 		minAcc    = flag.Float64("min-accuracy", 0, "onboarding eval gate: reject candidate models scoring below this (0 = no gate)")
 		evalQs    = flag.Int("eval-questions", 0, "onboarding eval workload size (0 = default, negative = skip eval)")

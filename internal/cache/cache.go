@@ -1,11 +1,14 @@
-// Package cache is the serving layer's result cache: a sharded LRU
-// with integrated singleflight coalescing, keyed on the anonymized +
-// lemmatized question the Parameter Handler produces. DBPal's
-// anonymization makes this key unusually powerful — "patients older
-// than 30" and "patients older than 50" canonicalize to the same
-// placeholder question, so one cached decode answers every constant
-// variation of a query shape; only the cheap per-request
-// post-processing (constant restoration) differs.
+// Package cache is the serving layer's bounded LRU store, used twice
+// per model version. As the result cache, its Do call adds
+// singleflight coalescing, keyed on the anonymized + lemmatized
+// question the Parameter Handler produces. DBPal's anonymization makes
+// this key unusually powerful — "patients older than 30" and "patients
+// older than 50" canonicalize to the same placeholder question, so one
+// cached decode answers every constant variation of a query shape;
+// only the cheap per-request post-processing (constant restoration)
+// differs. As the question index, plain Get and Put hold the recorded
+// response of an exact question text, so a repeat skips even the
+// Parameter Handler.
 //
 // A value may be a failure. A loader error is an accident of one load
 // (the leader's cancellation, an infrastructure fault) and is never
@@ -204,6 +207,28 @@ func (c *Cache[V]) Do(ctx context.Context, key string, load func(ctx context.Con
 		sh.mu.Unlock()
 		c.misses.Add(1)
 		return v, Miss, err
+	}
+}
+
+// Get returns key's cached value, refreshing its recency, and reports
+// whether there was one. It neither loads nor counts: a caller that
+// finds nothing goes on to its own work.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.getLocked(key)
+}
+
+// Put caches v under key, replacing any value it had, and counts the
+// eviction when the key's shard was full.
+func (c *Cache[V]) Put(key string, v V) {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	evicted := sh.putLocked(key, v)
+	sh.mu.Unlock()
+	if evicted {
+		c.evictions.Add(1)
 	}
 }
 

@@ -71,17 +71,34 @@ type Status struct {
 }
 
 // Version is one immutable model slot value: the assembled unit plus
-// the per-version result cache of question shapes (a fresh cache per
-// version keeps hits, decodes and recorded verdicts alike, coherent
-// with the model that produced them across swaps).
+// the per-version result cache of question shapes and question index
+// of recorded answers (a fresh pair per version keeps hits, decodes
+// and recorded answers alike coherent with the model that produced
+// them across swaps).
 type Version struct {
-	Seq      int
-	Unit     *boot.Unit
-	Cache    *cache.Cache[*runtime.Shape]
+	Seq   int
+	Unit  *boot.Unit
+	Cache *cache.Cache[*runtime.Shape]
+	// Answers is the question index: the recorded response to an exact
+	// question text on one route, keyed by the route ("ask",
+	// "translate"), a space and the text.
+	Answers  *cache.Cache[*Answer]
 	Accuracy float64
 	// Equipment is whatever Config.Equip attached (the serving layer's
 	// per-version breakers); opaque to the registry.
 	Equipment any
+}
+
+// Answer is one recorded response of the serving layer: its status
+// and encoded JSON body, and what its counters need to count a replay
+// as the original was counted (the answering tier of an answer, the
+// error kind of a failure). A recorded Answer is shared by every
+// replay and never mutated.
+type Answer struct {
+	Status int
+	Tier   string
+	Kind   string
+	Body   []byte
 }
 
 // Tenant is one hosted schema. The serving slot is read with Current
@@ -158,7 +175,8 @@ func (t *Tenant) fail(err error) {
 type Config struct {
 	// Workers bounds each tenant's concurrent translations (0 = NumCPU).
 	Workers int
-	// CacheSize sizes each version's result cache (0 = no cache).
+	// CacheSize sizes each version's result cache and question index
+	// (0 = neither).
 	CacheSize int
 	// MinAccuracy is the eval gate: a candidate scoring below it is
 	// rejected (rolled back) instead of installed. 0 disables gating.
@@ -255,7 +273,7 @@ func (r *Registry) tenant(name string) *Tenant {
 }
 
 // newVersion allocates the next slot value for t and attaches its
-// cache and equipment.
+// caches and equipment.
 func (r *Registry) newVersion(t *Tenant, u *boot.Unit, acc float64) *Version {
 	t.mu.Lock()
 	t.nextSeq++
@@ -264,6 +282,7 @@ func (r *Registry) newVersion(t *Tenant, u *boot.Unit, acc float64) *Version {
 	v := &Version{Seq: seq, Unit: u, Accuracy: acc}
 	if r.cfg.CacheSize > 0 {
 		v.Cache = cache.New[*runtime.Shape](cache.Config{Capacity: r.cfg.CacheSize})
+		v.Answers = cache.New[*Answer](cache.Config{Capacity: r.cfg.CacheSize})
 	}
 	if r.cfg.Equip != nil {
 		r.cfg.Equip(t.Name, v)

@@ -9,6 +9,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -318,14 +319,22 @@ type spanIndex struct {
 	post  [][]int32 // post[id]: the textValues entries with that bigram
 	// seen[id] == span marks a bigram already counted for the span
 	// being scored; span numbers them from 1.
-	seen   []int32
-	span   int32
-	counts []int32 // len(textValues), all zero between spans
+	seen []int32
+	span int32
+	// counts[v] is the span's shared bigrams with textValues entry v,
+	// and bit v of touched is set when counts[v] > 0; both are all
+	// zero between spans.
+	counts  []int32
+	touched []uint64
 }
 
 // newSpanIndex builds the span index of a tokenized question.
 func (ph *ParameterHandler) newSpanIndex(toks []string) *spanIndex {
-	x := &spanIndex{start: make([]int, len(toks)+1), counts: make([]int32, len(ph.textValues))}
+	x := &spanIndex{
+		start:   make([]int, len(toks)+1),
+		counts:  make([]int32, len(ph.textValues)),
+		touched: make([]uint64, (len(ph.textValues)+63)/64),
+	}
 	for k, t := range toks {
 		x.start[k] = len(x.runes)
 		// Per-rune unicode.ToLower is strings.ToLower on valid UTF-8,
@@ -339,17 +348,26 @@ func (ph *ParameterHandler) newSpanIndex(toks []string) *spanIndex {
 	if len(x.runes) < 2 {
 		return x
 	}
-	keys := make([]uint64, len(x.runes)-1)
-	for p := range keys {
-		keys[p] = pairKey(x.runes[p], x.runes[p+1])
-	}
-	distinct := slices.Clone(keys)
-	slices.Sort(distinct)
-	distinct = slices.Compact(distinct)
-	x.ids = make([]int32, len(keys))
-	for p, g := range keys {
-		id, _ := slices.BinarySearch(distinct, g)
-		x.ids[p] = int32(id)
+	// Ids in order of first appearance, from an open-addressing table
+	// at most half full: slot holds 1 + the id of the key hashed there,
+	// 0 when empty.
+	pairs := len(x.runes) - 1
+	shift := 64 - bits.Len(uint(2*pairs-1))
+	slot := make([]int32, 1<<(64-shift))
+	mask := len(slot) - 1
+	distinct := make([]uint64, 0, pairs)
+	x.ids = make([]int32, pairs)
+	for p := range x.ids {
+		g := pairKey(x.runes[p], x.runes[p+1])
+		h := int((g * 0x9e3779b97f4a7c15) >> shift)
+		for slot[h] != 0 && distinct[slot[h]-1] != g {
+			h = (h + 1) & mask
+		}
+		if slot[h] == 0 {
+			distinct = append(distinct, g)
+			slot[h] = int32(len(distinct))
+		}
+		x.ids[p] = slot[h] - 1
 	}
 	x.seen = make([]int32, len(distinct))
 	x.post = make([][]int32, len(distinct))
@@ -367,9 +385,10 @@ func pairKey(a, b rune) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)
 // phrase of the n tokens from token i (character-bigram Jaccard). It
 // walks the inverted bigram index, so only candidates sharing at
 // least one bigram with the phrase are scored — a candidate sharing
-// none has similarity 0 and could never win anyway. Candidate order
-// (and therefore tie-breaking on equal similarity) matches a linear
-// scan of textValues.
+// none has similarity 0 and could never win anyway. The touched
+// bitset yields them in ascending index, so candidate order (and
+// therefore tie-breaking on equal similarity) matches a linear scan
+// of textValues.
 func (ph *ParameterHandler) bestTextMatch(x *spanIndex, i, n int) (sqlast.ColumnRef, string, float64) {
 	lo, hi := x.start[i], x.start[i+n]-1 // the phrase is runes[lo:hi]
 	distinct := 0
@@ -380,6 +399,7 @@ func (ph *ParameterHandler) bestTextMatch(x *spanIndex, i, n int) (sqlast.Column
 		distinct = 1
 		for _, id := range ph.gramIndex[uint64(uint32(x.runes[lo]))] {
 			x.counts[id]++
+			x.touched[id>>6] |= 1 << (id & 63)
 		}
 	case hi-lo > 1:
 		x.span++
@@ -391,6 +411,7 @@ func (ph *ParameterHandler) bestTextMatch(x *spanIndex, i, n int) (sqlast.Column
 			distinct++
 			for _, id := range x.post[g] {
 				x.counts[id]++
+				x.touched[id>>6] |= 1 << (id & 63)
 			}
 		}
 	}
@@ -399,23 +420,28 @@ func (ph *ParameterHandler) bestTextMatch(x *spanIndex, i, n int) (sqlast.Column
 	// bestSim when its fraction beats bestInter/bestUnion: the exact
 	// integer cross-multiplication skips the division for the rest.
 	best, bestInter, bestUnion, bestSim := -1, int64(0), int64(1), 0.0
-	for id, inter := range x.counts {
-		if inter == 0 {
+	for w, word := range x.touched {
+		if word == 0 {
 			continue
 		}
-		union := int64(distinct + ph.textValues[id].ngrams - int(inter))
-		if int64(inter)*bestUnion <= bestInter*union {
-			continue
-		}
-		sim := 1.0
-		if union != int64(inter) {
-			sim = float64(inter) / float64(union)
-		}
-		if sim > bestSim {
-			best, bestInter, bestUnion, bestSim = id, int64(inter), union, sim
+		x.touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			inter := x.counts[id]
+			x.counts[id] = 0
+			union := int64(distinct + ph.textValues[id].ngrams - int(inter))
+			if int64(inter)*bestUnion <= bestInter*union {
+				continue
+			}
+			sim := 1.0
+			if union != int64(inter) {
+				sim = float64(inter) / float64(union)
+			}
+			if sim > bestSim {
+				best, bestInter, bestUnion, bestSim = id, int64(inter), union, sim
+			}
 		}
 	}
-	clear(x.counts)
 	if best < 0 {
 		return sqlast.ColumnRef{}, "", 0
 	}
@@ -550,10 +576,6 @@ type Trace struct {
 	// question ("hit", "miss", "coalesced"); empty when no cache is in
 	// front of the translator.
 	Cache string
-	// Replayed marks a cache hit answered from the shape's recorded
-	// Verdict for equal bindings: nothing was finalized, reviewed or
-	// decoded for this request.
-	Replayed bool
 	// Infra marks that a stage failed for a reason other than the
 	// question: a tier panicked or overran Translator.Deadline, a Hook
 	// skipped a tier or the critic, or the critic's sandbox panicked
@@ -592,9 +614,6 @@ func (t *Trace) String() string {
 	}
 	if t.Cache != "" {
 		fmt.Fprintf(&b, "cache:      %s\n", t.Cache)
-	}
-	if t.Replayed {
-		fmt.Fprintf(&b, "replayed:   true\n")
 	}
 	for _, cv := range t.CriticVerdicts {
 		fmt.Fprintf(&b, "  critic:   %s\n", cv)

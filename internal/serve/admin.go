@@ -37,8 +37,7 @@ type schemasResponse struct {
 func (s *Server) handleSchemas(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, schemasResponse{Schemas: s.reg.Statuses()})
+		writeJSON(w, http.StatusOK, schemasResponse{Schemas: s.reg.Statuses()})
 	case http.MethodPost:
 		s.handleOnboard(w, r)
 	default:
@@ -97,9 +96,7 @@ func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 		writeError(w, KindValidation, 0, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, t.Status())
+	writeJSON(w, http.StatusAccepted, t.Status())
 }
 
 // handleSchema routes one tenant: GET /schemas/{name} answers its
@@ -118,8 +115,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 			writeError(w, KindNotFound, 0, "unknown schema %q; GET /schemas lists tenants", name)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		writeJSON(w, t.Status())
+		writeJSON(w, http.StatusOK, t.Status())
 	case http.MethodDelete:
 		if !s.reg.Remove(name) {
 			writeError(w, KindNotFound, 0, "unknown schema %q; GET /schemas lists tenants", name)

@@ -80,24 +80,36 @@ type errorEnvelope struct {
 // writeError renders one taxonomy error as JSON. retryAfterSec > 0
 // additionally sets the Retry-After header (shed responses).
 func writeError(w http.ResponseWriter, kind ErrorKind, retryAfterSec int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
 	if retryAfterSec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 	}
-	w.WriteHeader(kind.HTTPStatus())
-	writeJSON(w, errorEnvelope{Error: apiError{
-		Kind:          kind,
-		Message:       fmt.Sprintf(format, args...),
-		RetryAfterSec: retryAfterSec,
-	}})
+	writeBody(w, kind.HTTPStatus(), errorBody(kind, retryAfterSec, fmt.Sprintf(format, args...)))
 }
 
-// writeJSON encodes v to w. An encode failure means the client hung
-// up mid-response; there is nobody left to tell, so the error is
-// deliberately dropped.
-func writeJSON(w http.ResponseWriter, v any) {
-	_ = json.NewEncoder(w).Encode(v)
+// errorBody encodes one taxonomy error's JSON body.
+func errorBody(kind ErrorKind, retryAfterSec int, msg string) []byte {
+	return encodeJSON(errorEnvelope{Error: apiError{Kind: kind, Message: msg, RetryAfterSec: retryAfterSec}})
 }
+
+// writeBody writes an encoded JSON response with its status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// A write failure means the client hung up; there is nobody left
+	// to tell.
+	_, _ = w.Write(body)
+}
+
+// encodeJSON is what a json.Encoder writes for v: its JSON and a
+// newline. The serving layer's bodies always encode, so an error
+// (which would leave the body empty) is deliberately dropped.
+func encodeJSON(v any) []byte {
+	b, _ := json.Marshal(v)
+	return append(b, '\n')
+}
+
+// writeJSON writes v as a JSON response with its status.
+func writeJSON(w http.ResponseWriter, status int, v any) { writeBody(w, status, encodeJSON(v)) }
 
 // classify maps a translation failure onto the taxonomy. Validation
 // and deadline failures are recognized by type; a critic rejection of

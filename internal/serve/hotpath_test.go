@@ -160,14 +160,14 @@ func TestTranslateTraceCacheField(t *testing.T) {
 	model := &countingOracle{}
 	s, _ := newTestServer(t, model, Config{CacheSize: 64})
 	v := s.Registry().Lookup("patients").Current()
-	_, trace, err := s.translate(context.Background(), v, goodQuestion)
+	_, trace, _, err := s.translate(context.Background(), v, goodQuestion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trace.Cache != cache.Miss.String() {
 		t.Fatalf("cold trace.Cache = %q, want miss", trace.Cache)
 	}
-	_, trace, err = s.translate(context.Background(), v, goodQuestion)
+	_, trace, _, err = s.translate(context.Background(), v, goodQuestion)
 	if err != nil || trace.Cache != cache.Hit.String() {
 		t.Fatalf("warm trace.Cache = %q (err %v), want hit", trace.Cache, err)
 	}

@@ -77,12 +77,14 @@ type Config struct {
 	// DisableBreakers to run without them.
 	Breaker         BreakerConfig
 	DisableBreakers bool
-	// CacheSize enables the anonymization-keyed result cache with this
-	// many entries per model version (0 = no cache). Keys are the
-	// schema name plus the lemmatized anonymized question, so every
-	// constant variation of a query shape shares one cached decode and
-	// no two tenants can ever share an entry; a repeat with the same
-	// constants replays the answer or failure recorded for them.
+	// CacheSize enables, with this many entries each per model
+	// version, the anonymization-keyed result cache and the question
+	// index (0 = neither). Result-cache keys are the schema name plus
+	// the lemmatized anonymized question, so every constant variation
+	// of a query shape shares one cached decode and no two tenants can
+	// ever share an entry. The question index keys the exact question
+	// text per route, and a repeat replays the response recorded for
+	// it before any preprocessing.
 	CacheSize int
 	// Spec is the build template for tenants onboarded through POST
 	// /schemas: the same settings the boot-time tenants were built
@@ -202,7 +204,7 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // own timeout, it would be charged nothing. Then it attaches the
 // version's equipment: a fresh breaker set — one breaker per tier, and
 // one for the critic when the unit was assembled with one — and
-// zeroed verdict-replay counters.
+// zeroed replay counters.
 func (s *Server) equip(_ string, v *registry.Version) {
 	if v.Unit.Translator.Deadline == 0 {
 		v.Unit.Translator.Deadline = s.cfg.Timeout / 2
@@ -218,7 +220,7 @@ func (s *Server) equip(_ string, v *registry.Version) {
 
 // equipment is the serving layer's per-version state, swapped in and
 // out with the model: the breakers (nil when disabled) and how many
-// cache hits replayed a recorded answer or failure.
+// asks the question index answered with a recorded answer or failure.
 type equipment struct {
 	breakers                        *Breakers
 	verdictAnswers, verdictFailures atomic.Int64
@@ -328,7 +330,7 @@ func (s *Server) handleV1(w http.ResponseWriter, r *http.Request) {
 		writeError(w, KindNotFound, 0, "no route %s; want /v1/{schema}/ask or /v1/{schema}/translate", r.URL.Path)
 		return
 	}
-	s.answer(w, r, name, op == "ask")
+	s.answer(w, r, name, op)
 }
 
 // resolveTenant maps a request's schema name to the tenant and its
@@ -353,8 +355,17 @@ func (s *Server) resolveTenant(w http.ResponseWriter, name string) (*tenantState
 	return s.state(t), v, true
 }
 
-// answer is the shared ask (execute=true) and translate handler.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName string, execute bool) {
+// answer is the shared ask and translate handler (op names the
+// route). After admission it looks the exact question up in the
+// version's question index, and a hit writes the recorded response:
+// no request deadline, preprocessing, cache lookup or encoding runs
+// for it. Otherwise the question is translated (and, on ask,
+// executed), and the response is recorded when translate reports a
+// settled verdict: an answer from a cache hit or coalesced wait, or a
+// failure. A question's first answer comes from a miss and is not
+// recorded, so a question asked once costs no index entry; its repeat
+// finalizes the cached decode and records the response.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName, op string) {
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		w.Header().Set("Allow", "GET, POST")
 		writeError(w, KindValidation, 0, "method %s not allowed; use GET or POST", r.Method)
@@ -398,6 +409,15 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 	defer limiter.Release()
 	ts.stats.accepted.Add(1)
 
+	var key string
+	if v.Answers != nil {
+		key = op + " " + req.Question
+		if a, ok := v.Answers.Get(key); ok {
+			ts.replay(w, versionEquipment(v), a)
+			return
+		}
+	}
+
 	timeout := s.cfg.Timeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
@@ -407,16 +427,20 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	q, trace, terr := s.translate(ctx, v, req.Question)
+	q, trace, settled, terr := s.translate(ctx, v, req.Question)
 	if terr != nil {
 		kind := classify(terr)
 		if ctx.Err() != nil {
 			// Whatever the chain reported, the request deadline is the
-			// root cause once it has expired.
-			kind = KindTimeout
+			// root cause once it has expired, and that is no verdict.
+			kind, settled = KindTimeout, false
 		}
 		ts.recordFailure(kind)
-		writeError(w, kind, 0, "%v", terr)
+		a := &registry.Answer{Status: kind.HTTPStatus(), Kind: string(kind), Body: errorBody(kind, 0, terr.Error())}
+		writeBody(w, a.Status, a.Body)
+		if settled {
+			v.Answers.Put(key, a)
+		}
 		return
 	}
 
@@ -427,7 +451,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 		Tier:     trace.Tier,
 	}
 	resp.TierErrors = append(resp.TierErrors, trace.TierErrors...)
-	if execute {
+	if op == "ask" {
 		// The critic's dry-run result answers when it ran the query to
 		// completion. Otherwise — no critic, or a dry-run the row
 		// budget truncated — the query executes here, and the request
@@ -458,40 +482,58 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, schemaName strin
 	}
 	ts.stats.completed.Add(1)
 	ts.stats.answeredBy(trace.Tier)
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, resp)
+	a := &registry.Answer{Status: http.StatusOK, Tier: trace.Tier, Body: encodeJSON(resp)}
+	writeBody(w, a.Status, a.Body)
+	if settled {
+		v.Answers.Put(key, a)
+	}
+}
+
+// replay writes a recorded response and counts it the way its
+// original was counted — completed under its tier, or failed under
+// its kind — and as a replay.
+func (ts *tenantState) replay(w http.ResponseWriter, e *equipment, a *registry.Answer) {
+	if a.Status == http.StatusOK {
+		ts.stats.completed.Add(1)
+		ts.stats.answeredBy(a.Tier)
+		e.verdictAnswers.Add(1)
+	} else {
+		ts.recordFailure(ErrorKind(a.Kind))
+		e.verdictFailures.Add(1)
+	}
+	writeBody(w, a.Status, a.Body)
 }
 
 // translate runs one question through the version's inference hot
-// path. With no cache configured it is exactly the translator's
-// Translate. With a cache, the pipeline splits: the deterministic
-// pre-processing runs first, and its schema-qualified lemmatized
-// output keys the version's result cache of question shapes. Only a
-// leader that misses pays a decode; concurrent misses for the same key
-// coalesce onto it. The leader caches the shape's binding-independent
-// decode or, when every tier failed the question deterministically,
-// the failure itself. An outcome that was no verdict on the question
-// (trace.Infra: a tier fault, a breaker, a sandbox fault; or a request
-// that ended) is not remembered: a failure caches nothing, and an
-// answer caches a shape with no decode.
+// path and reports whether the outcome is a settled verdict on the
+// question the question index may record. With no cache configured it
+// is exactly the translator's Translate and records nothing. With a
+// cache, the pipeline splits: the deterministic pre-processing runs
+// first, and its schema-qualified lemmatized output keys the version's
+// result cache of question shapes. Only a leader that misses pays a
+// decode; concurrent misses for the same key coalesce onto it. The
+// leader caches the shape with its binding-independent decode, or with
+// none when every tier failed the question. An outcome that was no
+// verdict on the question (trace.Infra: a tier fault, a breaker, a
+// sandbox fault; or a request that ended) is never recorded: a failure
+// caches nothing, and an answer caches a shape with no decode.
 //
-// Every other request reads the shape's verdict slot first: when its
-// bindings equal those the slot's outcome was reached for, it replays
-// that answer or failure and neither finalizes, reviews nor decodes.
-// Otherwise it finalizes the shared decode under its own constants; a
-// decode that no longer finalizes for them, or a shape with no decode,
-// falls back to one fresh full-strength decode. A deterministic
-// outcome then replaces the verdict slot, and a fresh decode fills an
-// empty decode slot.
-func (s *Server) translate(ctx context.Context, v *registry.Version, question string) (*sqlast.Query, *runtime.Trace, error) {
+// A miss reports its failure as settled but not its answer (see
+// answer). Every other request finalizes the shared decode under its
+// own constants; a decode that no longer finalizes for them, or a
+// shape with no decode, falls back to one fresh full-strength decode,
+// which fills an empty decode slot. Its outcome, answer or failure, is
+// settled unless a fault shaped it.
+func (s *Server) translate(ctx context.Context, v *registry.Version, question string) (*sqlast.Query, *runtime.Trace, bool, error) {
 	tr := v.Unit.Translator
 	if v.Cache == nil {
-		return tr.Translate(ctx, question)
+		q, trace, err := tr.Translate(ctx, question)
+		return q, trace, false, err
 	}
 	trace := &runtime.Trace{Question: question}
 	anon, nl, err := tr.Preprocess(question)
 	if err != nil {
-		return nil, trace, err
+		return nil, trace, false, err
 	}
 	trace.Anonymized = anon.Tokens
 	trace.Bindings = anon.Bindings
@@ -511,30 +553,18 @@ func (s *Server) translate(ctx context.Context, v *registry.Version, question st
 		switch {
 		case lerr == nil && settled:
 			return runtime.NewShape(dec), nil
-		case lerr == nil:
+		case lerr == nil || settled:
 			return runtime.NewShape(nil), nil
-		case settled:
-			return runtime.FailedShape(anon.Bindings, lerr), nil
 		}
 		return nil, lerr
 	})
 	trace.Cache = outcome.String()
 	if err != nil {
-		return nil, trace, err
+		return nil, trace, false, err
 	}
 	if outcome == cache.Miss {
-		return leaderQ, trace, leaderErr
-	}
-	if vd := shape.Lookup(anon.Bindings); vd != nil {
-		q, err := vd.Replay(trace)
-		if e := versionEquipment(v); e != nil {
-			if err != nil {
-				e.verdictFailures.Add(1)
-			} else {
-				e.verdictAnswers.Add(1)
-			}
-		}
-		return q, trace, err
+		// The loader cached a shape, so a failure here is settled.
+		return leaderQ, trace, leaderErr != nil, leaderErr
 	}
 	var q *sqlast.Query
 	var fresh *runtime.DecodeResult
@@ -546,10 +576,11 @@ func (s *Server) translate(ctx context.Context, v *registry.Version, question st
 		// No decode yet, or one stale for these bindings.
 		q, fresh, err = tr.TranslatePrepared(ctx, nl, anon.Bindings, trace)
 	}
-	if !trace.Infra && ctx.Err() == nil {
-		shape.Record(anon.Bindings, q, fresh, trace, err)
+	settled := !trace.Infra && ctx.Err() == nil
+	if settled && fresh != nil {
+		shape.Record(fresh)
 	}
-	return q, trace, err
+	return q, trace, settled, err
 }
 
 // recordFailure bumps the failure counter for the kind.
@@ -568,8 +599,9 @@ func (ts *tenantState) recordFailure(kind ErrorKind) {
 func parseAsk(r *http.Request) (askRequest, error) {
 	var req askRequest
 	if r.Method == http.MethodGet {
-		req.Question = r.URL.Query().Get("q")
-		if ms := r.URL.Query().Get("timeout_ms"); ms != "" {
+		query := r.URL.Query()
+		req.Question = query.Get("q")
+		if ms := query.Get("timeout_ms"); ms != "" {
 			n, err := strconv.Atoi(ms)
 			if err != nil || n < 0 {
 				return req, errors.New("timeout_ms must be a non-negative integer")
@@ -597,23 +629,19 @@ func parseAsk(r *http.Request) (askRequest, error) {
 
 // handleHealthz is liveness: 200 as long as the process serves.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is readiness: 200 while accepting, 503 once draining.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSON(w, map[string]string{"status": "draining"})
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ready"})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleStatsz renders the Stats snapshot.
 func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, s.Snapshot())
+	writeJSON(w, http.StatusOK, s.Snapshot())
 }

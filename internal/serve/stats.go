@@ -71,14 +71,24 @@ type TenantStats struct {
 }
 
 // CacheStats is a tenant's result-cache section: the serving
-// version's cache counters, and how many of its hits replayed a
-// recorded answer (VerdictAnswers) or failure (VerdictFailures)
-// instead of finalizing. A replayed answer still counts in Tiers under
-// the tier that first produced it.
+// version's result-cache counters, with Hits also counting every ask
+// the question index replayed, so a replay is a hit like any other;
+// how many replays wrote a recorded answer (VerdictAnswers) or failure
+// (VerdictFailures); and the question index's occupancy (Answers). A
+// replayed answer still counts in Tiers under the tier that first
+// produced it.
 type CacheStats struct {
 	cache.Stats
-	VerdictAnswers  int64 `json:"verdict_answers"`
-	VerdictFailures int64 `json:"verdict_failures"`
+	VerdictAnswers  int64       `json:"verdict_answers"`
+	VerdictFailures int64       `json:"verdict_failures"`
+	Answers         AnswerStats `json:"answers"`
+}
+
+// AnswerStats is the question index's occupancy: recorded responses
+// held, and how many were evicted to make room.
+type AnswerStats struct {
+	Entries   int   `json:"entries"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Snapshot assembles the Stats for /statsz: a row per tenant, with the
@@ -144,11 +154,15 @@ func (s *Server) tenantStats(t *registry.Tenant) TenantStats {
 			row.Breakers = b.States()
 		}
 		if v.Cache != nil {
-			row.Cache = &CacheStats{Stats: v.Cache.Snapshot()}
+			cs := &CacheStats{Stats: v.Cache.Snapshot()}
 			if e := versionEquipment(v); e != nil {
-				row.Cache.VerdictAnswers = e.verdictAnswers.Load()
-				row.Cache.VerdictFailures = e.verdictFailures.Load()
+				cs.VerdictAnswers = e.verdictAnswers.Load()
+				cs.VerdictFailures = e.verdictFailures.Load()
+				cs.Hits += cs.VerdictAnswers + cs.VerdictFailures
 			}
+			idx := v.Answers.Snapshot()
+			cs.Answers = AnswerStats{Entries: idx.Entries, Evictions: idx.Evictions}
+			row.Cache = cs
 		}
 		if c := v.Unit.Translator.Critic; c != nil {
 			cs := c.Snapshot()

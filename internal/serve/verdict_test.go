@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/patients"
+	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/sqlast"
 )
@@ -111,9 +113,9 @@ func (o askOutcome) String() string {
 // TestVerdictReplayMatchesFirstAnswer: the 399 Patients-benchmark
 // questions, sent three times through one cached server, get on every
 // pass exactly the answer or error pass 1 got and a server with no
-// cache gives. Pass 2 finalizes each answered shape from its cached
-// decode and records the verdict; pass 3 replays recorded answers and
-// failures alike.
+// cache gives. By pass 2 every question that first missed its shape
+// finalizes the cached decode and records its response; pass 3
+// replays recorded answers and failures alike.
 func TestVerdictReplayMatchesFirstAnswer(t *testing.T) {
 	cases := patients.Cases()
 	off, _, _ := sketchServer(t, 0)
@@ -178,10 +180,10 @@ func scaled(m map[string]int64, k int64) map[string]int64 {
 	return out
 }
 
-// TestVerdictReplayConcurrentConstants: hits on one shape with two
-// constant sets race to read and replace its verdict slot. Each answer
-// carries its own constant and rows, and the Query and Result a
-// replayed verdict shares are never written (run under -race).
+// TestVerdictReplayConcurrentConstants: asks of one shape with two
+// constant sets race through the handler, replaying both questions'
+// recorded responses. Each answer carries its own constant and rows,
+// and the bytes a replay shares are never written (run under -race).
 func TestVerdictReplayConcurrentConstants(t *testing.T) {
 	db := testDB(t)
 	tr := runtime.NewTranslator(db, oracleModel{})
@@ -199,21 +201,26 @@ func TestVerdictReplayConcurrentConstants(t *testing.T) {
 			Tier: "oracle", Columns: res.Columns, Rows: renderRows(res)}
 	}
 
-	// Miss, then a finalize that records the verdict, then a replay:
-	// keep what the replay shares to check it afterwards.
-	v := s.Registry().Lookup("patients").Current()
-	var q *sqlast.Query
-	var trace *runtime.Trace
-	for i := 0; i < 3; i++ {
-		var err error
-		if q, trace, err = s.translate(context.Background(), v, question("80")); err != nil {
-			t.Fatal(err)
+	// Two asks of each age leave each question's response recorded
+	// (age 80 misses, then hits; age 45 hits at once): keep what the
+	// replays share to check it afterwards.
+	for _, age := range ages {
+		for i := 0; i < 2; i++ {
+			if got := askVia(t, s.Handler(), question(age)); !reflect.DeepEqual(got, want[age]) {
+				t.Fatalf("age %s, ask %d:\n  got  %s\n  want %s", age, i+1, got, want[age])
+			}
 		}
 	}
-	if !trace.Replayed || trace.Result == nil {
-		t.Fatalf("third ask: replayed=%v result=%v, want a replayed dry-run result", trace.Replayed, trace.Result)
+	v := s.Registry().Lookup("patients").Current()
+	recorded := map[string]*registry.Answer{}
+	shared := map[string][]byte{}
+	for _, age := range ages {
+		a, ok := v.Answers.Get("ask " + question(age))
+		if !ok {
+			t.Fatalf("age %s: no response recorded after a hit", age)
+		}
+		recorded[age], shared[age] = a, bytes.Clone(a.Body)
 	}
-	sharedSQL, sharedRows := q.String(), renderRows(trace.Result)
 
 	const clients = 8
 	var wg sync.WaitGroup
@@ -226,14 +233,8 @@ func TestVerdictReplayConcurrentConstants(t *testing.T) {
 				age := ages[(g+i)%2]
 				rec := httptest.NewRecorder()
 				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/patients/ask?q="+urlQuery(question(age)), nil))
-				var r askResponse
-				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &r) != nil {
-					errs <- fmt.Sprintf("age %s: %d %s", age, rec.Code, rec.Body.String())
-					return
-				}
-				got := askOutcome{Status: rec.Code, SQL: r.SQL, Tier: r.Tier, TierErrors: r.TierErrors, Columns: r.Columns, Rows: r.Rows}
-				if !reflect.DeepEqual(got, want[age]) {
-					errs <- fmt.Sprintf("age %s:\n  got  %s\n  want %s", age, got, want[age])
+				if !bytes.Equal(rec.Body.Bytes(), shared[age]) {
+					errs <- fmt.Sprintf("age %s: %d %s, want the recorded %s", age, rec.Code, rec.Body.String(), shared[age])
 					return
 				}
 			}
@@ -244,11 +245,14 @@ func TestVerdictReplayConcurrentConstants(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if q.String() != sharedSQL || !reflect.DeepEqual(renderRows(trace.Result), sharedRows) {
-		t.Fatalf("a replayed verdict changed: %s %v, was %s %v", q, renderRows(trace.Result), sharedSQL, sharedRows)
+	for _, age := range ages {
+		a, _ := v.Answers.Get("ask " + question(age))
+		if a != recorded[age] || !bytes.Equal(a.Body, shared[age]) {
+			t.Fatalf("age %s: the recorded response changed: %s, was %s", age, a.Body, shared[age])
+		}
 	}
-	if cs := s.Snapshot().Tenants["patients"].Cache; cs.VerdictAnswers == 0 {
-		t.Fatalf("cache section %+v: no verdict replayed", cs)
+	if cs := s.Snapshot().Tenants["patients"].Cache; cs.VerdictAnswers < clients*100 {
+		t.Fatalf("cache section %+v: want all %d concurrent asks replayed", cs, clients*100)
 	}
 }
 
@@ -371,17 +375,17 @@ func TestVerdictSkipsInfraFailures(t *testing.T) {
 		}
 		hang.Store(false)
 		retried(t, s, m)
-		// On a hit: the ask finalizes the cached decode, times out in
-		// the sandbox, and records nothing, so the next ask reviews
-		// the candidate again.
-		askVia(t, s.Handler(), "show the names of all patients with age 45")
+		// On a hit: a question with no recorded answer yet finalizes
+		// the cached decode, times out in the sandbox, and records
+		// nothing, so its next ask reviews the candidate again.
+		const q45 = "show the names of all patients with age 45"
 		hang.Store(true)
-		if got := askVia(t, s.Handler(), q); got.Status != http.StatusOK {
+		if got := askVia(t, s.Handler(), q45); got.Status != http.StatusOK {
 			t.Fatalf("faulted hit: %s, want an unvalidated answer", got)
 		}
 		hang.Store(false)
 		before := dryRuns.Load()
-		if got := askVia(t, s.Handler(), q); got.Status != http.StatusOK {
+		if got := askVia(t, s.Handler(), q45); got.Status != http.StatusOK {
 			t.Fatalf("next hit: %s", got)
 		}
 		if dryRuns.Load() == before {
