@@ -112,8 +112,10 @@ type Unit struct {
 	DB         *engine.Database
 	Model      models.Translator
 	Translator *runtime.Translator
-	// Pairs is the synthesized corpus size (0 when weights were loaded
-	// and no fallback tier needed the corpus).
+	// Pairs is the synthesized corpus size: the pairs the stage graph
+	// emitted, counted as they stream by when only a fallback index
+	// consumes them (0 when weights were loaded and no fallback tier
+	// needed the corpus).
 	Pairs int
 }
 
@@ -185,8 +187,9 @@ func Pairs(ctx context.Context, s *schema.Schema, p core.Params, seed int64) ([]
 
 // NeedsCorpus reports whether building the spec requires synthesizing
 // the training corpus (fresh models always, loaded weights only when a
-// fallback tier trains on it, nn always since its "weights" are the
-// corpus).
+// fallback tier indexes it, nn always since its "weights" are the
+// corpus). Build holds the corpus only when a model trains on it: for
+// loaded weights it streams each pair into the fallback index.
 func (sp Spec) NeedsCorpus() bool {
 	sp = sp.WithDefaults()
 	return sp.LoadPath == "" || sp.Fallback || sp.Model == "nn"
@@ -279,6 +282,24 @@ func Train(ctx context.Context, m models.Translator, exs []models.Example, opts 
 // on the same corpus. It is the one place a tenant's critic is
 // constructed; the serving layer only wires breakers around it.
 func Assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translator, exs []models.Example, pairs int) *Unit {
+	var nn *models.NearestNeighbor
+	if hasFallback(sp) {
+		nn = models.NewNearestNeighbor()
+		nn.Train(exs)
+	}
+	return assemble(sp, s, db, m, nn, pairs)
+}
+
+// hasFallback reports whether the spec's tenant gets a nearest-neighbor
+// tier behind its model (an nn model is that tier already).
+func hasFallback(sp Spec) bool {
+	sp = sp.WithDefaults()
+	return sp.Fallback && sp.Model != "nn"
+}
+
+// assemble is Assemble with the fallback index already built (nil for
+// none).
+func assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translator, nn *models.NearestNeighbor, pairs int) *Unit {
 	sp = sp.WithDefaults()
 	tr := runtime.NewTranslator(db, m)
 	tr.Deadline = sp.Deadline
@@ -289,12 +310,33 @@ func Assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translato
 			Seed:      sp.Seed,
 		})
 	}
-	if sp.Fallback && sp.Model != "nn" {
-		nn := models.NewNearestNeighbor()
-		nn.Train(exs)
+	if nn != nil {
 		tr.Fallbacks = []models.Translator{nn}
 	}
 	return &Unit{Schema: s, DB: db, Model: m, Translator: tr, Pairs: pairs}
+}
+
+// indexPairs runs the stage graph and adds each pair to a fallback
+// index as the graph emits it, through the same conversion as
+// models.PairExamples, so the corpus is never held, as pairs or as
+// examples. It returns the index and the corpus size.
+func indexPairs(ctx context.Context, s *schema.Schema, p core.Params, seed int64) (*models.NearestNeighbor, int, error) {
+	var (
+		b     models.NNBuilder
+		conv  = models.NewPairConverter(s)
+		pairs int
+	)
+	err := core.New(s, p, seed).Graph().Run(ctx, func(q core.Pair) error {
+		pairs++
+		if ex, ok := conv.Convert(q); ok {
+			b.Add(ex)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return b.Build(), pairs, nil
 }
 
 // Build runs the whole construction path in one call: resolve, corpus,
@@ -306,9 +348,21 @@ func Build(ctx context.Context, sp Spec) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	var exs []models.Example
-	pairs := 0
-	if sp.NeedsCorpus() {
+	loaded := sp.LoadPath != "" && sp.Model != "nn" && sp.Factory == nil
+	var (
+		exs   []models.Example
+		nn    *models.NearestNeighbor
+		pairs int
+	)
+	switch {
+	case loaded && hasFallback(sp):
+		// Loaded weights train on nothing: the corpus only feeds the
+		// fallback index, so it is indexed as it streams.
+		if nn, pairs, err = indexPairs(ctx, s, sp.ParamsOrDefault(), sp.Seed); err != nil {
+			return nil, err
+		}
+		sp.logf("pipeline synthesized %d NL-SQL pairs", pairs)
+	case sp.NeedsCorpus():
 		ps, err := Pairs(ctx, s, sp.ParamsOrDefault(), sp.Seed)
 		if err != nil {
 			return nil, err
@@ -321,13 +375,13 @@ func Build(ctx context.Context, sp Spec) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.LoadPath != "" && sp.Model != "nn" && sp.Factory == nil {
+	if loaded {
 		sp.logf("loaded %s model from %s", sp.Model, sp.LoadPath)
-	} else {
-		sp.logf("bootstrapping DBPal for schema %q (%s model)...", s.Name, sp.Model)
-		if err := Train(ctx, m, exs, sp.Train); err != nil {
-			return nil, err
-		}
+		return assemble(sp, s, db, m, nn, pairs), nil
+	}
+	sp.logf("bootstrapping DBPal for schema %q (%s model)...", s.Name, sp.Model)
+	if err := Train(ctx, m, exs, sp.Train); err != nil {
+		return nil, err
 	}
 	return Assemble(sp, s, db, m, exs, pairs), nil
 }

@@ -68,37 +68,53 @@ func SchemaTokens(s *schema.Schema) []string {
 }
 
 // PairExamples converts pipeline pairs for one schema into model
-// examples. Pairs whose SQL fails to parse are skipped (the pipeline
-// validates SQL, so this is defensive). Each distinct SQL string is
-// parsed, tokenized and normalized once, and every example with that
-// SQL shares the one token slice, as all of them share the schema
-// tokens: Example.SQL, like Example.Schema, is read-only.
+// examples, through one PairConverter. Pairs whose SQL fails to parse
+// are skipped (the pipeline validates SQL, so this is defensive).
 func PairExamples(pairs []core.Pair, s *schema.Schema) []Example {
-	st := SchemaTokens(s)
-	type parsed struct {
-		toks []string
-		ok   bool
-	}
-	bySQL := map[string]parsed{}
+	c := NewPairConverter(s)
 	out := make([]Example, 0, len(pairs))
 	for _, p := range pairs {
-		sql, seen := bySQL[p.SQL]
-		if !seen {
-			if q, err := sqlast.Parse(p.SQL); err == nil {
-				sql = parsed{NormalizeSQLTokens(q.Tokens()), true}
-			}
-			bySQL[p.SQL] = sql
+		if ex, ok := c.Convert(p); ok {
+			out = append(out, ex)
 		}
-		if !sql.ok {
-			continue
-		}
-		out = append(out, Example{
-			NL:     tokens.Tokenize(p.NL),
-			SQL:    sql.toks,
-			Schema: st,
-		})
 	}
 	return out
+}
+
+// PairConverter converts pipeline pairs for one schema into model
+// examples one at a time, so a corpus can be converted as it streams.
+// Each distinct SQL string is parsed, tokenized and normalized once,
+// and every example with that SQL shares the one token slice, as all of
+// them share the schema tokens: Example.SQL, like Example.Schema, is
+// read-only.
+type PairConverter struct {
+	schema []string
+	bySQL  map[string]parsedSQL
+}
+
+type parsedSQL struct {
+	toks []string
+	ok   bool
+}
+
+// NewPairConverter returns a converter for pairs over s.
+func NewPairConverter(s *schema.Schema) *PairConverter {
+	return &PairConverter{schema: SchemaTokens(s), bySQL: map[string]parsedSQL{}}
+}
+
+// Convert returns p's example, or false when p's SQL does not parse.
+func (c *PairConverter) Convert(p core.Pair) (Example, bool) {
+	sql, seen := c.bySQL[p.SQL]
+	if !seen {
+		if q, err := sqlast.Parse(p.SQL); err == nil {
+			sql = parsedSQL{NormalizeSQLTokens(q.Tokens()), true}
+		}
+		c.bySQL[p.SQL] = sql
+	}
+	if !sql.ok {
+		return Example{}, false
+	}
+	return Example{NL: tokens.Tokenize(p.NL), SQL: sql.toks, Schema: c.schema}, true
 }
 
 // NormalizeSQLTokens lower-cases identifiers, keeping keywords
