@@ -227,7 +227,7 @@ func TestLoadedSketchRetrains(t *testing.T) {
 	loaded.Train(exs)
 	fresh := NewSketch(cfg)
 	fresh.Train(exs)
-	if got, want := savedHash(t, loaded.SaveFull, &savedSketch{}), savedHash(t, fresh.SaveFull, &savedSketch{}); got != want {
+	if got, want := savedHash(t, loaded.SaveFull, &savedSketch{}, cfg), savedHash(t, fresh.SaveFull, &savedSketch{}, cfg); got != want {
 		t.Fatalf("retrained loaded model hashes %s, fresh model %s", got, want)
 	}
 }

@@ -17,22 +17,23 @@ import (
 	"repro/internal/patients"
 )
 
-// weightsGolden pins the SHA-256 of what SaveFull writes (config +
-// vocabulary + sketch inventory + every weight bit) after two epochs
-// over a capped slice of the Patients corpus, per model and batch size. The hashes were captured before
-// the training kernels were last rewritten; any change to the per-
-// element arithmetic of forward, backward, clipping or the optimizer
-// moves them. Worker count must not: each hash is checked at 1 and 4
-// workers, with the saved config's Workers field (the one thing that
-// differs) cleared before hashing. The hash is taken over the decoded
-// content, not the gob bytes: gob numbers its wire types per process,
-// in first-use order, so the same model encodes to different bytes
-// depending on what else the test binary encoded first.
+// weightsGolden pins the SHA-256 of what SaveFull writes after two
+// epochs over a capped slice of the Patients corpus, per model and
+// batch size: the vocabulary, the sketch inventory and every weight's
+// name, shape and bits. The config is not hashed; savedHash checks the
+// decoded one against the trained one field by field instead, so
+// adding or removing a config field leaves the hashes where they are.
+// Any change to the per-element arithmetic of forward, backward,
+// clipping or the optimizer moves them. Worker count must not: each
+// hash is checked at 1 and 4 workers. The hash is taken over the
+// decoded content, not the gob bytes: gob numbers its wire types per
+// process, in first-use order, so the same model encodes to different
+// bytes depending on what else the test binary encoded first.
 var weightsGolden = map[string]string{
-	"sketch/batch1":  "9431644953b5c92cdde350207227e56d64b9f35c97070f809a7e9e814bdf998a",
-	"sketch/batch4":  "265a16a2d2013ec62191754148378278eaf02e35b51bfd1eb05444f272d50675",
-	"seq2seq/batch1": "d3ff224eeb90bf917022c7cf06934fc020688c15b28f9ac1313f7dc480c5ade4",
-	"seq2seq/batch4": "28e48dda5c19dddea5b41640be553e1a2122ca09f9eeb2ed35df21f40d754a2e",
+	"sketch/batch1":  "352eaf1472cac8419b46b94bf4d9793447b544535c6658020c8ff26cb0f16c8d",
+	"sketch/batch4":  "08e7b98ee2a41b1c85303fa19d7bed643d6a9cb549951f27c62f2e48d178d4ac",
+	"seq2seq/batch1": "c648133bdc3d9821311d6c59d26d2d0a3c29431c207ea27d423b7e4a8f19cfb8",
+	"seq2seq/batch4": "9926d6e62884aaed53a2d52f248a82620cb9ce394e07f90e16f8453a30334eb6",
 }
 
 var patientsExamples = sync.OnceValue(func() []Example {
@@ -41,8 +42,9 @@ var patientsExamples = sync.OnceValue(func() []Example {
 })
 
 // savedHash decodes what save writes into out (a *savedSketch or
-// *savedSeq2Seq) and hashes the content canonically, Workers cleared.
-func savedHash(t *testing.T, save func(io.Writer) error, out any) string {
+// *savedSeq2Seq), checks that the decoded config equals cfg, the one
+// the model was trained with, and hashes the rest canonically.
+func savedHash(t *testing.T, save func(io.Writer) error, out, cfg any) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := save(&buf); err != nil {
@@ -52,21 +54,22 @@ func savedHash(t *testing.T, save func(io.Writer) error, out any) string {
 		t.Fatal(err)
 	}
 	var (
-		cfg      any
+		saved    any
 		vocab    []string
 		sketches []savedSketchEntry
 		mats     []savedParam
 	)
 	switch s := out.(type) {
 	case *savedSketch:
-		s.Config.Workers = 0
-		cfg, vocab, sketches, mats = s.Config, s.Vocab, s.Sketches, s.Mats
+		saved, vocab, sketches, mats = s.Config, s.Vocab, s.Sketches, s.Mats
 	case *savedSeq2Seq:
-		s.Config.Workers = 0
-		cfg, vocab, mats = s.Config, s.Vocab, s.Mats
+		saved, vocab, mats = s.Config, s.Vocab, s.Mats
+	}
+	if saved != cfg {
+		t.Errorf("saved config %+v, trained with %+v", saved, cfg)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%+v\n%q\n%+v\n", cfg, vocab, sketches)
+	fmt.Fprintf(h, "%q\n%+v\n", vocab, sketches)
 	var b [8]byte
 	for _, m := range mats {
 		fmt.Fprintf(h, "%s %d %d\n", m.Name, m.R, m.C)
@@ -111,9 +114,10 @@ func TestTrainedWeightsGolden(t *testing.T) {
 						model string
 						save  func(io.Writer) error
 						out   any
-					}{{"sketch", sk.SaveFull, &savedSketch{}}, {"seq2seq", sq.SaveFull, &savedSeq2Seq{}}} {
+						cfg   any
+					}{{"sketch", sk.SaveFull, &savedSketch{}, sk.cfg}, {"seq2seq", sq.SaveFull, &savedSeq2Seq{}, sq.cfg}} {
 						key := fmt.Sprintf("%s/batch%d", c.model, batch)
-						if got := savedHash(t, c.save, c.out); got != weightsGolden[key] {
+						if got := savedHash(t, c.save, c.out, c.cfg); got != weightsGolden[key] {
 							t.Errorf("%s at %d workers: SaveFull sha256 = %s, want %s", key, workers, got, weightsGolden[key])
 						}
 					}
