@@ -13,8 +13,8 @@
 //
 // Flags -quick (reduced scale), -model sketch|seq2seq, and -seed
 // control the run; -workers bounds every worker pool (0 = all cores,
-// 1 = fully sequential — results are identical either way) and -batch
-// sets the training minibatch size (1 = classic per-example SGD).
+// 1 = fully sequential — results are identical either way). Models
+// train one example per optimizer step, the paper's regime.
 // Results are printed in the same row/series layout the paper reports;
 // see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 package main
@@ -44,7 +44,6 @@ func main() {
 		seed      = flag.Int64("seed", 7, "experiment seed")
 		trials    = flag.Int("trials", 0, "override hyperopt trial count (figure 4)")
 		workers   = flag.Int("workers", 0, "worker-pool bound for every parallel stage (0 = all cores)")
-		batch     = flag.Int("batch", 1, "training minibatch size (1 = per-example SGD, the paper trajectory)")
 		speedup   = flag.Bool("speedup", false, "measure parallel speedup: quick Spider experiment at workers=1 vs -workers")
 	)
 	flag.Parse()
@@ -56,8 +55,6 @@ func main() {
 	scale.ModelKind = *model
 	scale.Seed = *seed
 	scale.Workers = *workers
-	scale.Sketch.BatchSize = *batch
-	scale.Seq2Seq.BatchSize = *batch
 	if *trials > 0 {
 		scale.HyperoptTrials = *trials
 	}
@@ -124,8 +121,6 @@ func main() {
 			sc := experiments.QuickScale()
 			sc.ModelKind = *model
 			sc.Seed = *seed
-			sc.Sketch.BatchSize = *batch
-			sc.Seq2Seq.BatchSize = *batch
 
 			sc.Workers = 1
 			t1 := time.Now() //lint:allow determinism wall-clock timing is what -speedup measures

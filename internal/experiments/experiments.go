@@ -77,9 +77,9 @@ type Scale struct {
 	// a reduced corpus — the time-boxed regime of the paper's §6.3.3).
 	HyperoptTrialCap int
 	// Workers bounds every worker pool (config training fan-out,
-	// evaluation, hyperopt trials, minibatch backprop); 0 =
-	// runtime.NumCPU, 1 = fully sequential. Results are identical for
-	// every value — the knob trades wall-clock for cores only.
+	// evaluation, hyperopt trials); 0 = runtime.NumCPU, 1 = fully
+	// sequential. Results are identical for every value — the knob
+	// trades wall-clock for cores only.
 	Workers int
 	Seed    int64
 }
@@ -121,19 +121,16 @@ func QuickScale() Scale {
 	return s
 }
 
-// newModel builds a fresh translator per the scale, threading the
-// scale's worker bound into the model's minibatch backprop pool.
+// newModel builds a fresh translator per the scale, seeded with seed.
 func (s Scale) newModel(seed int64) models.Translator {
 	switch s.ModelKind {
 	case "seq2seq":
 		cfg := s.Seq2Seq
 		cfg.Seed = seed
-		cfg.Workers = s.Workers
 		return models.NewSeq2Seq(cfg)
 	default:
 		cfg := s.Sketch
 		cfg.Seed = seed
-		cfg.Workers = s.Workers
 		return models.NewSketch(cfg)
 	}
 }

@@ -134,7 +134,7 @@ func tinyExamples() []models.Example {
 func TestKillAndResumeSeq2SeqByteIdentical(t *testing.T) {
 	cfg := models.Seq2SeqConfig{
 		EmbDim: 6, HidDim: 8, LR: 0.01, Epochs: 4, MaxOutLen: 8,
-		GradClip: 5, MinCount: 1, BatchSize: 1, Seed: 3,
+		GradClip: 5, MinCount: 1, Seed: 3,
 	}
 	exs := tinyExamples()
 
@@ -146,7 +146,7 @@ func TestKillAndResumeSeq2SeqByteIdentical(t *testing.T) {
 	}
 
 	// Kill at the first periodic checkpoint: 5 steps into epoch 0 (8
-	// steps per epoch at batch size 1), i.e. mid-epoch.
+	// steps per epoch, one per example), i.e. mid-epoch.
 	ckPath := filepath.Join(t.TempDir(), "train.ck")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -187,12 +187,12 @@ func TestKillAndResumeSeq2SeqByteIdentical(t *testing.T) {
 	}
 }
 
-// Tier 2, batched path: the sketch model with minibatch lanes and a
-// parallel batch pool resumes bit-identically too.
-func TestKillAndResumeSketchBatchedByteIdentical(t *testing.T) {
+// Tier 2, sketch model: killed at a mid-epoch checkpoint, it resumes
+// from that checkpoint bit-identically too.
+func TestKillAndResumeSketchByteIdentical(t *testing.T) {
 	cfg := models.SketchConfig{
 		EmbDim: 6, HidDim: 8, LR: 0.01, Epochs: 4, MaxSlots: 6,
-		GradClip: 5, MinCount: 1, BatchSize: 2, Workers: 3, Seed: 5,
+		GradClip: 5, MinCount: 1, Seed: 5,
 	}
 	exs := tinyExamples()
 
@@ -208,7 +208,7 @@ func TestKillAndResumeSketchBatchedByteIdentical(t *testing.T) {
 	var last *models.Checkpoint
 	interrupted := models.NewSketch(cfg)
 	err := interrupted.TrainContext(ctx, exs, models.TrainOptions{
-		CheckpointEvery: 3, // 4 steps per epoch at batch size 2: lands mid-epoch
+		CheckpointEvery: 3, // 8 steps per epoch: lands mid-epoch
 		OnCheckpoint: func(c *models.Checkpoint) {
 			if last == nil {
 				cancel()
@@ -222,6 +222,9 @@ func TestKillAndResumeSketchBatchedByteIdentical(t *testing.T) {
 	if last == nil {
 		t.Fatal("no checkpoint observed")
 	}
+	if last.Kind != "sketch" || last.Epoch != 0 || last.Step != 3 {
+		t.Fatalf("checkpoint position = %q epoch %d step %d, want sketch 0/3", last.Kind, last.Epoch, last.Step)
+	}
 
 	resumed := models.NewSketch(cfg)
 	if err := resumed.TrainContext(context.Background(), exs, models.TrainOptions{Resume: last}); err != nil {
@@ -232,7 +235,7 @@ func TestKillAndResumeSketchBatchedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("resumed batched model differs from uninterrupted model")
+		t.Fatal("resumed model differs from uninterrupted model")
 	}
 }
 

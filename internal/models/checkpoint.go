@@ -14,7 +14,7 @@ import (
 // TrainOptions configures fault tolerance for TrainContext. The zero
 // value trains exactly like Train: no checkpoints, no resume.
 type TrainOptions struct {
-	// CheckpointEvery is the number of optimizer steps between
+	// CheckpointEvery is the number of examples (optimizer steps) between
 	// periodic checkpoints (0 disables the periodic cadence; a final
 	// checkpoint is still written on cancellation when CheckpointPath
 	// or OnCheckpoint is set).
@@ -43,7 +43,7 @@ type TrainOptions struct {
 type Checkpoint struct {
 	Kind  string // Translator.Name() of the model that wrote it
 	Epoch int    // epoch the snapshot was taken in
-	Step  int    // optimizer steps completed within that epoch
+	Step  int    // examples trained within that epoch
 	Model []byte // the model's SaveFull encoding
 	Adam  neural.AdamState
 }

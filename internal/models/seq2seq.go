@@ -25,17 +25,7 @@ type Seq2SeqConfig struct {
 	MaxOutLen int     // decoding length cap
 	GradClip  float64 // global gradient-norm clip
 	MinCount  int     // vocabulary min token count
-	// BatchSize selects the optimizer-step granularity: examples per
-	// minibatch whose gradients are accumulated before one Adam step.
-	// 0 or 1 reproduces the original per-example SGD trajectory
-	// bit-for-bit; larger batches change the trajectory (fewer, larger
-	// steps) but are independent of Workers.
-	BatchSize int
-	// Workers bounds the goroutines that backprop a minibatch in
-	// parallel (0 = runtime.NumCPU). Results are identical for every
-	// worker count; see trainBatches.
-	Workers int
-	Seed    int64
+	Seed      int64
 }
 
 // DefaultSeq2SeqConfig returns the standard small configuration.
@@ -49,7 +39,6 @@ func DefaultSeq2SeqConfig() Seq2SeqConfig {
 		MaxOutLen: 48,
 		GradClip:  5,
 		MinCount:  1,
-		BatchSize: 1,
 		Seed:      1,
 	}
 }
@@ -113,12 +102,8 @@ func (m *Seq2Seq) build(vocabSize int) {
 	m.wg = neural.NewLinear(m.ps, "wg", m.cfg.HidDim, 1, m.rng)
 }
 
-// Train implements Translator: teacher-forced training with minibatch
-// gradient accumulation. BatchSize 1 (the default) takes one Adam step
-// per example, exactly the original sequential SGD trajectory; larger
-// batches accumulate per-example gradients — computed concurrently by
-// up to Workers goroutines into shadow gradient lanes — before each
-// step. Results are bit-identical for every worker count.
+// Train implements Translator: teacher-forced training, one Adam step
+// per example.
 func (m *Seq2Seq) Train(examples []Example) {
 	// Background is never done and no checkpointing is configured, so
 	// the error is always nil.
@@ -126,12 +111,11 @@ func (m *Seq2Seq) Train(examples []Example) {
 }
 
 // TrainContext is Train with cooperative cancellation and optional
-// checkpoint/resume. Cancellation is observed between optimizer steps
-// (and between the per-example backprops of a batch); when a
-// checkpoint destination is configured, a final snapshot is written
-// before the context's error is returned, so an interrupted run never
-// loses completed steps. Resuming from a checkpoint written over the
-// same examples and configuration continues the exact weight
+// checkpoint/resume. Cancellation is observed between optimizer steps;
+// when a checkpoint destination is configured, a final snapshot is
+// written before the context's error is returned, so an interrupted run
+// never loses completed steps. Resuming from a checkpoint written over
+// the same examples and configuration continues the exact weight
 // trajectory of the uninterrupted run (see trainSchedule).
 func (m *Seq2Seq) TrainContext(ctx context.Context, examples []Example, opts TrainOptions) error {
 	if len(examples) == 0 {
@@ -150,24 +134,11 @@ func (m *Seq2Seq) TrainContext(ctx context.Context, examples []Example, opts Tra
 	sched := &trainSchedule{
 		epochs:    m.cfg.Epochs,
 		sampleCap: m.cfg.SampleCap,
-		batchSize: m.cfg.BatchSize,
-		workers:   m.cfg.Workers,
 		gradClip:  m.cfg.GradClip,
 		rng:       m.rng,
 		main:      m.ps,
 		opt:       opt,
-	}
-	bs := batchSizeOf(m.cfg.BatchSize)
-	if bs > 1 {
-		lanes := make([]*Seq2Seq, bs)
-		sched.lanes = make([]*neural.ParamSet, bs)
-		for i := range lanes {
-			lanes[i] = m.workerClone()
-			sched.lanes[i] = lanes[i].ps
-		}
-		sched.accum = func(lane, exIdx int) { lanes[lane].backprop(examples[exIdx]) }
-	} else {
-		sched.accum = func(_, exIdx int) { m.backprop(examples[exIdx]) }
+		accum:     func(exIdx int) { m.backprop(examples[exIdx]) },
 	}
 
 	if r := opts.Resume; r != nil {
@@ -202,27 +173,11 @@ func (m *Seq2Seq) restoreCheckpoint(ck *Checkpoint) error {
 	return restoreParams(m.ps.Mats(), m.ps.Names(), in.Mats)
 }
 
-// workerClone returns a model that shares this model's weights and
-// vocabulary but backprops into its own shadow gradient buffers — the
-// per-lane worker of the minibatch loop. The clone's modules are
-// registered in the same order as build, keeping its ParamSet
-// merge-compatible with the original.
-func (m *Seq2Seq) workerClone() *Seq2Seq {
-	c := &Seq2Seq{cfg: m.cfg, vocab: m.vocab, ps: &neural.ParamSet{}}
-	c.emb = m.emb.Shadow(c.ps, "emb")
-	c.enc = m.enc.Shadow(c.ps, "enc")
-	c.dec = m.dec.Shadow(c.ps, "dec")
-	c.wc = m.wc.Shadow(c.ps, "wc")
-	c.wo = m.wo.Shadow(c.ps, "wo")
-	c.wg = m.wg.Shadow(c.ps, "wg")
-	return c
-}
-
-// s2sWork is a model's (or a worker clone's) training scratch, which
-// every example reuses: the encoder's and the decoder's GRU
-// workspaces, the input and its ids, the teacher-forced rollout's
-// per-step records, grown to the longest target, and the backward
-// pass's buffers. Nothing in it outlives an example.
+// s2sWork is a model's training scratch, which every example reuses:
+// the encoder's and the decoder's GRU workspaces, the input and its
+// ids, the teacher-forced rollout's per-step records, grown to the
+// longest target, and the backward pass's buffers. Nothing in it
+// outlives an example.
 type s2sWork struct {
 	enc, dec *neural.GRUWork
 	input    []string

@@ -26,12 +26,6 @@ type SketchConfig struct {
 	MaxSlots  int // slot positions with dedicated scorers
 	GradClip  float64
 	MinCount  int
-	// BatchSize and Workers mirror Seq2SeqConfig: examples per
-	// accumulated minibatch (0/1 = the original per-example SGD,
-	// bit-for-bit) and the worker-pool bound for the batch backprop
-	// (0 = runtime.NumCPU; never affects results).
-	BatchSize int
-	Workers   int
 	Seed      int64
 }
 
@@ -46,7 +40,6 @@ func DefaultSketchConfig() SketchConfig {
 		MaxSlots:  10,
 		GradClip:  5,
 		MinCount:  1,
-		BatchSize: 1,
 		Seed:      1,
 	}
 }
@@ -159,7 +152,7 @@ type Sketch struct {
 	slotW    []*neural.Mat  // per-slot bilinear (EmbDim x HidDim)
 	slotF    *neural.Mat    // per-slot feature weights (MaxSlots x numSlotFeatures)
 	rng      *rand.Rand
-	sets     *schemaSets // shared with worker clones
+	sets     *schemaSets // memoized per schema, shared by concurrent decodes
 	// plan is the encoder's decode plan, derived from emb and enc. Only
 	// TrainContext and LoadSketch write weights; TrainContext drops the
 	// plan when it starts and both build it once the weights are final,
@@ -361,24 +354,11 @@ func (m *Sketch) TrainContext(ctx context.Context, examples []Example, opts Trai
 	sched := &trainSchedule{
 		epochs:    m.cfg.Epochs,
 		sampleCap: m.cfg.SampleCap,
-		batchSize: m.cfg.BatchSize,
-		workers:   m.cfg.Workers,
 		gradClip:  m.cfg.GradClip,
 		rng:       m.rng,
 		main:      m.ps,
 		opt:       opt,
-	}
-	bs := batchSizeOf(m.cfg.BatchSize)
-	if bs > 1 {
-		lanes := make([]*Sketch, bs)
-		sched.lanes = make([]*neural.ParamSet, bs)
-		for i := range lanes {
-			lanes[i] = m.workerClone()
-			sched.lanes[i] = lanes[i].ps
-		}
-		sched.accum = func(lane, exIdx int) { lanes[lane].step(examples[exIdx], inv[exIdx]) }
-	} else {
-		sched.accum = func(_, exIdx int) { m.step(examples[exIdx], inv[exIdx]) }
+		accum:     func(exIdx int) { m.step(examples[exIdx], inv[exIdx]) },
 	}
 
 	if r := opts.Resume; r != nil {
@@ -460,30 +440,6 @@ func (m *Sketch) restoreCheckpoint(ck *Checkpoint) error {
 	return restoreParams(m.ps.Mats(), m.ps.Names(), in.Mats)
 }
 
-// workerClone returns a model sharing this model's weights, vocabulary
-// and sketch inventory, with private shadow gradient buffers — one
-// lane of the minibatch loop. Module registration order matches
-// buildParams so the clone's ParamSet merges back cleanly.
-func (m *Sketch) workerClone() *Sketch {
-	c := &Sketch{
-		cfg:      m.cfg,
-		vocab:    m.vocab,
-		sketches: m.sketches,
-		byKey:    m.byKey,
-		ps:       &neural.ParamSet{},
-		sets:     m.sets,
-	}
-	c.emb = m.emb.Shadow(c.ps, "emb")
-	c.enc = m.enc.Shadow(c.ps, "enc")
-	c.clsW = m.clsW.Shadow(c.ps, "cls")
-	c.slotW = make([]*neural.Mat, len(m.slotW))
-	for k := range m.slotW {
-		c.slotW[k] = c.ps.Register(fmt.Sprintf("slotW%02d", k), m.slotW[k].Shadow())
-	}
-	c.slotF = c.ps.Register("slotF", m.slotF.Shadow())
-	return c
-}
-
 // buildParams allocates the model parameters for the current
 // vocabulary and sketch inventory.
 func (m *Sketch) buildParams() {
@@ -506,10 +462,9 @@ func (m *Sketch) buildParams() {
 // buildPlan derives the decode plan from the current weights.
 func (m *Sketch) buildPlan() { m.plan = neural.NewGRUPlan(m.enc, m.emb) }
 
-// sketchWork is a model's (or a worker clone's) training scratch, which
-// every step reuses: the encoder's GRU workspace and token ids, and the
-// classifier, slot-scoring and linking buffers. Nothing in it outlives
-// a step.
+// sketchWork is a model's training scratch, which every step reuses:
+// the encoder's GRU workspace and token ids, and the classifier,
+// slot-scoring and linking buffers. Nothing in it outlives a step.
 type sketchWork struct {
 	enc               *neural.GRUWork
 	ids               []int

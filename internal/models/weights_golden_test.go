@@ -18,22 +18,19 @@ import (
 )
 
 // weightsGolden pins the SHA-256 of what SaveFull writes after two
-// epochs over a capped slice of the Patients corpus, per model and
-// batch size: the vocabulary, the sketch inventory and every weight's
-// name, shape and bits. The config is not hashed; savedHash checks the
-// decoded one against the trained one field by field instead, so
-// adding or removing a config field leaves the hashes where they are.
-// Any change to the per-element arithmetic of forward, backward,
-// clipping or the optimizer moves them. Worker count must not: each
-// hash is checked at 1 and 4 workers. The hash is taken over the
-// decoded content, not the gob bytes: gob numbers its wire types per
-// process, in first-use order, so the same model encodes to different
-// bytes depending on what else the test binary encoded first.
+// epochs over a capped slice of the Patients corpus, per model: the
+// vocabulary, the sketch inventory and every weight's name, shape and
+// bits. The config is not hashed; savedHash checks the decoded one
+// against the trained one field by field instead, so adding or removing
+// a config field leaves the hashes where they are. Any change to the
+// per-element arithmetic of forward, backward, clipping or the
+// optimizer moves them. The hash is taken over the decoded content, not
+// the gob bytes: gob numbers its wire types per process, in first-use
+// order, so the same model encodes to different bytes depending on what
+// else the test binary encoded first.
 var weightsGolden = map[string]string{
-	"sketch/batch1":  "352eaf1472cac8419b46b94bf4d9793447b544535c6658020c8ff26cb0f16c8d",
-	"sketch/batch4":  "08e7b98ee2a41b1c85303fa19d7bed643d6a9cb549951f27c62f2e48d178d4ac",
-	"seq2seq/batch1": "c648133bdc3d9821311d6c59d26d2d0a3c29431c207ea27d423b7e4a8f19cfb8",
-	"seq2seq/batch4": "9926d6e62884aaed53a2d52f248a82620cb9ce394e07f90e16f8453a30334eb6",
+	"sketch":  "352eaf1472cac8419b46b94bf4d9793447b544535c6658020c8ff26cb0f16c8d",
+	"seq2seq": "c648133bdc3d9821311d6c59d26d2d0a3c29431c207ea27d423b7e4a8f19cfb8",
 }
 
 var patientsExamples = sync.OnceValue(func() []Example {
@@ -96,31 +93,24 @@ func TestTrainedWeightsGolden(t *testing.T) {
 			}
 			defer restore()
 			exs := patientsExamples()
-			for _, batch := range []int{1, 4} {
-				for _, workers := range []int{1, 4} {
-					scfg := DefaultSketchConfig()
-					scfg.Epochs, scfg.SampleCap = 2, 48
-					scfg.BatchSize, scfg.Workers = batch, workers
-					sk := NewSketch(scfg)
-					sk.Train(exs)
+			scfg := DefaultSketchConfig()
+			scfg.Epochs, scfg.SampleCap = 2, 48
+			sk := NewSketch(scfg)
+			sk.Train(exs)
 
-					qcfg := DefaultSeq2SeqConfig()
-					qcfg.Epochs, qcfg.SampleCap = 2, 24
-					qcfg.BatchSize, qcfg.Workers = batch, workers
-					sq := NewSeq2Seq(qcfg)
-					sq.Train(exs)
+			qcfg := DefaultSeq2SeqConfig()
+			qcfg.Epochs, qcfg.SampleCap = 2, 24
+			sq := NewSeq2Seq(qcfg)
+			sq.Train(exs)
 
-					for _, c := range []struct {
-						model string
-						save  func(io.Writer) error
-						out   any
-						cfg   any
-					}{{"sketch", sk.SaveFull, &savedSketch{}, sk.cfg}, {"seq2seq", sq.SaveFull, &savedSeq2Seq{}, sq.cfg}} {
-						key := fmt.Sprintf("%s/batch%d", c.model, batch)
-						if got := savedHash(t, c.save, c.out, c.cfg); got != weightsGolden[key] {
-							t.Errorf("%s at %d workers: SaveFull sha256 = %s, want %s", key, workers, got, weightsGolden[key])
-						}
-					}
+			for _, c := range []struct {
+				model string
+				save  func(io.Writer) error
+				out   any
+				cfg   any
+			}{{"sketch", sk.SaveFull, &savedSketch{}, sk.cfg}, {"seq2seq", sq.SaveFull, &savedSeq2Seq{}, sq.cfg}} {
+				if got := savedHash(t, c.save, c.out, c.cfg); got != weightsGolden[c.model] {
+					t.Errorf("%s: SaveFull sha256 = %s, want %s", c.model, got, weightsGolden[c.model])
 				}
 			}
 		})

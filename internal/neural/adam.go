@@ -34,24 +34,6 @@ func (p *ParamSet) ZeroGrad() {
 	}
 }
 
-// MergeGradsFrom adds other's gradients into p's (matrix by matrix, in
-// registration order) and zeroes other's gradient buffers so the
-// shadow set can be reused for the next batch. Clean shadow matrices
-// (ones the batch's examples never touched) cost nothing. The two sets
-// must have been registered in the same order with the same shapes
-// (AddGrad panics otherwise). Because callers invoke this
-// sequentially in lane order, the floating-point merge order is fixed
-// regardless of how many workers produced the shadows.
-func (p *ParamSet) MergeGradsFrom(other *ParamSet) {
-	if len(other.mats) != len(p.mats) {
-		panic(fmt.Sprintf("neural: MergeGradsFrom set size mismatch: %d vs %d", len(p.mats), len(other.mats)))
-	}
-	for i, m := range p.mats {
-		m.AddGrad(other.mats[i])
-		other.mats[i].ZeroGrad()
-	}
-}
-
 // GradNorm returns the global L2 norm of all gradients. Clean
 // matrices are skipped: their squares would add exactly zero.
 func (p *ParamSet) GradNorm() float64 {
@@ -164,7 +146,7 @@ func (a *Adam) Restore(st AdamState) error {
 }
 
 // adamConsts are one step's constants, in the layout adamAVX2 reads.
-// scale is broadcast to four lanes so the kernel can take it as a
+// scale is repeated four times so the kernel can take it as a 256-bit
 // memory operand; unbias is 0 once b1c has rounded to 1.
 type adamConsts struct {
 	b1, c1, b2, c2, b1c, b2c, lr, eps float64

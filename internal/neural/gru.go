@@ -31,26 +31,6 @@ func NewGRU(ps *ParamSet, prefix string, in, hid int, rng *rand.Rand) *GRU {
 	}
 }
 
-// Shadow returns a GRU over shadow matrices (shared weights, private
-// gradients) registered on ps under the same prefix and in the same
-// order as NewGRU, so a shadow ParamSet stays merge-compatible with
-// the original (see ParamSet.MergeGradsFrom).
-func (g *GRU) Shadow(ps *ParamSet, prefix string) *GRU {
-	reg := func(n string, m *Mat) *Mat { return ps.Register(prefix+"."+n, m.Shadow()) }
-	return &GRU{
-		In: g.In, Hid: g.Hid,
-		Wz: reg("Wz", g.Wz),
-		Uz: reg("Uz", g.Uz),
-		Bz: reg("Bz", g.Bz),
-		Wr: reg("Wr", g.Wr),
-		Ur: reg("Ur", g.Ur),
-		Br: reg("Br", g.Br),
-		Wh: reg("Wh", g.Wh),
-		Uh: reg("Uh", g.Uh),
-		Bh: reg("Bh", g.Bh),
-	}
-}
-
 // GRUWork is a caller-owned workspace for one GRU's training pass over
 // a sequence: every timestep's cache (inputs, gates, candidate, r⊙h
 // and new state), grown to the longest sequence seen, the backward
@@ -201,12 +181,6 @@ func NewEmbedding(ps *ParamSet, name string, vocab, dim int, rng *rand.Rand) *Em
 	return &Embedding{Dim: dim, E: ps.Register(name, NewMatRand(vocab, dim, rng))}
 }
 
-// Shadow returns an Embedding over a shadow matrix (shared weights,
-// private gradients) registered on ps under name.
-func (e *Embedding) Shadow(ps *ParamSet, name string) *Embedding {
-	return &Embedding{Dim: e.Dim, E: ps.Register(name, e.E.Shadow())}
-}
-
 // Lookup returns the embedding row for a token id (clamped to the
 // table; callers map OOV to a dedicated id).
 func (e *Embedding) Lookup(id int) []float64 {
@@ -240,17 +214,6 @@ func NewLinear(ps *ParamSet, prefix string, in, out int, rng *rand.Rand) *Linear
 		In: in, Out: out,
 		W: ps.Register(prefix+".W", NewMatRand(out, in, rng)),
 		B: ps.Register(prefix+".B", NewMat(out, 1)),
-	}
-}
-
-// Shadow returns a Linear over shadow matrices (shared weights,
-// private gradients) registered on ps under the same prefix and in the
-// same order as NewLinear.
-func (l *Linear) Shadow(ps *ParamSet, prefix string) *Linear {
-	return &Linear{
-		In: l.In, Out: l.Out,
-		W: ps.Register(prefix+".W", l.W.Shadow()),
-		B: ps.Register(prefix+".B", l.B.Shadow()),
 	}
 }
 

@@ -26,13 +26,13 @@ import (
 //
 // Dirty tracking. A matrix is clean when its whole gradient buffer is
 // known to be zero. Every method that writes G (BackwardVec, GradRow,
-// AddGrad, Embedding.AccumGrad and the bias updates of GRU and Linear)
-// marks it dirty; ZeroGrad and Adam.Step, which zero G, mark it clean.
-// GradNorm, MergeGradsFrom, ZeroGrad and Adam.Step skip clean matrices
-// (Step also leaves their gradients unscaled), which is exact: a zero
-// gradient adds nothing to the norm and is unchanged by scaling. Outside this package G must therefore
-// be written only through those methods; a direct write to G of a
-// clean matrix would be silently dropped.
+// Embedding.AccumGrad and the bias updates of GRU and Linear) marks it
+// dirty; ZeroGrad and Adam.Step, which zero G, mark it clean. GradNorm,
+// ZeroGrad and Adam.Step skip clean matrices (Step also leaves their
+// gradients unscaled), which is exact: a zero gradient adds nothing to
+// the norm and is unchanged by scaling. Outside this package G must
+// therefore be written only through those methods; a direct write to G
+// of a clean matrix would be silently dropped.
 type Mat struct {
 	R, C  int
 	W     []float64
@@ -85,32 +85,6 @@ func (m *Mat) ZeroGrad() {
 	}
 	clear(m.G)
 	m.dirty = false
-}
-
-// Shadow returns a matrix that shares m's weight buffer but owns a
-// fresh zeroed gradient buffer. Shadow matrices are the unit of the
-// minibatch workers' shadow-gradient accumulation: during a batch the
-// shared weights are read-only, each worker backprops into its own G,
-// and the shadows are merged in deterministic order via AddGrad.
-func (m *Mat) Shadow() *Mat {
-	return &Mat{R: m.R, C: m.C, W: m.W, G: make([]float64, len(m.G)), dirty: true}
-}
-
-// AddGrad accumulates other's gradient buffer into m's (G += other.G);
-// a clean other adds nothing. It panics when the shapes disagree —
-// merging shadow gradients across mismatched parameter sets is a
-// programming error, not a recoverable condition.
-func (m *Mat) AddGrad(other *Mat) {
-	if other.R != m.R || other.C != m.C || len(other.G) != len(m.G) {
-		panic(fmt.Sprintf("neural: AddGrad shape mismatch: %v += %v", m, other))
-	}
-	if !other.dirty {
-		return
-	}
-	m.dirty = true
-	for i, g := range other.G {
-		m.G[i] += g
-	}
 }
 
 // String summarizes the matrix shape.

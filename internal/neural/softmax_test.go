@@ -7,70 +7,6 @@ import (
 	"testing"
 )
 
-func TestShadowSharesWeightsOwnsGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := NewMatRand(2, 3, rng)
-	s := m.Shadow()
-	s.G[0] = 7
-	if m.G[0] != 0 {
-		t.Fatal("shadow gradient leaked into the original")
-	}
-	m.W[0] = 42
-	if s.W[0] != 42 {
-		t.Fatal("shadow must share the weight buffer")
-	}
-}
-
-func TestAddGrad(t *testing.T) {
-	a := NewMat(2, 2)
-	b := NewMat(2, 2)
-	for i := range b.G {
-		a.G[i] = 1
-		b.G[i] = float64(i)
-	}
-	a.AddGrad(b)
-	for i := range a.G {
-		if a.G[i] != 1+float64(i) {
-			t.Fatalf("AddGrad[%d] = %v", i, a.G[i])
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddGrad must panic on a shape mismatch")
-		}
-	}()
-	a.AddGrad(NewMat(2, 3))
-}
-
-func TestParamSetShadowAndMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ps := &ParamSet{}
-	ps.Register("a", NewMatRand(2, 2, rng))
-	ps.Register("b", NewMatRand(3, 1, rng))
-
-	sh := &ParamSet{}
-	for i, m := range ps.Mats() {
-		sh.Register(ps.Names()[i], m.Shadow())
-	}
-	for k, m := range sh.Mats() {
-		m.G[0] = float64(k) + 1
-	}
-	ps.MergeGradsFrom(sh)
-	for k, m := range ps.Mats() {
-		if m.G[0] != float64(k)+1 {
-			t.Fatalf("merge lost grads of mat %d", k)
-		}
-	}
-	for _, m := range sh.Mats() {
-		for _, g := range m.G {
-			if g != 0 {
-				t.Fatal("merge must zero the shadow grads for reuse")
-			}
-		}
-	}
-}
-
 // naiveSoftmax is the pre-optimization reference implementation.
 func naiveSoftmax(src, dst []float64) []float64 {
 	max := math.Inf(-1)

@@ -13,14 +13,13 @@
 //     ran which item, and the worker count only changes wall-clock
 //     time, never results.
 //   - SplitSeed(base, i) derives the i-th child seed from a base seed
-//     with a SplitMix64 mix, so each item (a training example, a
-//     hyperopt candidate) owns an RNG stream that depends only on its
-//     index — never on scheduling order or pool size.
+//     with a SplitMix64 mix, so each item (a hyperopt candidate, a
+//     fault-injection site) owns an RNG stream that depends only on
+//     its index — never on scheduling order or pool size.
 //
-// Floating-point reductions stay deterministic as long as the merge
-// happens in item order on the caller's side after Map returns (see
-// neural.ParamSet.MergeGradsFrom and the minibatch loop in
-// internal/models).
+// Reductions stay deterministic as long as they run in item order on
+// the caller's side after Map returns (see internal/eval, which
+// aggregates per-question result slots in question order).
 package par
 
 import (

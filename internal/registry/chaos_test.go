@@ -31,11 +31,12 @@ func tinyParams() *core.Params {
 
 // tinySketch is a sketch configuration small enough to train in
 // milliseconds while still taking several optimizer steps (so a
-// checkpoint can land mid-train).
+// checkpoint can land mid-train). SampleCap bounds an epoch at 72
+// steps, one example each, out of the 572 pairs of synth:42.
 func tinySketch() *models.SketchConfig {
 	return &models.SketchConfig{
-		EmbDim: 6, HidDim: 8, LR: 0.01, Epochs: 3, MaxSlots: 6,
-		GradClip: 5, MinCount: 1, BatchSize: 8, Workers: 2, Seed: 5,
+		EmbDim: 6, HidDim: 8, LR: 0.01, Epochs: 3, SampleCap: 72, MaxSlots: 6,
+		GradClip: 5, MinCount: 1, Seed: 5,
 	}
 }
 
@@ -226,10 +227,16 @@ func TestKilledOnboardingResumesBitIdentical(t *testing.T) {
 	// Round 1: kill at the first checkpoint.
 	kctx, kill := context.WithCancel(context.Background())
 	defer kill()
+	var killedAt *models.Checkpoint
 	killed := spec
 	killed.Train = models.TrainOptions{
 		CheckpointEvery: 2,
-		OnCheckpoint:    func(*models.Checkpoint) { kill() },
+		OnCheckpoint: func(c *models.Checkpoint) {
+			if killedAt == nil {
+				killedAt = c
+			}
+			kill()
+		},
 	}
 	ten, err := r.Onboard(kctx, killed)
 	if err != nil {
@@ -238,6 +245,12 @@ func TestKilledOnboardingResumesBitIdentical(t *testing.T) {
 	st := waitForState(t, ten, registry.StateFailed)
 	if st.Error == "" {
 		t.Fatal("killed onboarding reported no error")
+	}
+	if killedAt == nil {
+		t.Fatal("killed onboarding took no checkpoint")
+	}
+	if killedAt.Epoch != 0 || killedAt.Step != 2 {
+		t.Fatalf("first checkpoint at epoch %d step %d, want 0/2 (mid-train)", killedAt.Epoch, killedAt.Step)
 	}
 	if cur := ten.Current(); cur != nil {
 		t.Fatalf("killed onboarding installed version %d", cur.Seq)
