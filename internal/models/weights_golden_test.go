@@ -1,10 +1,8 @@
 package models
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -43,13 +41,7 @@ var patientsExamples = sync.OnceValue(func() []Example {
 // the model was trained with, and hashes the rest canonically.
 func savedHash(t *testing.T, save func(io.Writer) error, out, cfg any) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatal(err)
-	}
+	roundTrip(t, save, out)
 	var (
 		saved    any
 		vocab    []string
