@@ -17,7 +17,7 @@
 // POST /schemas — generate→train→eval→swap in the background, with
 // progress at GET /schemas/{name} — gated by -min-accuracy and
 // restartable from -checkpoint-dir. Onboarded tenants are built with
-// the same -model, -seed, -rows, -deadline, -fallback and -critic*
+// the same -model, -seed, -rows, -deadline and -critic*
 // settings as the boot-time ones; an onboarding request's fields
 // override them.
 //
@@ -58,7 +58,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "pipeline and training seed")
 		rows      = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
 		deadline  = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = half of -timeout)")
-		fallback  = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
 
 		workers  = flag.Int("workers", 0, "max concurrent translations per tenant (0 = NumCPU)")
 		queue    = flag.Int("queue", 0, "waiting-room size before shedding (0 = 2x workers)")
@@ -87,7 +86,6 @@ func main() {
 		Seed:            *seed,
 		Rows:            *rows,
 		Deadline:        *deadline,
-		Fallback:        *fallback,
 		Critic:          *criticOn,
 		CriticRowBudget: *rowBudget,
 		CriticTimeout:   *criticTO,

@@ -38,7 +38,6 @@ func main() {
 		rows       = flag.Int("rows", 40, "synthetic rows per table for non-patients schemas")
 		verbose    = flag.Bool("verbose", false, "print the full translation lifecycle per question")
 		deadline   = flag.Duration("deadline", 0, "per-question inference deadline per tier (0 = none)")
-		fallback   = flag.Bool("fallback", true, "degrade to a template nearest-neighbor tier when the primary model fails")
 	)
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func main() {
 		Seed:     *seed,
 		Rows:     *rows,
 		Deadline: *deadline,
-		Fallback: *fallback,
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},

@@ -1,11 +1,13 @@
 // Package boot builds the self-contained serving unit for one schema:
-// resolve the schema and its database, synthesize the training corpus
-// through the streaming stage graph, construct (or load) the pluggable
-// model, train it — optionally with checkpoint/resume — and wire the
-// runtime translator with its degradation chain. It is the single
-// construction path shared by cmd/dbpal, cmd/dbpal-serve,
-// cmd/dbpal-eval, and internal/registry's background onboarding, which
-// runs the same steps piecewise so it can report per-stage status.
+// resolve the schema and its database, construct (or load) the
+// pluggable model, and, unless its weights were loaded, synthesize the
+// training corpus through the streaming stage graph and train it —
+// optionally with checkpoint/resume — then wire the runtime translator
+// with its critic and the critic's beam. A -load boot runs no stage
+// graph. It is the single construction path shared by cmd/dbpal,
+// cmd/dbpal-serve, cmd/dbpal-eval, and internal/registry's background
+// onboarding, which runs the same steps piecewise so it can report
+// per-stage status.
 package boot
 
 import (
@@ -50,8 +52,6 @@ type Spec struct {
 	Rows int
 	// Deadline is the per-question inference deadline per tier.
 	Deadline time.Duration
-	// Fallback adds a template nearest-neighbor degradation tier.
-	Fallback bool
 	// Critic enables the execution-guided validation-and-repair layer:
 	// every candidate is schema-checked, dry-run in a sandbox against
 	// the tenant's engine, and deterministically repaired before it can
@@ -113,9 +113,8 @@ type Unit struct {
 	Model      models.Translator
 	Translator *runtime.Translator
 	// Pairs is the synthesized corpus size: the pairs the stage graph
-	// emitted, counted as they stream by when only a fallback index
-	// consumes them (0 when weights were loaded and no fallback tier
-	// needed the corpus).
+	// emitted for training (0 when weights were loaded, since a -load
+	// boot synthesizes no corpus).
 	Pairs int
 }
 
@@ -183,16 +182,6 @@ func Pairs(ctx context.Context, s *schema.Schema, p core.Params, seed int64) ([]
 		return nil, err
 	}
 	return out, nil
-}
-
-// NeedsCorpus reports whether building the spec requires synthesizing
-// the training corpus (fresh models always, loaded weights only when a
-// fallback tier indexes it, nn always since its "weights" are the
-// corpus). Build holds the corpus only when a model trains on it: for
-// loaded weights it streams each pair into the fallback index.
-func (sp Spec) NeedsCorpus() bool {
-	sp = sp.WithDefaults()
-	return sp.LoadPath == "" || sp.Fallback || sp.Model == "nn"
 }
 
 // ModelFor constructs the spec's untrained primary model (or loads it
@@ -276,30 +265,22 @@ func Train(ctx context.Context, m models.Translator, exs []models.Example, opts 
 	return nil
 }
 
+// CriticBeam is how many ranked candidates every tier of a critic-on
+// tenant decodes: the critic answers with the first that passes its
+// checks, so the beam is a question's second chance. Five is the
+// smallest width that, on every model measured, answered as many
+// development questions right as beam 1 with the template
+// nearest-neighbor tier behind it, and left fewer unanswered
+// (BENCH_serve.json, served_beam).
+const CriticBeam = 5
+
 // Assemble wires a trained model to its database: the runtime
-// translator with its per-tier deadline, the critic when the spec asks
-// for one, and the optional nearest-neighbor degradation tier trained
-// on the same corpus. It is the one place a tenant's critic is
-// constructed; the serving layer only wires breakers around it.
-func Assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translator, exs []models.Example, pairs int) *Unit {
-	var nn *models.NearestNeighbor
-	if hasFallback(sp) {
-		nn = models.NewNearestNeighbor()
-		nn.Train(exs)
-	}
-	return assemble(sp, s, db, m, nn, pairs)
-}
-
-// hasFallback reports whether the spec's tenant gets a nearest-neighbor
-// tier behind its model (an nn model is that tier already).
-func hasFallback(sp Spec) bool {
-	sp = sp.WithDefaults()
-	return sp.Fallback && sp.Model != "nn"
-}
-
-// assemble is Assemble with the fallback index already built (nil for
-// none).
-func assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translator, nn *models.NearestNeighbor, pairs int) *Unit {
+// translator with its per-tier deadline and, when the spec asks for
+// one, the critic with CriticBeam candidates to choose from. pairs is
+// the corpus size the model trained on (Unit.Pairs). It is the one
+// place a tenant's critic is constructed; the serving layer only wires
+// breakers around it.
+func Assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translator, pairs int) *Unit {
 	sp = sp.WithDefaults()
 	tr := runtime.NewTranslator(db, m)
 	tr.Deadline = sp.Deadline
@@ -309,79 +290,38 @@ func assemble(sp Spec, s *schema.Schema, db *engine.Database, m models.Translato
 			Timeout:   sp.CriticTimeout,
 			Seed:      sp.Seed,
 		})
-	}
-	if nn != nil {
-		tr.Fallbacks = []models.Translator{nn}
+		tr.Beam = CriticBeam
 	}
 	return &Unit{Schema: s, DB: db, Model: m, Translator: tr, Pairs: pairs}
 }
 
-// indexPairs runs the stage graph and adds each pair to a fallback
-// index as the graph emits it, through the same conversion as
-// models.PairExamples, so the corpus is never held, as pairs or as
-// examples. It returns the index and the corpus size.
-func indexPairs(ctx context.Context, s *schema.Schema, p core.Params, seed int64) (*models.NearestNeighbor, int, error) {
-	var (
-		b     models.NNBuilder
-		conv  = models.NewPairConverter(s)
-		pairs int
-	)
-	err := core.New(s, p, seed).Graph().Run(ctx, func(q core.Pair) error {
-		pairs++
-		if ex, ok := conv.Convert(q); ok {
-			b.Add(ex)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return b.Build(), pairs, nil
-}
-
-// Build runs the whole construction path in one call: resolve, corpus,
-// model, train, assemble. Callers needing per-stage progress (the
-// registry's onboarding status) run the same steps individually.
+// Build runs the whole construction path in one call: resolve, model,
+// corpus, train, assemble. Loaded weights skip the corpus and the
+// training. Callers needing per-stage progress (the registry's
+// onboarding status) run the same steps individually.
 func Build(ctx context.Context, sp Spec) (*Unit, error) {
 	sp = sp.WithDefaults()
 	s, db, err := ResolveSchema(sp.Schema, sp.Rows, sp.Seed)
 	if err != nil {
 		return nil, err
 	}
-	loaded := sp.LoadPath != "" && sp.Model != "nn" && sp.Factory == nil
-	var (
-		exs   []models.Example
-		nn    *models.NearestNeighbor
-		pairs int
-	)
-	switch {
-	case loaded && hasFallback(sp):
-		// Loaded weights train on nothing: the corpus only feeds the
-		// fallback index, so it is indexed as it streams.
-		if nn, pairs, err = indexPairs(ctx, s, sp.ParamsOrDefault(), sp.Seed); err != nil {
-			return nil, err
-		}
-		sp.logf("pipeline synthesized %d NL-SQL pairs", pairs)
-	case sp.NeedsCorpus():
-		ps, err := Pairs(ctx, s, sp.ParamsOrDefault(), sp.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sp.logf("pipeline synthesized %d NL-SQL pairs", len(ps))
-		exs = models.PairExamples(ps, s)
-		pairs = len(ps)
-	}
 	m, err := ModelFor(sp)
 	if err != nil {
 		return nil, err
 	}
-	if loaded {
+	if sp.LoadPath != "" && sp.Model != "nn" && sp.Factory == nil {
 		sp.logf("loaded %s model from %s", sp.Model, sp.LoadPath)
-		return assemble(sp, s, db, m, nn, pairs), nil
+		return Assemble(sp, s, db, m, 0), nil
 	}
+	ps, err := Pairs(ctx, s, sp.ParamsOrDefault(), sp.Seed)
+	if err != nil {
+		return nil, err
+	}
+	sp.logf("pipeline synthesized %d NL-SQL pairs", len(ps))
+	exs := models.PairExamples(ps, s)
 	sp.logf("bootstrapping DBPal for schema %q (%s model)...", s.Name, sp.Model)
 	if err := Train(ctx, m, exs, sp.Train); err != nil {
 		return nil, err
 	}
-	return Assemble(sp, s, db, m, exs, pairs), nil
+	return Assemble(sp, s, db, m, len(ps)), nil
 }

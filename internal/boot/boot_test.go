@@ -4,34 +4,30 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/models"
-	"repro/internal/patients"
 )
 
-// TestBootStreamedIndexMatchesAssemble: a server that loads its weights
-// indexes the corpus for its fallback tier as the stage graph emits it.
-// Its tier must be the index Assemble builds from the whole corpus
-// (PairExamples over Pairs), answer the benchmark questions and a
-// stride of corpus questions alike, and report the same corpus size.
-func TestBootStreamedIndexMatchesAssemble(t *testing.T) {
-	ctx := context.Background()
-	s := patients.Schema()
-	ps, err := Pairs(ctx, s, Spec{}.ParamsOrDefault(), 1)
-	if err != nil {
-		t.Fatal(err)
+// TestBootLoadServesCriticBeam: a server that loads its weights runs
+// no stage graph (Unit.Pairs is 0) and serves the model alone, with no
+// fallback tier. A critic-on tenant decodes CriticBeam candidates per
+// question; a critic-off one decodes its single top translation.
+func TestBootLoadServesCriticBeam(t *testing.T) {
+	// The model only has to load; a tiny sketch trained on two
+	// hand-written examples will do.
+	var exs []models.Example
+	for _, p := range [][2]string{
+		{"show all patients", "SELECT * FROM patients"},
+		{"how many patients are there", "SELECT COUNT(*) FROM patients"},
+	} {
+		exs = append(exs, models.Example{NL: strings.Fields(p[0]), SQL: strings.Fields(p[1])})
 	}
-	exs := models.PairExamples(ps, s)
-
-	// The primary model only has to load; a tiny sketch trained on a
-	// few examples will do.
 	cfg := models.DefaultSketchConfig()
-	cfg.Epochs, cfg.EmbDim, cfg.HidDim, cfg.SampleCap = 1, 4, 4, 20
+	cfg.Epochs, cfg.EmbDim, cfg.HidDim = 1, 4, 4
 	sk := models.NewSketch(cfg)
-	sk.Train(exs[:20])
+	sk.Train(exs)
 	path := filepath.Join(t.TempDir(), "sketch.gob")
 	f, err := os.Create(path)
 	if err != nil {
@@ -44,38 +40,18 @@ func TestBootStreamedIndexMatchesAssemble(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sp := Spec{Schema: "patients", LoadPath: path, Fallback: true, Seed: 1}
-	u, err := Build(ctx, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Pairs != len(ps) || u.Pairs != 22404 {
-		t.Fatalf("streamed build reports %d pairs, the corpus has %d (want 22404)", u.Pairs, len(ps))
-	}
-	want := Assemble(sp, u.Schema, u.DB, u.Model, exs, len(ps))
-	if len(u.Translator.Fallbacks) != 1 || len(want.Translator.Fallbacks) != 1 {
-		t.Fatalf("fallback tiers: streamed %d, assembled %d; want 1 each",
-			len(u.Translator.Fallbacks), len(want.Translator.Fallbacks))
-	}
-	got, ref := u.Translator.Fallbacks[0], want.Translator.Fallbacks[0]
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("the streamed fallback index differs from the one Assemble builds")
-	}
-
-	var qs [][]string
-	for _, c := range patients.Cases() {
-		_, nl, err := u.Translator.Preprocess(c.NL)
+	for _, tc := range []struct {
+		critic bool
+		beam   int
+	}{{true, CriticBeam}, {false, 0}} {
+		u, err := Build(context.Background(), Spec{Schema: "patients", LoadPath: path, Seed: 1, Critic: tc.critic})
 		if err != nil {
-			t.Fatalf("preprocess %q: %v", c.NL, err)
+			t.Fatal(err)
 		}
-		qs = append(qs, nl)
-	}
-	for i := 0; i < len(exs); i += 97 {
-		qs = append(qs, exs[i].NL)
-	}
-	for _, q := range qs {
-		if a, b := got.Translate(q, nil), ref.Translate(q, nil); !slices.Equal(a, b) {
-			t.Fatalf("question %q: streamed tier answered %q, assembled %q", q, a, b)
+		tr := u.Translator
+		if u.Pairs != 0 || len(tr.Fallbacks) != 0 || tr.Beam != tc.beam || (tr.Critic != nil) != tc.critic {
+			t.Fatalf("critic %v: Pairs %d, %d fallback tiers, beam %d, critic %v; want 0, 0, %d, %v",
+				tc.critic, u.Pairs, len(tr.Fallbacks), tr.Beam, tr.Critic != nil, tc.beam, tc.critic)
 		}
 	}
 }

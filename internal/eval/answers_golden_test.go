@@ -31,10 +31,10 @@ const answersGolden = "testdata/answers_golden.txt"
 // TestAnswersGolden pins the end-to-end answers — final SQL and the
 // rows it executes to — over spider.Workload × {patients, flights} ×
 // {sketch, seq2seq} × critic {off, on} × beam {1, 3}, plus the
-// Patients benchmark through the full runtime. Decoding,
-// finalization, the critic and the engine all sit under it, so a
-// change to any of them that is meant to be a pure speed-up must leave
-// this file byte-identical. Critic verdicts are recorded on their own
+// Patients benchmark through the full runtime at boot.CriticBeam.
+// Decoding, finalization, the critic and the engine all sit under it,
+// so a change to any of them that is meant to be a pure speed-up must
+// leave this file byte-identical. Critic verdicts are recorded on their own
 // lines: a verdict may legitimately change when the dry-run's row
 // budget stops tripping, and the diff then shows which.
 //
@@ -89,9 +89,10 @@ func answersText(t *testing.T) string {
 		if name == "patients" {
 			// The 399 Patients-benchmark questions through the full
 			// runtime (parameter handler included) on the served model
-			// shape: sketch, critic on, one candidate.
+			// shape: sketch, critic on, boot's beam.
 			tr := runtime.NewTranslator(db, sk)
 			tr.Critic = critic.New(db, critic.Config{Seed: 1, Timeout: time.Minute})
+			tr.Beam = boot.CriticBeam
 			for _, c := range patients.Cases() {
 				fmt.Fprintf(&b, "patients-bench %s ", c.ID)
 				fq, trace, err := tr.Translate(context.Background(), c.NL)

@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// NearestNeighbor is the last tier of the runtime degradation chain: a
-// non-parametric Translator that memorizes its training pairs and
+// NearestNeighbor is the template nearest-neighbor model (-model nn):
+// a non-parametric Translator that memorizes its training pairs and
 // answers a question with the SQL of the stored example whose NL
 // tokens are closest under Jaccard similarity over token sets. It has
-// no parameters, cannot panic on any input, and trains in O(n) — the
-// always-available floor beneath the neural tiers.
+// no parameters, cannot panic on any input, and trains in O(n), so a
+// tenant served by it starts without neural training.
 //
 // Ties are broken by the lowest stored index, so the answer depends
 // only on the training order, never on map iteration or scheduling.
@@ -39,71 +39,47 @@ func NewNearestNeighbor() *NearestNeighbor { return &NearestNeighbor{} }
 func (m *NearestNeighbor) Name() string { return "template-nn" }
 
 // Train implements Translator: it replaces the index with one over the
-// examples, in their order.
+// examples, in their order. The index keeps each example's SQL, which
+// must not be modified afterwards, and of its NL only a copy of each
+// distinct token.
 func (m *NearestNeighbor) Train(examples []Example) {
-	var b NNBuilder
-	for _, ex := range examples {
-		b.Add(ex)
+	nn := NearestNeighbor{
+		ids:   map[string]int32{},
+		sizes: make([]int32, len(examples)),
+		sql:   make([][]string, len(examples)),
 	}
-	*m = *b.Build()
-}
-
-// NNBuilder fills a NearestNeighbor index one example at a time, so a
-// caller can index a corpus as it streams without holding it: Add each
-// example in order, then Build once. The zero value is an empty
-// builder.
-type NNBuilder struct {
-	nn    NearestNeighbor
-	lists [][]int32 // per token id: its postings so far
-}
-
-// Add appends ex to the index as the next example. The index keeps
-// ex.SQL, which must not be modified afterwards, and of ex.NL only a
-// copy of each token it has not seen before.
-func (b *NNBuilder) Add(ex Example) {
-	if b.nn.ids == nil {
-		b.nn.ids = map[string]int32{}
-	}
-	i := int32(len(b.nn.sizes))
-	n := int32(0)
-	for _, t := range ex.NL {
-		id, ok := b.nn.ids[t]
-		if !ok {
-			// A token may be a substring of a longer text; clone it so
-			// the index does not keep that text alive.
-			id = int32(len(b.lists))
-			b.nn.ids[strings.Clone(t)] = id
-			b.lists = append(b.lists, nil)
+	var lists [][]int32 // per token id: its postings
+	for i, ex := range examples {
+		n := int32(0)
+		for _, t := range ex.NL {
+			id, ok := nn.ids[t]
+			if !ok {
+				// A token may be a substring of a longer text; clone it
+				// so the index does not keep that text alive.
+				id = int32(len(lists))
+				nn.ids[strings.Clone(t)] = id
+				lists = append(lists, nil)
+			}
+			l := lists[id]
+			if len(l) > 0 && l[len(l)-1] == int32(i) {
+				continue // repeated within ex
+			}
+			lists[id] = append(l, int32(i))
+			n++
 		}
-		l := b.lists[id]
-		if len(l) > 0 && l[len(l)-1] == i {
-			continue // repeated within ex
-		}
-		b.lists[id] = append(l, i)
-		n++
+		nn.sizes[i], nn.sql[i] = n, ex.SQL
 	}
-	b.nn.sizes = append(b.nn.sizes, n)
-	b.nn.sql = append(b.nn.sql, ex.SQL)
-}
-
-// Build flattens the postings and returns the finished index. The
-// builder is empty afterwards.
-func (b *NNBuilder) Build() *NearestNeighbor {
-	nn := b.nn
 	total := 0
-	for _, l := range b.lists {
+	for _, l := range lists {
 		total += len(l)
 	}
-	nn.off = make([]int32, len(b.lists)+1)
+	nn.off = make([]int32, len(lists)+1)
 	nn.post = make([]int32, 0, total)
-	for id, l := range b.lists {
+	for id, l := range lists {
 		nn.post = append(nn.post, l...)
 		nn.off[id+1] = int32(len(nn.post))
 	}
-	nn.sizes = slices.Clip(nn.sizes)
-	nn.sql = slices.Clip(nn.sql)
-	*b = NNBuilder{}
-	return &nn
+	*m = nn
 }
 
 // nnWindow is how many consecutive examples Translate counts at once.

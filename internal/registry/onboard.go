@@ -120,7 +120,7 @@ func (r *Registry) runOnboard(ctx context.Context, t *Tenant, spec boot.Spec) er
 		}
 	}
 
-	u := boot.Assemble(spec, s, db, m, exs, len(pairs))
+	u := boot.Assemble(spec, s, db, m, len(pairs))
 	v := r.newVersion(t, u, acc)
 	t.install(v)
 	if ckpath != "" {

@@ -502,9 +502,9 @@ type Translator struct {
 	Deadline time.Duration
 	// Fallbacks is the graceful-degradation chain: translators tried
 	// in order after the primary Model fails a question (panic,
-	// deadline, no output, nothing parsable/executable). The usual
-	// chain is neural primary → sketch → models.NearestNeighbor. The
-	// tier that answered is recorded in Trace.Tier.
+	// deadline, no output, nothing parsable/executable). The tier that
+	// answered is recorded in Trace.Tier. boot serves every tenant
+	// with none: a critic-on tenant's second chance is its Beam.
 	Fallbacks []models.Translator
 	// Hook, when non-nil, gates and observes the stages that can fail
 	// for reasons other than the question — the serving layer's

@@ -20,10 +20,9 @@ type onboardRequest struct {
 	Model  string `json:"model,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
 	Rows   int    `json:"rows,omitempty"`
-	// Fallback and Critic override the server's fallback tier and
-	// critic settings for this tenant (absent = inherit them).
-	Fallback *bool `json:"fallback,omitempty"`
-	Critic   *bool `json:"critic,omitempty"`
+	// Critic overrides the server's critic setting for this tenant
+	// (absent = inherit it).
+	Critic *bool `json:"critic,omitempty"`
 }
 
 // schemasResponse is the GET /schemas body.
@@ -80,9 +79,6 @@ func (s *Server) handleOnboard(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Rows != 0 {
 		spec.Rows = req.Rows
-	}
-	if req.Fallback != nil {
-		spec.Fallback = *req.Fallback
 	}
 	if req.Critic != nil {
 		spec.Critic = *req.Critic

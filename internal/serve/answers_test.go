@@ -46,8 +46,8 @@ func sendVia(t *testing.T, h http.Handler, op, method, question string) wireResp
 // shape is cached; pass 3 replays every one and decodes nothing.
 func TestAnswerReplayBytesMatchUncached(t *testing.T) {
 	cases := patients.Cases()
-	off, _, _ := sketchServer(t, 0)
-	on, primary, fallback := sketchServer(t, 1024)
+	off, _ := sketchServer(t, 0)
+	on, model := sketchServer(t, 1024)
 	routes := []struct{ op, method string }{
 		{"ask", http.MethodGet}, {"ask", http.MethodPost},
 		{"translate", http.MethodGet}, {"translate", http.MethodPost},
@@ -68,7 +68,7 @@ func TestAnswerReplayBytesMatchUncached(t *testing.T) {
 		t.Fatal("fixture: every ask answered, so no failure is ever replayed")
 	}
 	for pass := 1; pass <= 3; pass++ {
-		decodes := primary.calls.Load() + fallback.calls.Load()
+		decodes := model.calls.Load()
 		before := on.Snapshot().Tenants["patients"].Cache
 		for i, c := range cases {
 			for k, r := range routes {
@@ -82,7 +82,7 @@ func TestAnswerReplayBytesMatchUncached(t *testing.T) {
 		if pass < 3 {
 			continue
 		}
-		if n := primary.calls.Load() + fallback.calls.Load() - decodes; n != 0 {
+		if n := model.calls.Load() - decodes; n != 0 {
 			t.Errorf("pass 3 decoded %d times; every response should replay", n)
 		}
 		after := on.Snapshot().Tenants["patients"].Cache

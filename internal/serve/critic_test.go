@@ -38,7 +38,8 @@ func criticServer(t *testing.T, model models.Translator, cfg Config, exec func(*
 	return s, ts
 }
 
-// countingModel wraps a model and counts decodes.
+// countingModel wraps a model and counts decodes, beam decodes
+// included; only a runtime.KTranslator may be asked for a beam.
 type countingModel struct {
 	inner models.Translator
 	calls atomic.Int64
@@ -49,6 +50,10 @@ func (m *countingModel) Train([]models.Example) {}
 func (m *countingModel) Translate(nl, st []string) []string {
 	m.calls.Add(1)
 	return m.inner.Translate(nl, st)
+}
+func (m *countingModel) TranslateK(nl, st []string, k int) [][]string {
+	m.calls.Add(1)
+	return m.inner.(runtime.KTranslator).TranslateK(nl, st, k)
 }
 
 // A beam the critic rejects end to end must surface as the typed

@@ -88,7 +88,7 @@ type Config struct {
 	CacheSize int
 	// Spec is the build template for tenants onboarded through POST
 	// /schemas: the same settings the boot-time tenants were built
-	// with (model, seed, rows, per-tier deadline, fallback, critic).
+	// with (model, seed, rows, per-tier deadline, critic).
 	// A zero per-tier deadline, here or on a pre-built tenant, becomes
 	// half of Timeout.
 	// The request's schema replaces Spec.Schema, its other fields

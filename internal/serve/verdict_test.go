@@ -27,12 +27,11 @@ import (
 var (
 	sketchFixtureOnce sync.Once
 	sketchFixtureM    *models.Sketch
-	sketchFixtureExs  []models.Example
 )
 
 // sketchFixture trains a small sketch model on the Patients corpus
-// once per test binary, with the examples the fallback tier indexes.
-func sketchFixture(t *testing.T) (*models.Sketch, []models.Example) {
+// once per test binary.
+func sketchFixture(t *testing.T) *models.Sketch {
 	t.Helper()
 	sketchFixtureOnce.Do(func() {
 		s := patients.Schema()
@@ -45,28 +44,27 @@ func sketchFixture(t *testing.T) (*models.Sketch, []models.Example) {
 		cfg.Epochs, cfg.SampleCap = 1, 600
 		m := models.NewSketch(cfg)
 		m.Train(exs)
-		sketchFixtureM, sketchFixtureExs = m, exs
+		sketchFixtureM = m
 	})
 	if sketchFixtureM == nil {
 		t.Fatal("building the Patients corpus for the sketch fixture failed")
 	}
-	return sketchFixtureM, sketchFixtureExs
+	return sketchFixtureM
 }
 
 // sketchServer serves the sketch fixture over the patients database
-// the way dbpal-serve ships it, critic on and the nearest-neighbor
-// fallback behind the sketch, with a dry-run deadline generous enough
-// that no verdict depends on timing. Both tiers count their decodes.
-func sketchServer(t *testing.T, cacheSize int) (*Server, *countingModel, *countingModel) {
+// the way dbpal-serve ships it: critic on, with the beam boot gives
+// it and no fallback tier, and a dry-run deadline generous enough that
+// no verdict depends on timing. The model counts its decodes.
+func sketchServer(t *testing.T, cacheSize int) (*Server, *countingModel) {
 	t.Helper()
-	m, exs := sketchFixture(t)
 	db := testDB(t)
-	u := boot.Assemble(boot.Spec{Schema: "patients", Fallback: true, Critic: true}, db.Schema, db, m, exs, len(exs))
+	u := boot.Assemble(boot.Spec{Schema: "patients", Critic: true}, db.Schema, db, sketchFixture(t), 0)
 	tr := u.Translator
 	tr.Critic = critic.New(db, critic.Config{Seed: 1, Timeout: time.Minute})
-	primary, fallback := &countingModel{inner: tr.Model}, &countingModel{inner: tr.Fallbacks[0]}
-	tr.Model, tr.Fallbacks = primary, []models.Translator{fallback}
-	return NewMulti([]*boot.Unit{u}, Config{Workers: 2, CacheSize: cacheSize}), primary, fallback
+	model := &countingModel{inner: tr.Model}
+	tr.Model = model
+	return NewMulti([]*boot.Unit{u}, Config{Workers: 2, CacheSize: cacheSize}), model
 }
 
 // askOutcome is everything a client sees of one /ask.
@@ -118,8 +116,8 @@ func (o askOutcome) String() string {
 // replays recorded answers and failures alike.
 func TestVerdictReplayMatchesFirstAnswer(t *testing.T) {
 	cases := patients.Cases()
-	off, _, _ := sketchServer(t, 0)
-	on, primary, fallback := sketchServer(t, 1024)
+	off, _ := sketchServer(t, 0)
+	on, model := sketchServer(t, 1024)
 
 	want := make([]askOutcome, len(cases))
 	wantFailed := 0
@@ -134,7 +132,7 @@ func TestVerdictReplayMatchesFirstAnswer(t *testing.T) {
 	}
 	var first []askOutcome
 	for pass := 1; pass <= 3; pass++ {
-		decodes := primary.calls.Load() + fallback.calls.Load()
+		decodes := model.calls.Load()
 		failed := 0
 		got := make([]askOutcome, len(cases))
 		for i, c := range cases {
@@ -154,7 +152,7 @@ func TestVerdictReplayMatchesFirstAnswer(t *testing.T) {
 		if first == nil {
 			first = got
 		}
-		if n := primary.calls.Load() + fallback.calls.Load() - decodes; pass == 3 && n != 0 {
+		if n := model.calls.Load() - decodes; pass == 3 && n != 0 {
 			t.Errorf("pass 3 decoded %d times; every shape's verdict should replay", n)
 		}
 	}
